@@ -1,171 +1,40 @@
-"""Battery pack simulation and entropy-based thermal fault diagnosis."""
+"""Battery pack simulation and entropy-based thermal fault diagnosis.
 
-from .bench import (
-    BenchmarkReport,
-    ScenarioResult,
-    report_lines,
-    run_benchmark,
-    summary_lines,
-)
+The names below cover simulating a pack, detecting and localizing a short,
+and tuning the detector; everything else is reached through its module
+(packdiag.pack, packdiag.pipeline, packdiag.spacetime, ...).
+"""
+
 from .errors import ConfigError, DataFormatError, SimulationError
-from .fusion import (
-    DetectionOutcome,
-    DetectorParams,
-    KdeModel,
-    detect,
-    fit_kde,
-    multiscale_statistic,
-    normalize,
-    threshold_from_kde,
-)
-from .io import (
-    read_dataset,
-    read_params,
-    read_scenario,
-    write_dataset,
-    write_params,
-    write_scenario,
-    write_trace,
-)
-from .locate import (
-    ContributionMap,
-    contribution,
-    contribution_rows,
-    contributions_at,
-    localize,
-)
-from .lumped import (
-    LumpedEntropyTrace,
-    SlidingWindowBuffer,
-    dissimilarity_entropy,
-    lumped_entropy_series,
-    sliding_cv,
-    z_scores,
-)
-from .pack import (
-    CellSpec,
-    ElectricalState,
-    FaultSpec,
-    PackLayout,
-    PackSimulator,
-    SimConfig,
-    TelemetryFrame,
-    ThermalField,
-    build_layout,
-    heat_generation,
-    isc_power_density,
-    ocv_of_soc,
-    pack_current_a,
-    simulate,
-    stability_limit,
-    step_electrical,
-    step_thermal,
-)
-from .pipeline import (
-    DetectorReport,
-    EntropyStreams,
-    Telemetry,
-    calibrate_from_streams,
-    calibrate_pooled,
-    entropy_streams,
-    run_detector,
-)
-from .spacetime import (
-    Decomposition,
-    FuzzyParams,
-    SpatialPdf,
-    decompose_window,
-    fuzzy_entropy,
-    sbf_variation,
-    spatial_entropy,
-    temporal_entropy,
-)
-from .tuning import (
-    EvaluationResult,
-    FitnessEvaluator,
-    GaConfig,
-    MetricsConfig,
-    compute_metrics,
-    mga_optimize,
-    objective,
-    simplex_project,
-)
+from .fusion import DetectorParams
+from .io import write_dataset
+from .locate import contributions_at
+from .pack import FaultSpec, SimConfig, build_layout, simulate
+from .pipeline import Telemetry, entropy_streams, run_detector
+from .tuning import FitnessEvaluator, GaConfig, mga_optimize, objective
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkReport",
-    "CellSpec",
-    "ConfigError",
-    "ContributionMap",
-    "DataFormatError",
-    "Decomposition",
-    "DetectionOutcome",
-    "DetectorParams",
-    "DetectorReport",
-    "ElectricalState",
-    "EntropyStreams",
-    "EvaluationResult",
+    # simulate a pack
     "FaultSpec",
-    "FitnessEvaluator",
-    "FuzzyParams",
-    "GaConfig",
-    "KdeModel",
-    "LumpedEntropyTrace",
-    "MetricsConfig",
-    "PackLayout",
-    "PackSimulator",
-    "ScenarioResult",
     "SimConfig",
-    "SimulationError",
-    "SlidingWindowBuffer",
-    "SpatialPdf",
-    "Telemetry",
-    "TelemetryFrame",
-    "ThermalField",
     "build_layout",
-    "calibrate_from_streams",
-    "calibrate_pooled",
-    "compute_metrics",
-    "contribution",
-    "contribution_rows",
-    "contributions_at",
-    "decompose_window",
-    "detect",
-    "dissimilarity_entropy",
-    "entropy_streams",
-    "fit_kde",
-    "fuzzy_entropy",
-    "heat_generation",
-    "isc_power_density",
-    "localize",
-    "lumped_entropy_series",
-    "mga_optimize",
-    "multiscale_statistic",
-    "normalize",
-    "objective",
-    "ocv_of_soc",
-    "pack_current_a",
-    "read_dataset",
-    "read_params",
-    "read_scenario",
-    "report_lines",
-    "run_benchmark",
-    "run_detector",
-    "sbf_variation",
-    "simplex_project",
     "simulate",
-    "sliding_cv",
-    "spatial_entropy",
-    "stability_limit",
-    "step_electrical",
-    "step_thermal",
-    "summary_lines",
-    "temporal_entropy",
-    "threshold_from_kde",
     "write_dataset",
-    "write_params",
-    "write_scenario",
-    "write_trace",
-    "z_scores",
+    # detect and localize
+    "DetectorParams",
+    "Telemetry",
+    "contributions_at",
+    "entropy_streams",
+    "run_detector",
+    # tune the detector
+    "FitnessEvaluator",
+    "GaConfig",
+    "mga_optimize",
+    "objective",
+    # errors
+    "ConfigError",
+    "DataFormatError",
+    "SimulationError",
 ]

@@ -90,11 +90,16 @@ def read_dataset(path) -> Telemetry:
         labels.append(int(parts[-1]))
     if not times:
         raise DataFormatError("dataset has a header but no rows")
-    rows = np.asarray(rows)
-    return Telemetry(times=np.asarray(times),
+    times, rows, currents = (np.asarray(v) for v in (times, rows, currents))
+    finite = (np.isfinite(times) & np.isfinite(rows).all(axis=1)
+              & np.isfinite(currents))
+    if not finite.all():
+        raise DataFormatError(f"line {int(np.argmin(finite)) + 2}: "
+                              "non-finite field")
+    return Telemetry(times=times,
                      temps=rows[:, :N_TEMP_CHANNELS],
                      volts=rows[:, N_TEMP_CHANNELS:],
-                     current=np.asarray(currents),
+                     current=currents,
                      labels=np.asarray(labels, dtype=int))
 
 
@@ -199,14 +204,9 @@ _SCENARIO_KEYS = _SCENARIO_FLOATS + ("rng_seed",) + _FAULT_KEYS
 
 
 def write_scenario(path, cfg: SimConfig):
-    """Write a run config; the fault block doubles as the run's C-rate."""
+    """Write a run config, the fault block last when there is one."""
     cfg.validate()
-    rate = cfg.fault.discharge_rate if cfg.fault is not None \
-        else cfg.discharge_rate
-    lines = []
-    for key in _SCENARIO_FLOATS:
-        value = rate if key == "discharge_rate" else getattr(cfg, key)
-        lines.append(f"{key} = {_exact(value)}")
+    lines = [f"{key} = {_exact(getattr(cfg, key))}" for key in _SCENARIO_FLOATS]
     lines.append(f"rng_seed = {int(cfg.rng_seed)}")
     if cfg.fault is not None:
         cfg.fault.validate()
@@ -236,7 +236,6 @@ def read_scenario(path) -> SimConfig:
             fault_cell=_converted(entries, "fault_cell", int, None),
             r_short=_converted(entries, "r_short", float, None),
             onset=_converted(entries, "onset", float, None),
-            discharge_rate=kwargs["discharge_rate"],
             r_equiv=_converted(entries, "r_equiv", float,
                                FaultSpec(1, 1.0, 0.0).r_equiv),
         )

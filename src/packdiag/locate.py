@@ -60,17 +60,6 @@ def contribution(decs: list[Decomposition], initial: Decomposition,
                            cell_serial=argmax + 1)
 
 
-def localize(cmap: ContributionMap, layout: PackLayout) -> int:
-    """Serial number of the cell with the largest contribution.
-
-    Exact ties resolve to the lowest serial, so the answer is deterministic.
-    """
-    c = np.asarray(cmap.contributions, dtype=float)
-    if c.shape != (layout.n_cells,):
-        raise ValueError("contribution length does not match the layout")
-    return int(np.argmax(c)) + 1
-
-
 def contributions_at(tele: Telemetry, t_f: float, window: int,
                      layout: PackLayout | None = None) -> ContributionMap:
     """Mean excess temperature per cell over the window ending at the alarm.

@@ -54,7 +54,6 @@ class FaultSpec:
     fault_cell: int          # serial number, 1-based
     r_short: float           # ohm
     onset: float             # seconds
-    discharge_rate: float = 2.0   # C-rate of the whole run
     r_equiv: float = 0.005   # m, equivalent radius of the shorted region
 
     def validate(self):
@@ -64,8 +63,6 @@ class FaultSpec:
             raise ConfigError("r_equiv must be positive")
         if self.onset < 0:
             raise ConfigError("onset must be non-negative")
-        if self.discharge_rate <= 0:
-            raise ConfigError("discharge_rate must be positive")
 
 
 @dataclass
@@ -81,7 +78,7 @@ class SimConfig:
     temp_noise_std: float = 0.05    # K
     volt_noise_std: float = 0.001   # V
     rng_seed: int = 0
-    discharge_rate: float = 2.0     # C, used when no fault spec overrides it
+    discharge_rate: float = 2.0     # C-rate of the whole run
     initial_soc: float = 0.90
     sample_interval: float = 1.0    # seconds between telemetry frames
     fault: FaultSpec | None = None
@@ -103,12 +100,6 @@ class SimConfig:
             raise ConfigError("discharge_rate must be non-negative")
         if self.fault is not None:
             self.fault.validate()
-
-    @property
-    def active_rate(self) -> float:
-        if self.fault is not None:
-            return self.fault.discharge_rate
-        return self.discharge_rate
 
 
 @dataclass
@@ -291,13 +282,8 @@ def step_electrical(state: ElectricalState, pack_current: float,
                            time=state.time + dt)
 
 
-def heat_generation(state: ElectricalState, mean_cell_temps: np.ndarray,
-                    spec: CellSpec) -> np.ndarray:
-    """Irreversible Joule heat per cell (W) from the current through each cell.
-
-    mean_cell_temps is accepted for interface symmetry with temperature-aware
-    loss models; the resistive model here does not use it.
-    """
+def heat_generation(state: ElectricalState, spec: CellSpec) -> np.ndarray:
+    """Irreversible Joule heat per cell (W) from the current through each cell."""
     internal = state.branch_current + state.drain_current
     return internal**2 * spec.internal_resistance
 
@@ -383,7 +369,7 @@ class PackSimulator:
         self.field = ThermalField(
             np.full((self.layout.nx, self.layout.ny), cfg.ambient), 0.0)
         self.elec = self.initial_electrical_state(self.layout, cfg.initial_soc)
-        self.pack_current = pack_current_a(cfg.active_rate, self.spec.capacity_ah)
+        self.pack_current = pack_current_a(cfg.discharge_rate, self.spec.capacity_ah)
         self.status = "ok"
         self.heat_injected_j = 0.0
 
@@ -411,7 +397,7 @@ class PackSimulator:
         fault = cfg.fault
         elec = step_electrical(self.elec, self.pack_current, self.layout,
                                self.spec, fault, t0, self.eff_dt)
-        watts = heat_generation(elec, self.cell_mean_temps(), self.spec)
+        watts = heat_generation(elec, self.spec)
         if fault is not None and t0 >= fault.onset:
             g = (fault.fault_cell - 1) // self.layout.rows
             watts = watts.copy()

@@ -4,8 +4,10 @@ This ties the three abnormality measures to the shared sliding window:
 voltage dissimilarity across series groups, the hottest cell's excess over
 the smooth temperature surface, and temporal irregularity of the dominant
 mode of that excess field.
-Calibration derives the per-stream normalizers and the alarm threshold
-from a leading stretch of presumed-normal frames of the same recording.
+Calibration takes each stream's maximum over a leading stretch of
+presumed-normal frames as its normalizer, fuses the normalized streams
+into one weighted sum, and places the alarm threshold on the density of
+that sum over the same frames.
 """
 
 from __future__ import annotations
@@ -25,15 +27,11 @@ from .fusion import (
     threshold_from_kde,
 )
 from .lumped import lumped_entropy_series
-from .pack import PackLayout, TelemetryFrame, build_layout
-from .spacetime import (
-    LN2,
-    SPREAD_FLOOR,
-    FuzzyParams,
-    compensate,
-    decompose_window,
-    temporal_entropy,
-)
+from .pack import TelemetryFrame, build_layout
+from .spacetime import LN2, SPREAD_FLOOR, FuzzyParams, compensate
+
+# the temporal stream's embedding: dimension 2, tolerance set per window
+FUZZY = FuzzyParams()
 
 
 @dataclass
@@ -90,9 +88,7 @@ class EntropyStreams:
     window: int
 
 
-def entropy_streams(tele: Telemetry, window: int, order: int = 1,
-                    fuzzy: FuzzyParams | None = None,
-                    layout: PackLayout | None = None) -> EntropyStreams:
+def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     """Compute all three streams over a recording with a shared window length.
 
     Row k is defined once k+1 >= window; earlier rows are NaN. Both thermal
@@ -103,22 +99,15 @@ def entropy_streams(tele: Telemetry, window: int, order: int = 1,
     - h_s is the largest per-cell mean excess over the window, in the
       temperature unit. Sensor noise averages out over the window; a
       shorted cell holds it up for as long as the short lasts.
-    - h_t is the singular-value-weighted fuzzy entropy of the leading
-      temporal modes of the excess window.
-
-    The default keeps only the dominant mode for h_t: the higher modes sit
-    at the sensor-noise floor. Order one is a batched vector path; other
-    orders fall back to a per-window loop that gives identical numbers mode
-    for mode.
+    - h_t is the singular-value-weighted fuzzy entropy of the dominant
+      temporal mode of the excess window. The higher modes sit at the
+      sensor-noise floor, so only the first is kept.
     """
-    if fuzzy is None:
-        fuzzy = FuzzyParams()
-    if layout is None:
-        layout = build_layout()
+    layout = build_layout()
     n = tele.n_frames
     w = int(window)
-    if w < fuzzy.m + 2:
-        raise ValueError(f"window {w} too short for order-{fuzzy.m} matching")
+    if w < FUZZY.m + 2:
+        raise ValueError(f"window {w} too short for order-{FUZZY.m} matching")
     if n < w:
         raise ValueError(f"recording has {n} frames, needs at least {w}")
     if tele.temps.shape[1] != layout.n_cells:
@@ -129,40 +118,28 @@ def entropy_streams(tele: Telemetry, window: int, order: int = 1,
     h_s = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
     h_s[w - 1 :] = windows.mean(axis=2).max(axis=1)
-    if order == 1:
-        h_t = _rank1_temporal(excess, w, fuzzy)
-    else:
-        h_t = _looped_temporal(excess, w, order, fuzzy)
+    h_t = _rank1_temporal(excess, w)
 
     return EntropyStreams(times=tele.times.copy(), h_d=h_d, h_s=h_s, h_t=h_t,
                           window=w)
 
 
-def _looped_temporal(excess: np.ndarray, w: int, order: int,
-                     fuzzy: FuzzyParams) -> np.ndarray:
-    """Reference implementation: one decomposition per sliding window."""
-    n = excess.shape[0]
-    h_t = np.full(n, np.nan)
-    for k in range(w - 1, n):
-        dec = decompose_window(excess[k - w + 1 : k + 1].T, order=order)
-        h_t[k] = temporal_entropy(dec, fuzzy)
-    return h_t
-
-
-def _rank1_temporal(excess: np.ndarray, w: int, fuzzy: FuzzyParams,
+def _rank1_temporal(excess: np.ndarray, w: int,
                     chunk: int | None = None) -> np.ndarray:
-    """Vectorized single-mode temporal stream; numerically matches the loop.
+    """Single-mode temporal stream over every sliding window at once.
 
-    All sliding windows are stacked and decomposed by one batched SVD per
-    chunk, and the fuzzy similarity sums of the leading temporal coefficient
-    are evaluated as broadcast pairwise reductions. Chunking bounds the
-    pairwise intermediates at a few tens of megabytes. Fuzzy entropy does
-    not see the sign of the coefficient, so modes are not sign-aligned.
+    Matches decompose_window(order=1) plus temporal_entropy window by
+    window. All sliding windows are stacked and decomposed by one batched
+    SVD per chunk, and the fuzzy similarity sums of the leading temporal
+    coefficient are evaluated as broadcast pairwise reductions, with each
+    window's tolerance at 0.2 times its coefficient's spread. Chunking
+    bounds the pairwise intermediates at a few tens of megabytes. Fuzzy
+    entropy does not see the sign of the coefficient, so modes are not
+    sign-aligned.
     """
-    fuzzy.validate()
     n = excess.shape[0]
     n_win = n - w + 1
-    m = fuzzy.m
+    m = FUZZY.m
     count = w - m
 
     if chunk is None:
@@ -188,13 +165,9 @@ def _rank1_temporal(excess: np.ndarray, w: int, fuzzy: FuzzyParams,
             lam[dead] = 0.0
             a[dead] = 0.0
 
-        if fuzzy.r is None:
-            spread = a.std(axis=1)
-            quiet = spread < SPREAD_FLOOR
-            r = 0.2 * np.where(quiet, 1.0, spread)
-        else:
-            quiet = np.zeros(stop - start, dtype=bool)
-            r = np.full(stop - start, float(fuzzy.r))
+        spread = a.std(axis=1)
+        quiet = spread < SPREAD_FLOOR
+        r = 0.2 * np.where(quiet, 1.0, spread)
         log_sim = np.zeros((2, stop - start))
         for j, mu in enumerate((m, m + 1)):
             b = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
@@ -276,8 +249,6 @@ class DetectorReport:
 
 
 def run_detector(tele: Telemetry, params: DetectorParams,
-                 order: int = 1, fuzzy: FuzzyParams | None = None,
-                 layout: PackLayout | None = None,
                  refit: bool = True) -> DetectorReport:
     """Score a recording and raise alarms.
 
@@ -285,8 +256,7 @@ def run_detector(tele: Telemetry, params: DetectorParams,
     from this recording's own training prefix; otherwise params must already
     be calibrated and is used as-is.
     """
-    streams = entropy_streams(tele, params.window, order=order,
-                              fuzzy=fuzzy, layout=layout)
+    streams = entropy_streams(tele, params.window)
     if refit or not params.calibrated:
         params = calibrate_from_streams(streams, params)
     else:

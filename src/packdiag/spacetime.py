@@ -8,7 +8,10 @@ surroundings in the same unit as the input, whatever its zero. A sliding
 N x W window of that excess field is factored by truncated SVD into spatial
 basis functions, singular values, and temporal coefficients; fuzzy entropy
 of the temporal coefficients, weighted by the singular values, measures how
-irregular the dynamics became (temporal entropy).
+irregular the dynamics became (temporal entropy). The detector scores the
+dominant mode alone with the default FuzzyParams, through a batched path in
+pipeline; decompose_window and temporal_entropy are the per-window
+definition it reproduces.
 
 Basis drift against a reference decomposition, scored as a two-bin spatial
 entropy, is kept as a primitive (sbf_variation, spatial_entropy); the

@@ -20,15 +20,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .fusion import DetectionOutcome, DetectorParams, detect, multiscale_statistic
-from .pack import PackLayout
 from .pipeline import (
-    DetectorReport,
     EntropyStreams,
     Telemetry,
     calibrate_from_streams,
     entropy_streams,
 )
-from .spacetime import FuzzyParams
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,7 @@ class FitnessEvaluator:
 
     def __init__(self, scenarios: list[Telemetry],
                  base: DetectorParams | None = None,
-                 metrics: MetricsConfig | None = None, order: int = 1,
-                 fuzzy: FuzzyParams | None = None,
-                 layout: PackLayout | None = None):
+                 metrics: MetricsConfig | None = None):
         if not scenarios:
             raise ValueError("need at least one recording")
         if not any((t.labels == 1).any() for t in scenarios):
@@ -144,19 +139,13 @@ class FitnessEvaluator:
         self.base = base if base is not None else DetectorParams()
         self.metrics = metrics if metrics is not None else MetricsConfig()
         self.metrics.validate()
-        self.order = order
-        self.fuzzy = fuzzy
-        self.layout = layout
         self._streams: dict[tuple[int, int], EntropyStreams] = {}
         self._memo: dict[tuple, EvaluationResult] = {}
 
     def _stream(self, idx: int, window: int) -> EntropyStreams:
         key = (idx, window)
         if key not in self._streams:
-            self._streams[key] = entropy_streams(self.scenarios[idx], window,
-                                                 order=self.order,
-                                                 fuzzy=self.fuzzy,
-                                                 layout=self.layout)
+            self._streams[key] = entropy_streams(self.scenarios[idx], window)
         return self._streams[key]
 
     def _detect_streams(self, streams: EntropyStreams, tele: Telemetry,
@@ -168,20 +157,7 @@ class FitnessEvaluator:
         cal = calibrate_from_streams(streams, params)
         h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, cal)
         outcome = detect(streams.times, h, cal, onset=tele.onset())
-        return cal, h, outcome
-
-    def detector_report(self, tele: Telemetry, window: int,
-                        alpha) -> DetectorReport:
-        """Full per-recording report, using the stream cache when possible."""
-        idx = next((i for i, t in enumerate(self.scenarios) if t is tele), None)
-        if idx is None:
-            streams = entropy_streams(tele, int(window), order=self.order,
-                                      fuzzy=self.fuzzy, layout=self.layout)
-        else:
-            streams = self._stream(idx, int(window))
-        cal, h, outcome = self._detect_streams(streams, tele, window, alpha)
-        return DetectorReport(streams=streams, h_stream=h, params=cal,
-                              outcome=outcome)
+        return h, outcome
 
     def evaluate(self, window: int, alpha) -> EvaluationResult:
         """Pooled metrics of one candidate across every recording.
@@ -201,7 +177,7 @@ class FitnessEvaluator:
         try:
             for idx, tele in enumerate(self.scenarios):
                 streams = self._stream(idx, w)
-                _, h, outcome = self._detect_streams(streams, tele, w, key[1])
+                h, outcome = self._detect_streams(streams, tele, w, key[1])
                 labels = tele.labels
                 abnormal = labels == 1
                 usable = ~np.isnan(h)

@@ -200,6 +200,23 @@ class TestDetectCommand:
         assert ret == 4
         assert "line 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [4, 27], ids=["temperature", "voltage"])
+    def test_nan_reading_names_line_and_exits_4(self, work, tmp_path, capsys,
+                                                column):
+        # a NaN cell temperature used to end in a config error (exit 2), a
+        # NaN group voltage in a clean exit with 27 unscorable frames
+        broken = tmp_path / "nan.csv"
+        lines = (work / "normal.csv").read_text().splitlines()
+        parts = lines[100].split(",")
+        parts[column] = "nan"
+        lines[100] = ",".join(parts)
+        broken.write_text("\n".join(lines) + "\n")
+        ret = main(["detect", str(broken),
+                    "--params", str(work / "short.params"),
+                    "--out", str(tmp_path / "t.csv")])
+        assert ret == 4
+        assert "line 101: non-finite" in capsys.readouterr().err
+
 
 class TestLocalizeCommand:
     def test_prints_serial_and_writes_contributions(self, work, tmp_path,

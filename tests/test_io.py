@@ -90,6 +90,21 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="line 7"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("column, text", [(5, "nan"), (26, "inf"),
+                                              (0, "-inf"), (31, "NaN")])
+    def test_non_finite_field_names_line(self, tmp_path, short_tele, column,
+                                         text):
+        # column 5 is a cell temperature, 26 a group voltage, 31 the current
+        path = tmp_path / "run.csv"
+        write_dataset(path, short_tele)
+        lines = path.read_text().splitlines()
+        parts = lines[8].split(",")
+        parts[column] = text
+        lines[8] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="line 9: non-finite"):
+            read_dataset(path)
+
     def test_wrong_header_rejected(self, tmp_path, short_tele):
         path = tmp_path / "run.csv"
         write_dataset(path, short_tele)
@@ -184,7 +199,7 @@ class TestScenarioFile:
     def test_round_trip_fault(self, tmp_path):
         cfg = SimConfig(duration=120.0, rng_seed=103, discharge_rate=1.0,
                         fault=FaultSpec(fault_cell=23, r_short=5.0,
-                                        onset=60.0, discharge_rate=1.0))
+                                        onset=60.0))
         path = tmp_path / "sc.scenario"
         write_scenario(path, cfg)
         back = read_scenario(path)

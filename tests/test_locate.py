@@ -12,7 +12,6 @@ from packdiag.locate import (
     contribution,
     contribution_rows,
     contributions_at,
-    localize,
 )
 from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
 from packdiag.pipeline import Telemetry, run_detector
@@ -104,38 +103,41 @@ class TestContribution:
 
 
 class TestLocalize:
+    # the named cell is the argmax of the map, ties to the lowest serial
     def test_matches_map_serial(self):
         rng = np.random.default_rng(7)
-        layout = build_layout()
         phi0 = random_basis(rng, 24, 1)
         phi1 = phi0.copy()
         phi1[16] += 0.3
         cmap = contribution([make_dec(phi1)], make_dec(phi0))
-        assert localize(cmap, layout) == cmap.cell_serial == 17
+        assert cmap.argmax_sensor == int(np.argmax(cmap.contributions)) == 16
+        assert cmap.cell_serial == 17
 
-    def test_scale_invariance(self):
-        layout = build_layout()
-        c = np.linspace(0.0, 1.0, 24)
-        cmap = ContributionMap(contributions=c, t_start=1.0, t_f=27.0,
-                               argmax_sensor=23, cell_serial=24)
-        scaled = ContributionMap(contributions=5.0 * c, t_start=1.0, t_f=27.0,
-                                 argmax_sensor=23, cell_serial=24)
-        assert localize(cmap, layout) == localize(scaled, layout) == 24
+    def test_scale_invariance(self, fault_tele):
+        # a temperature unit five times finer scales the map, not the answer
+        scaled = dataclasses.replace(fault_tele, temps=5.0 * fault_tele.temps)
+        cmap = contributions_at(fault_tele, 180.0, window=27)
+        cmap5 = contributions_at(scaled, 180.0, window=27)
+        assert cmap5.cell_serial == cmap.cell_serial == 11
+        np.testing.assert_allclose(cmap5.contributions, 5.0 * cmap.contributions,
+                                   rtol=0, atol=1e-12)
 
-    def test_exact_tie_takes_lower_serial(self):
-        layout = build_layout()
-        c = np.zeros(24)
-        c[6] = c[11] = 0.7
-        cmap = ContributionMap(contributions=c, t_start=1.0, t_f=27.0,
-                               argmax_sensor=6, cell_serial=7)
-        assert localize(cmap, layout) == 7
+    def test_exact_tie_takes_lower_serial(self, fault_tele, monkeypatch):
+        excess = np.zeros((27, 24))
+        excess[:, 6] = excess[:, 11] = 0.7
+        monkeypatch.setattr("packdiag.locate.compensate",
+                            lambda temps, coords: excess)
+        cmap = contributions_at(fault_tele, 180.0, window=27)
+        assert cmap.contributions[6] == cmap.contributions[11]
+        assert cmap.argmax_sensor == 6
+        assert cmap.cell_serial == 7
 
     def test_sensor_count_must_match_layout(self):
         layout = build_layout()
         cmap = ContributionMap(contributions=np.zeros(10), t_start=1.0,
                                t_f=27.0, argmax_sensor=0, cell_serial=1)
         with pytest.raises(ValueError):
-            localize(cmap, layout)
+            contribution_rows(cmap, layout)
 
 
 class TestContributionRows:

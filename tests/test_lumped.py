@@ -4,12 +4,76 @@ import numpy as np
 import pytest
 
 from packdiag.lumped import (
-    SlidingWindowBuffer,
+    SPREAD_FLOOR,
     dissimilarity_entropy,
     lumped_entropy_series,
-    sliding_cv,
-    z_scores,
 )
+
+
+# Streaming oracle: a ring buffer walked one frame at a time, scored with
+# the per-window statistics the vectorized series computes all at once.
+class SlidingWindowBuffer:
+    """Fixed-width ring over the most recent samples of several signals."""
+
+    def __init__(self, n_signals: int, window: int):
+        if n_signals < 1:
+            raise ValueError("need at least one signal")
+        if window < 2:
+            raise ValueError("window must be at least 2")
+        self.n_signals = n_signals
+        self.window = window
+        self._data = np.zeros((n_signals, window))
+        self._count = 0
+        self._head = 0
+
+    @property
+    def warm(self) -> bool:
+        return self._count >= self.window
+
+    def push(self, values) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n_signals,):
+            raise ValueError(f"expected {self.n_signals} values, got shape {values.shape}")
+        self._data[:, self._head] = values
+        self._head = (self._head + 1) % self.window
+        self._count += 1
+
+    def window_array(self) -> np.ndarray:
+        """Samples in arrival order, oldest first, shape (n_signals, window)."""
+        if not self.warm:
+            raise ValueError("buffer not warm yet")
+        return np.roll(self._data, -self._head, axis=1)
+
+
+def sliding_cv(buffer: SlidingWindowBuffer, signal: int | None = None):
+    """Coefficient of variation (population std / mean) over the buffered window.
+
+    With signal=None returns the vector across all signals.
+    """
+    win = buffer.window_array()
+    if signal is not None:
+        win = win[signal:signal + 1]
+    mu = win.mean(axis=1)
+    if (np.abs(mu) < SPREAD_FLOOR).any():
+        raise ValueError("zero-mean window has no coefficient of variation")
+    out = win.std(axis=1) / mu
+    if signal is not None:
+        return float(out[0])
+    return out
+
+
+def z_scores(xi: np.ndarray) -> np.ndarray:
+    """Absolute z-score of each signal's CV against the cross-signal spread.
+
+    A degenerate spread (all CVs equal) scores every signal 0.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.size < 2:
+        raise ValueError("need at least two signals")
+    sigma = xi.std()
+    if sigma < SPREAD_FLOOR:
+        return np.zeros_like(xi)
+    return np.abs(xi - xi.mean()) / sigma
 
 
 def _moments_oracle(z):

@@ -201,13 +201,24 @@ class TestElectrical:
         spec = CellSpec()
         state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
         state.branch_current[:] = 2.4
-        watts = heat_generation(state, np.full(24, 293.15), spec)
+        watts = heat_generation(state, spec)
         assert np.allclose(watts, 2.4**2 * 0.03, atol=1e-12)
         assert abs(watts[0] - 0.1728) < 1e-12
 
     def test_pack_current_from_rate(self):
         assert abs(pack_current_a(2.0) - 9.6) < 1e-12
         assert abs(pack_current_a(1.0) - 4.8) < 1e-12
+
+    def test_fault_keeps_the_runs_c_rate(self):
+        # a short changes the cells, not the load the pack is asked for
+        fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
+        for spec in (fault, None):
+            cfg = SimConfig(duration=10.0, discharge_rate=1.0, fault=spec)
+            sim = PackSimulator(cfg)
+            assert abs(sim.pack_current - 4.8) < 1e-12
+            frames = sim.run()
+            drawn = np.mean([f.pack_current for f in frames])
+            assert abs(drawn - 4.8) < 5 * cfg.volt_noise_std
 
 
 class TestThermal:
@@ -366,7 +377,7 @@ class TestSimulate:
         cfg = SimConfig(
             duration=2000.0,
             rng_seed=101,
-            fault=FaultSpec(fault_cell=4, r_short=10.0, onset=1000.0, discharge_rate=2.0),
+            fault=FaultSpec(fault_cell=4, r_short=10.0, onset=1000.0),
         )
         frames = simulate(cfg)
         last = frames[-1]

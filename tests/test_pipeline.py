@@ -9,7 +9,6 @@ from packdiag.lumped import lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
 from packdiag.pipeline import (
     Telemetry,
-    _looped_temporal,
     _rank1_temporal,
     calibrate_from_streams,
     entropy_streams,
@@ -21,6 +20,16 @@ from packdiag.spacetime import (
     decompose_window,
     temporal_entropy,
 )
+
+
+def _looped_temporal(excess: np.ndarray, w: int) -> np.ndarray:
+    """Reference h_t: one single-mode decomposition per sliding window."""
+    n = excess.shape[0]
+    h_t = np.full(n, np.nan)
+    for k in range(w - 1, n):
+        dec = decompose_window(excess[k - w + 1 : k + 1].T, order=1)
+        h_t[k] = temporal_entropy(dec, FuzzyParams())
+    return h_t
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +81,9 @@ class TestEntropyStreams:
     def test_matches_per_frame_recomputation(self, normal_tele):
         # direct frame-by-frame oracle over a handful of rows
         w = 15
-        order = 5
         fuzzy = FuzzyParams()
         layout = build_layout()
-        streams = entropy_streams(normal_tele, window=w, order=order, fuzzy=fuzzy)
+        streams = entropy_streams(normal_tele, window=w)
 
         volts_trace = lumped_entropy_series(normal_tele.volts, w)
         # compensate() itself is checked against a least-squares oracle in
@@ -83,7 +91,7 @@ class TestEntropyStreams:
         excess = compensate(normal_tele.temps, layout.cell_centers)
         for k in [w - 1, 40, 77, 201]:
             win = excess[k - w + 1 : k + 1].T
-            dec = decompose_window(win, order=order)
+            dec = decompose_window(win, order=1)
             assert abs(streams.h_s[k] - win.mean(axis=1).max()) < 1e-12
             assert abs(streams.h_t[k] - temporal_entropy(dec, fuzzy)) < 1e-12
             assert abs(streams.h_d[k] - volts_trace.h_d[k]) < 1e-12
@@ -95,20 +103,18 @@ class TestEntropyStreams:
     @pytest.mark.parametrize("window", [15, 27, 101])
     def test_batched_path_matches_loop(self, fault_tele, window):
         # the single-mode vector path must reproduce the per-window loop
-        fuzzy = FuzzyParams()
         layout = build_layout()
         excess = compensate(fault_tele.temps, layout.cell_centers)
-        h_t_fast = _rank1_temporal(excess, window, fuzzy)
-        h_t_ref = _looped_temporal(excess, window, 1, fuzzy)
+        h_t_fast = _rank1_temporal(excess, window)
+        h_t_ref = _looped_temporal(excess, window)
         np.testing.assert_allclose(h_t_fast, h_t_ref, rtol=1e-9, atol=1e-10)
 
     def test_batched_path_chunking_invariant(self, normal_tele):
         # tiny chunks must stitch together to the same streams
-        fuzzy = FuzzyParams(m=2, r=0.01)
         layout = build_layout()
         excess = compensate(normal_tele.temps, layout.cell_centers)
-        whole = _rank1_temporal(excess, 20, fuzzy)
-        pieces = _rank1_temporal(excess, 20, fuzzy, chunk=7)
+        whole = _rank1_temporal(excess, 20)
+        pieces = _rank1_temporal(excess, 20, chunk=7)
         np.testing.assert_array_equal(whole, pieces)
 
 

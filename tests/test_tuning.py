@@ -1,5 +1,6 @@
 """Tests for detection metrics, the tuning objective, and the genetic search."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 from packdiag.fusion import DetectionOutcome, DetectorParams
 from packdiag.pack import FaultSpec, SimConfig, simulate
-from packdiag.pipeline import Telemetry
+from packdiag.pipeline import Telemetry, run_detector
 from packdiag.tuning import (
     EvaluationResult,
     FitnessEvaluator,
@@ -184,7 +185,9 @@ class TestFitnessEvaluator:
         da = ta = f = tn = 0
         delays = []
         for tele in tiny_scenarios:
-            rep = ev.detector_report(tele, 15, (0.3, 0.4, 0.3))
+            params = dataclasses.replace(ev.base, window=15,
+                                         alpha=(0.3, 0.4, 0.3))
+            rep = run_detector(tele, params)
             labels = tele.labels
             post = rep.outcome.alarms & (labels == 1)
             da += int(post.sum())
