@@ -96,6 +96,11 @@ def read_dataset(path) -> Telemetry:
     if not finite.all():
         raise DataFormatError(f"line {int(np.argmin(finite)) + 2}: "
                               "non-finite field")
+    out_of_order = np.flatnonzero(np.diff(times) <= 0)
+    if out_of_order.size:
+        k = int(out_of_order[0]) + 1
+        raise DataFormatError(f"line {k + 2}: time {_g(times[k])} does not "
+                              f"exceed the previous {_g(times[k - 1])}")
     return Telemetry(times=times,
                      temps=rows[:, :N_TEMP_CHANNELS],
                      volts=rows[:, N_TEMP_CHANNELS:],
@@ -196,10 +201,10 @@ def read_params(path) -> DetectorParams:
     return params
 
 
-_SCENARIO_FLOATS = ("dt", "duration", "ambient", "airflow_speed", "h_forced",
-                    "h_natural", "temp_noise_std", "volt_noise_std",
-                    "discharge_rate", "initial_soc", "sample_interval")
-_FAULT_KEYS = ("fault_cell", "r_short", "onset", "r_equiv")
+_SCENARIO_FLOATS = ("dt", "duration", "ambient", "h_forced", "h_natural",
+                    "temp_noise_std", "volt_noise_std", "discharge_rate",
+                    "initial_soc", "sample_interval")
+_FAULT_KEYS = ("fault_cell", "r_short", "onset")
 _SCENARIO_KEYS = _SCENARIO_FLOATS + ("rng_seed",) + _FAULT_KEYS
 
 
@@ -213,7 +218,6 @@ def write_scenario(path, cfg: SimConfig):
         lines.append(f"fault_cell = {int(cfg.fault.fault_cell)}")
         lines.append(f"r_short = {_exact(cfg.fault.r_short)}")
         lines.append(f"onset = {_exact(cfg.fault.onset)}")
-        lines.append(f"r_equiv = {_exact(cfg.fault.r_equiv)}")
     _write_text(path, lines)
 
 
@@ -227,8 +231,7 @@ def read_scenario(path) -> SimConfig:
                                     defaults.rng_seed)
     fault = None
     if any(key in entries for key in _FAULT_KEYS):
-        missing = [k for k in ("fault_cell", "r_short", "onset")
-                   if k not in entries]
+        missing = [k for k in _FAULT_KEYS if k not in entries]
         if missing:
             raise ConfigError("fault block needs fault_cell, r_short and "
                               f"onset; missing '{missing[0]}'")
@@ -236,8 +239,6 @@ def read_scenario(path) -> SimConfig:
             fault_cell=_converted(entries, "fault_cell", int, None),
             r_short=_converted(entries, "r_short", float, None),
             onset=_converted(entries, "onset", float, None),
-            r_equiv=_converted(entries, "r_equiv", float,
-                               FaultSpec(1, 1.0, 0.0).r_equiv),
         )
         fault.validate()
     cfg = SimConfig(fault=fault, **kwargs)

@@ -6,12 +6,17 @@ convective edges; each group is a parallel resistor network around the
 open-circuit voltage curve. An internal short circuit is modeled as an extra
 resistor inside one cell: it drains that cell's charge and dumps Joule heat
 onto its footprint.
+
+Each substep is whole-array work: the groups are contiguous runs of `rows`
+serials, so one reshape solves every group's network, and the footprints are
+stored flat, so one scatter deposits every cell's heat. The thermal field is
+a plain (nx, ny) array of kelvin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,13 +59,10 @@ class FaultSpec:
     fault_cell: int          # serial number, 1-based
     r_short: float           # ohm
     onset: float             # seconds
-    r_equiv: float = 0.005   # m, equivalent radius of the shorted region
 
     def validate(self):
         if self.r_short <= 0:
             raise ConfigError("r_short must be positive")
-        if self.r_equiv <= 0:
-            raise ConfigError("r_equiv must be positive")
         if self.onset < 0:
             raise ConfigError("onset must be non-negative")
 
@@ -72,7 +74,6 @@ class SimConfig:
     dt: float = 0.5                 # integrator step, seconds
     duration: float = 2000.0        # seconds
     ambient: float = 293.15         # K
-    airflow_speed: float = 1.0      # m/s on the forced-air edge (informational)
     h_forced: float = 25.0          # W/(m^2 K), left edge
     h_natural: float = 5.0          # W/(m^2 K), other edges
     temp_noise_std: float = 0.05    # K
@@ -116,8 +117,9 @@ class PackLayout:
     ny: int
     extent: tuple[float, float]
     cell_centers: np.ndarray                  # (n_cells, 2)
-    series_groups: list[np.ndarray]           # cell indices per group, column-wise
-    footprints: list[np.ndarray]              # flat node indices per cell
+    footprint_nodes: np.ndarray               # flat node indices, cell by cell
+    footprint_counts: np.ndarray              # (n_cells,) nodes per cell
+    footprint_offsets: np.ndarray             # (n_cells,) start of each cell's run
 
     @property
     def n_cells(self) -> int:
@@ -125,7 +127,12 @@ class PackLayout:
 
     @property
     def n_groups(self) -> int:
-        return len(self.series_groups)
+        return self.cols
+
+    @property
+    def series_groups(self) -> np.ndarray:
+        """Cell indices, one row per series group (a column of parallel cells)."""
+        return np.arange(self.n_cells).reshape(self.n_groups, self.rows)
 
 
 def build_layout(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
@@ -164,8 +171,6 @@ def build_layout(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
         row = serial0 % rows
         centers[serial0] = ((col + 0.5) * pitch, (row + 0.5) * pitch)
 
-    groups = [np.arange(c * rows, (c + 1) * rows) for c in range(cols)]
-
     node_x = (np.arange(nx) + 0.5) * dx
     node_y = (np.arange(ny) + 0.5) * dy
     gx, gy = np.meshgrid(node_x, node_y, indexing="ij")
@@ -178,20 +183,16 @@ def build_layout(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS,
             raise ConfigError(f"grid too coarse: cell {c + 1} has no interior node")
         footprints.append(idx)
 
-    all_idx = np.concatenate(footprints)
-    if len(all_idx) != len(np.unique(all_idx)):
+    nodes = np.concatenate(footprints)
+    if len(nodes) != len(np.unique(nodes)):
         raise ConfigError("cell footprints overlap; increase the gap or grid_res")
+    counts = np.array([len(fp) for fp in footprints])
 
     return PackLayout(rows=rows, cols=cols, gap=gap, grid_res=grid_res,
                       dx=dx, dy=dy, nx=nx, ny=ny, extent=(x_b, y_b),
-                      cell_centers=centers, series_groups=groups,
-                      footprints=footprints)
-
-
-@dataclass
-class ThermalField:
-    temperatures: np.ndarray   # (nx, ny), kelvin
-    time: float
+                      cell_centers=centers,
+                      footprint_nodes=nodes, footprint_counts=counts,
+                      footprint_offsets=np.cumsum(counts) - counts)
 
 
 @dataclass
@@ -200,8 +201,6 @@ class ElectricalState:
     branch_current: np.ndarray  # (n_cells,) bus-side branch currents, A
     drain_current: np.ndarray   # (n_cells,) internal short currents, A
     group_voltage: np.ndarray   # (n_groups,) V
-    pack_current: float
-    time: float
 
 
 @dataclass
@@ -228,13 +227,6 @@ def ocv_of_soc(soc):
     return out
 
 
-def isc_power_density(voltage: float, r_short: float, r_equiv: float) -> float:
-    """Volumetric heat rate (W/m^3) of a short, spread over a sphere of r_equiv."""
-    if r_short <= 0 or r_equiv <= 0:
-        raise ValueError("r_short and r_equiv must be positive")
-    return 3.0 * voltage**2 / (4.0 * math.pi * r_equiv**3 * r_short)
-
-
 def pack_current_a(rate_c: float, capacity_ah: float = 4.8) -> float:
     """Pack discharge current (A) for a C-rate against the single-cell capacity."""
     return rate_c * capacity_ah
@@ -247,30 +239,26 @@ def step_electrical(state: ElectricalState, pack_current: float,
 
     Every branch obeys V_group = OCV_i - I_i * R_int. An active short adds an
     internal drain of V_group / r_short inside the faulted cell, so bus-side
-    branch currents still sum exactly to the pack current.
+    branch currents still sum exactly to the pack current. Group g holds
+    serials g*rows .. (g+1)*rows - 1 (`layout.series_groups`), so
+    (n_groups, rows) views solve all groups at once.
     """
-    ocv = ocv_of_soc(state.soc)
     r = spec.internal_resistance
-    n_rows = layout.rows
+    ocv = ocv_of_soc(state.soc).reshape(layout.n_groups, layout.rows)
 
+    denom = np.full(layout.n_groups, layout.rows / r)
     active = fault is not None and t >= fault.onset
-    fault_idx = fault.fault_cell - 1 if fault is not None else -1
-
-    group_v = np.empty(layout.n_groups)
-    branch = np.empty(layout.n_cells)
+    if active:
+        f = fault.fault_cell - 1
+        denom[f // layout.rows] += 1.0 / fault.r_short
+    if not ((denom > 0) & np.isfinite(denom)).all():
+        raise SimulationError("singular parallel network")
+    group_v = (ocv.sum(axis=1) / r - pack_current) / denom
+    branch = ((ocv - group_v[:, None]) / r).ravel()
     drain = np.zeros(layout.n_cells)
-    for g, grp in enumerate(layout.series_groups):
-        denom = len(grp) / r
-        if active and fault_idx in grp:
-            denom += 1.0 / fault.r_short
-        if denom <= 0 or not math.isfinite(denom):
-            raise SimulationError("singular parallel network")
-        v = (ocv[grp].sum() / r - pack_current) / denom
-        group_v[g] = v
-        branch[grp] = (ocv[grp] - v) / r
-        if active and fault_idx in grp:
-            drain[fault_idx] = v / fault.r_short
-            branch[fault_idx] -= drain[fault_idx]
+    if active:
+        drain[f] = group_v[f // layout.rows] / fault.r_short
+        branch[f] -= drain[f]
 
     new_soc = state.soc - (branch + drain) * dt / (3600.0 * spec.capacity_ah)
     if (new_soc <= 0).any():
@@ -278,14 +266,16 @@ def step_electrical(state: ElectricalState, pack_current: float,
     np.clip(new_soc, 0.0, 1.0, out=new_soc)
 
     return ElectricalState(soc=new_soc, branch_current=branch, drain_current=drain,
-                           group_voltage=group_v, pack_current=pack_current,
-                           time=state.time + dt)
+                           group_voltage=group_v)
 
 
 def heat_generation(state: ElectricalState, spec: CellSpec) -> np.ndarray:
-    """Irreversible Joule heat per cell (W) from the current through each cell."""
+    """Heat per cell (W): Joule heat of the current through the cell's
+    resistance, plus V_group * I_drain dissipated in a short."""
     internal = state.branch_current + state.drain_current
-    return internal**2 * spec.internal_resistance
+    rows = state.soc.size // state.group_voltage.size
+    short = np.repeat(state.group_voltage, rows) * state.drain_current
+    return internal**2 * spec.internal_resistance + short
 
 
 def deposit_sources(cell_watts: np.ndarray, layout: PackLayout,
@@ -293,8 +283,8 @@ def deposit_sources(cell_watts: np.ndarray, layout: PackLayout,
     """Spread per-cell watts uniformly over each footprint as W/m^3."""
     src = np.zeros(layout.nx * layout.ny)
     node_vol = layout.dx * layout.dy * spec.height
-    for c, fp in enumerate(layout.footprints):
-        src[fp] = cell_watts[c] / (len(fp) * node_vol)
+    counts = layout.footprint_counts
+    src[layout.footprint_nodes] = np.repeat(cell_watts / (counts * node_vol), counts)
     return src.reshape(layout.nx, layout.ny)
 
 
@@ -303,16 +293,14 @@ def stability_limit(layout: PackLayout, spec: CellSpec) -> float:
     return min(layout.dx, layout.dy) ** 2 / (2.0 * (spec.diffusivity_x + spec.diffusivity_y))
 
 
-def step_thermal(field: ThermalField, sources: np.ndarray, cfg: SimConfig,
-                 layout: PackLayout, spec: CellSpec) -> ThermalField:
-    """One explicit finite-volume step of the 2-D heat equation.
+def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float, cfg: SimConfig,
+                 layout: PackLayout, spec: CellSpec) -> np.ndarray:
+    """One explicit finite-volume step of dt seconds of the 2-D heat equation.
 
     Interior faces carry diffusive flux; edges exchange heat with ambient air
     (forced coefficient on the left edge, natural elsewhere). Insulated edges
     (both coefficients zero) conserve the spatial mean exactly.
     """
-    t = field.temperatures
-    dt = cfg.dt
     kx = spec.diffusivity_x
     ky = spec.diffusivity_y
     dx, dy = layout.dx, layout.dy
@@ -336,7 +324,7 @@ def step_thermal(field: ThermalField, sources: np.ndarray, cfg: SimConfig,
     if not np.isfinite(new_t).all():
         bad = np.argwhere(~np.isfinite(new_t))[0]
         raise SimulationError(f"non-finite temperature at node {tuple(bad)}")
-    return ThermalField(new_t, field.time + dt)
+    return new_t
 
 
 class PackSimulator:
@@ -366,17 +354,11 @@ class PackSimulator:
             raise ConfigError("duration shorter than one sample interval")
 
         self.rng = np.random.default_rng(cfg.rng_seed)
-        self.field = ThermalField(
-            np.full((self.layout.nx, self.layout.ny), cfg.ambient), 0.0)
+        self.field = np.full((self.layout.nx, self.layout.ny), cfg.ambient)
         self.elec = self.initial_electrical_state(self.layout, cfg.initial_soc)
         self.pack_current = pack_current_a(cfg.discharge_rate, self.spec.capacity_ah)
         self.status = "ok"
         self.heat_injected_j = 0.0
-
-        # flattened footprint bookkeeping for fast per-cell means
-        self._fp_concat = np.concatenate(self.layout.footprints)
-        self._fp_counts = np.array([len(fp) for fp in self.layout.footprints])
-        self._fp_offsets = np.concatenate([[0], np.cumsum(self._fp_counts)[:-1]])
 
     @staticmethod
     def initial_electrical_state(layout: PackLayout, initial_soc: float) -> ElectricalState:
@@ -385,35 +367,23 @@ class PackSimulator:
         v = float(ocv_of_soc(initial_soc))
         return ElectricalState(soc=soc, branch_current=np.zeros(n),
                                drain_current=np.zeros(n),
-                               group_voltage=np.full(layout.n_groups, v),
-                               pack_current=0.0, time=0.0)
+                               group_voltage=np.full(layout.n_groups, v))
 
     def cell_mean_temps(self) -> np.ndarray:
-        flat = self.field.temperatures.ravel()[self._fp_concat]
-        return np.add.reduceat(flat, self._fp_offsets) / self._fp_counts
+        lay = self.layout
+        flat = self.field.ravel()[lay.footprint_nodes]
+        return np.add.reduceat(flat, lay.footprint_offsets) / lay.footprint_counts
 
     def _substep(self, t0: float):
-        cfg = self.cfg
-        fault = cfg.fault
         elec = step_electrical(self.elec, self.pack_current, self.layout,
-                               self.spec, fault, t0, self.eff_dt)
+                               self.spec, self.cfg.fault, t0, self.eff_dt)
         watts = heat_generation(elec, self.spec)
-        if fault is not None and t0 >= fault.onset:
-            g = (fault.fault_cell - 1) // self.layout.rows
-            watts = watts.copy()
-            watts[fault.fault_cell - 1] += elec.group_voltage[g] * elec.drain_current[fault.fault_cell - 1]
         src = deposit_sources(watts, self.layout, self.spec)
-        # dt must match the thermal step below for the energy books to balance
+        # circuit, heat books and thermal step share one dt, so the books balance
         self.heat_injected_j += watts.sum() * self.eff_dt
-        step_cfg = cfg if abs(cfg.dt - self.eff_dt) < 1e-15 else self._cfg_with_dt()
-        self.field = step_thermal(self.field, src, step_cfg, self.layout, self.spec)
+        self.field = step_thermal(self.field, src, self.eff_dt, self.cfg,
+                                  self.layout, self.spec)
         self.elec = elec
-
-    def _cfg_with_dt(self):
-        import copy
-        c = copy.copy(self.cfg)
-        c.dt = self.eff_dt
-        return c
 
     def run(self) -> list[TelemetryFrame]:
         cfg = self.cfg

@@ -298,10 +298,10 @@ def test_simulator_physics(tmp_path):
                     temp_noise_std=0.0, volt_noise_std=0.0,
                     fault=FaultSpec(fault_cell=4, r_short=10.0, onset=30.0))
     sim = PackSimulator(cfg)
-    t_init = sim.field.temperatures.copy()
+    t_init = sim.field.copy()
     sim.run()
     node_volume = sim.layout.dx * sim.layout.dy * sim.spec.height
-    gained = float(((sim.field.temperatures - t_init)
+    gained = float(((sim.field - t_init)
                     * sim.spec.volumetric_heat_capacity).sum() * node_volume)
     energy_err = abs(gained / sim.heat_injected_j - 1.0)
     assert sim.heat_injected_j > 0

@@ -218,6 +218,25 @@ class TestDetectCommand:
         assert "line 101: non-finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["detect", "localize"])
+    def test_time_going_back_names_line_and_exits_4(self, work, tmp_path,
+                                                    capsys, command):
+        # t = 200 on line 101 used to pass, and localize --tf 200 then scored
+        # the window ending at line 101 instead of line 201
+        broken = tmp_path / "stalled.csv"
+        lines = (work / "fault.csv").read_text().splitlines()
+        parts = lines[100].split(",")
+        parts[0] = "200"
+        lines[100] = ",".join(parts)
+        broken.write_text("\n".join(lines) + "\n")
+        extra = ["--tf", "200"] if command == "localize" else []
+        ret = main([command, str(broken),
+                    "--params", str(work / "short.params"),
+                    "--out", str(tmp_path / "t.csv"), *extra])
+        assert ret == 4
+        assert "line 102: time" in capsys.readouterr().err
+
+
 class TestLocalizeCommand:
     def test_prints_serial_and_writes_contributions(self, work, tmp_path,
                                                     capsys):

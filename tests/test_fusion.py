@@ -1,7 +1,5 @@
 """Tests for normalization, the fused statistic, KDE thresholding, and detection."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -9,7 +7,6 @@ from scipy.special import ndtr
 from packdiag.errors import ConfigError
 from packdiag.fusion import (
     DetectorParams,
-    KdeModel,
     detect,
     fit_kde,
     multiscale_statistic,

@@ -105,6 +105,21 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="line 9: non-finite"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("text", ["7", "4", "9"])
+    def test_time_must_increase_names_line(self, tmp_path, short_tele, text):
+        # line 9 carries t = 8; a repeat of the previous frame's time or a jump
+        # back is rejected, and so is a jump ahead that the next frame undercuts
+        path = tmp_path / "run.csv"
+        write_dataset(path, short_tele)
+        lines = path.read_text().splitlines()
+        parts = lines[8].split(",")
+        parts[0] = text
+        lines[8] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        line = 10 if text == "9" else 9
+        with pytest.raises(DataFormatError, match=f"line {line}: time"):
+            read_dataset(path)
+
     def test_wrong_header_rejected(self, tmp_path, short_tele):
         path = tmp_path / "run.csv"
         write_dataset(path, short_tele)

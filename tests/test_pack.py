@@ -1,20 +1,17 @@
 """Tests for the pack simulator: geometry, circuit, thermal stepping, end-to-end runs."""
 
-import math
-
 import numpy as np
 import pytest
 
-from packdiag.errors import ConfigError
+from packdiag.errors import ConfigError, SimulationError
 from packdiag.pack import (
     CellSpec,
     FaultSpec,
     PackSimulator,
     SimConfig,
-    ThermalField,
     build_layout,
+    deposit_sources,
     heat_generation,
-    isc_power_density,
     ocv_of_soc,
     pack_current_a,
     stability_limit,
@@ -27,6 +24,54 @@ from packdiag.pack import (
 @pytest.fixture(scope="module")
 def layout():
     return build_layout()
+
+
+def _footprints(layout):
+    return np.split(layout.footprint_nodes, layout.footprint_offsets[1:])
+
+
+def _looped_step_electrical(state, pack_current, layout, spec, fault, t, dt):
+    # reference: solve each series group's parallel network one group at a time
+    ocv = ocv_of_soc(state.soc)
+    r = spec.internal_resistance
+    active = fault is not None and t >= fault.onset
+    fault_idx = fault.fault_cell - 1 if fault is not None else -1
+
+    group_v = np.empty(layout.n_groups)
+    branch = np.empty(layout.n_cells)
+    drain = np.zeros(layout.n_cells)
+    for g, grp in enumerate(layout.series_groups):
+        denom = len(grp) / r
+        if active and fault_idx in grp:
+            denom += 1.0 / fault.r_short
+        if denom <= 0 or not np.isfinite(denom):
+            raise SimulationError("singular parallel network")
+        v = (ocv[grp].sum() / r - pack_current) / denom
+        group_v[g] = v
+        branch[grp] = (ocv[grp] - v) / r
+        if active and fault_idx in grp:
+            drain[fault_idx] = v / fault.r_short
+            branch[fault_idx] -= drain[fault_idx]
+    soc = state.soc - (branch + drain) * dt / (3600.0 * spec.capacity_ah)
+    return soc, branch, drain, group_v
+
+
+def _looped_heat(branch, drain, group_v, layout, spec, fault, t):
+    # reference: Joule heat per cell, then the short's V_group * I_drain in the faulted one
+    watts = (branch + drain) ** 2 * spec.internal_resistance
+    if fault is not None and t >= fault.onset:
+        f = fault.fault_cell - 1
+        watts[f] += group_v[f // layout.rows] * drain[f]
+    return watts
+
+
+def _looped_deposit(cell_watts, layout, spec):
+    # reference: fill one footprint at a time
+    src = np.zeros(layout.nx * layout.ny)
+    node_vol = layout.dx * layout.dy * spec.height
+    for c, fp in enumerate(_footprints(layout)):
+        src[fp] = cell_watts[c] / (len(fp) * node_vol)
+    return src.reshape(layout.nx, layout.ny)
 
 
 def _ocv_power_sum(soc):
@@ -60,21 +105,6 @@ class TestCellModel:
         assert out.shape == (3,)
         assert abs(out[2] - 4.15) < 1e-12
 
-    def test_isc_power_density(self):
-        got = isc_power_density(3.7, 10.0, 0.005)
-        want = 3.0 * 3.7**2 / (4.0 * math.pi * 0.005**3 * 10.0)
-        assert abs(got - want) < 1e-6
-        # order of magnitude documented for the nominal case
-        assert abs(got / 2.614e6 - 1.0) < 1e-3
-
-    def test_isc_power_density_scales(self):
-        # halving the short resistance doubles the density
-        a = isc_power_density(3.7, 10.0, 0.005)
-        b = isc_power_density(3.7, 5.0, 0.005)
-        assert abs(b / a - 2.0) < 1e-12
-        with pytest.raises(ValueError):
-            isc_power_density(3.7, 0.0, 0.005)
-
 
 class TestLayout:
     def test_first_cell_center(self, layout):
@@ -104,16 +134,16 @@ class TestLayout:
         assert layout.series_groups[0].tolist() == [0, 1, 2, 3]
 
     def test_footprints_nonempty_disjoint(self, layout):
-        all_nodes = np.concatenate(layout.footprints)
+        all_nodes = layout.footprint_nodes
         assert len(all_nodes) == len(set(all_nodes.tolist()))
-        for fp in layout.footprints:
+        for fp in _footprints(layout):
             assert len(fp) >= 1
 
     def test_footprint_nodes_inside_circle(self, layout):
         xs = (np.arange(layout.nx) + 0.5) * layout.dx
         ys = (np.arange(layout.ny) + 0.5) * layout.dy
         r = 0.021 / 2
-        for c, fp in enumerate(layout.footprints):
+        for c, fp in enumerate(_footprints(layout)):
             i, j = np.unravel_index(fp, (layout.nx, layout.ny))
             d = np.hypot(xs[i] - layout.cell_centers[c, 0], ys[j] - layout.cell_centers[c, 1])
             assert (d <= r + 1e-12).all()
@@ -205,6 +235,37 @@ class TestElectrical:
         assert np.allclose(watts, 2.4**2 * 0.03, atol=1e-12)
         assert abs(watts[0] - 0.1728) < 1e-12
 
+    def test_matches_per_group_loop(self, layout):
+        # a fault in each group, before and after onset, from random states of charge
+        spec = CellSpec()
+        rng = np.random.default_rng(19)
+        for g in range(layout.n_groups):
+            cell = g * layout.rows + int(rng.integers(layout.rows)) + 1
+            fault = FaultSpec(fault_cell=cell, r_short=float(rng.uniform(2.0, 20.0)),
+                              onset=50.0)
+            for t in (49.5, 50.0, 80.0):
+                state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
+                state.soc[:] = rng.uniform(0.2, 1.0, layout.n_cells)
+                nxt = step_electrical(state, 9.6, layout, spec, fault, t, 0.5)
+                soc, branch, drain, group_v = _looped_step_electrical(
+                    state, 9.6, layout, spec, fault, t, 0.5)
+                assert np.array_equal(nxt.soc, soc)
+                assert np.array_equal(nxt.branch_current, branch)
+                assert np.array_equal(nxt.drain_current, drain)
+                assert np.array_equal(nxt.group_voltage, group_v)
+                assert (nxt.drain_current[cell - 1] > 0) == (t >= fault.onset)
+                assert np.array_equal(
+                    heat_generation(nxt, spec),
+                    _looped_heat(branch, drain, group_v, layout, spec, fault, t))
+
+    def test_singular_network_raises(self, layout):
+        # 4 / 1e-320 overflows to inf, so the parallel conductance is not finite
+        spec = CellSpec(internal_resistance=1e-320)
+        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
+        for solve in (step_electrical, _looped_step_electrical):
+            with pytest.raises(SimulationError):
+                solve(state, 9.6, layout, spec, None, 0.0, 0.5)
+
     def test_pack_current_from_rate(self):
         assert abs(pack_current_a(2.0) - 9.6) < 1e-12
         assert abs(pack_current_a(1.0) - 4.8) < 1e-12
@@ -235,55 +296,62 @@ class TestThermal:
     def test_uniform_field_stays_put(self, layout):
         spec = CellSpec()
         cfg = self._config(ambient=293.15)
-        field = ThermalField(np.full((layout.nx, layout.ny), 293.15), 0.0)
+        field = np.full((layout.nx, layout.ny), 293.15)
         src = np.zeros((layout.nx, layout.ny))
-        nxt = step_thermal(field, src, cfg, layout, spec)
-        assert np.allclose(nxt.temperatures, 293.15, atol=1e-12)
-        assert nxt.time == 0.5
+        nxt = step_thermal(field, src, cfg.dt, cfg, layout, spec)
+        assert np.allclose(nxt, 293.15, atol=1e-12)
 
     def test_insulated_mean_conserved(self, layout):
         spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         rng = np.random.default_rng(5)
         t0 = 293.15 + rng.uniform(0, 10, (layout.nx, layout.ny))
-        field = ThermalField(t0.copy(), 0.0)
+        field = t0.copy()
         src = np.zeros_like(t0)
         for _ in range(50):
-            field = step_thermal(field, src, cfg, layout, spec)
-        assert abs(field.temperatures.mean() / t0.mean() - 1.0) < 1e-12
+            field = step_thermal(field, src, cfg.dt, cfg, layout, spec)
+        assert abs(field.mean() / t0.mean() - 1.0) < 1e-12
 
     def test_hot_node_diffuses(self, layout):
         spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         t0 = np.full((layout.nx, layout.ny), 293.15)
         t0[10, 8] += 5.0
-        field = ThermalField(t0.copy(), 0.0)
-        field = step_thermal(field, np.zeros_like(t0), cfg, layout, spec)
-        assert field.temperatures[10, 8] < t0[10, 8]
-        assert field.temperatures[9, 8] > 293.15
-        assert field.temperatures[10, 7] > 293.15
+        field = step_thermal(t0.copy(), np.zeros_like(t0), cfg.dt, cfg, layout, spec)
+        assert field[10, 8] < t0[10, 8]
+        assert field[9, 8] > 293.15
+        assert field[10, 7] > 293.15
 
     def test_convection_pulls_toward_ambient(self, layout):
         spec = CellSpec()
         cfg = self._config(ambient=293.15)
         t0 = np.full((layout.nx, layout.ny), 303.15)
-        field = ThermalField(t0, 0.0)
+        field = t0
         for _ in range(200):
-            field = step_thermal(field, np.zeros_like(t0), cfg, layout, spec)
-        assert (field.temperatures < 303.15).all()
-        assert (field.temperatures >= 293.15 - 1e-9).all()
+            field = step_thermal(field, np.zeros_like(t0), cfg.dt, cfg, layout, spec)
+        assert (field < 303.15).all()
+        assert (field >= 293.15 - 1e-9).all()
         # forced-air edge cools fastest
-        assert field.temperatures[0, 8] < field.temperatures[-1, 8]
+        assert field[0, 8] < field[-1, 8]
 
     def test_source_heats_footprint(self, layout):
         spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         t0 = np.full((layout.nx, layout.ny), 293.15)
         src = np.zeros_like(t0)
-        src.ravel()[layout.footprints[0]] = 1e4
-        field = step_thermal(ThermalField(t0, 0.0), src, cfg, layout, spec)
-        i, j = np.unravel_index(layout.footprints[0][0], (layout.nx, layout.ny))
-        assert abs(field.temperatures[i, j] - (293.15 + 0.5 * 1e4 / 2e6)) < 1e-12
+        fp = _footprints(layout)[0]
+        src.ravel()[fp] = 1e4
+        field = step_thermal(t0, src, cfg.dt, cfg, layout, spec)
+        i, j = np.unravel_index(fp[0], (layout.nx, layout.ny))
+        assert abs(field[i, j] - (293.15 + 0.5 * 1e4 / 2e6)) < 1e-12
+
+    def test_deposit_matches_per_footprint_loop(self, layout):
+        spec = CellSpec()
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            watts = rng.uniform(0.0, 2.0, layout.n_cells)
+            assert np.array_equal(deposit_sources(watts, layout, spec),
+                                  _looped_deposit(watts, layout, spec))
 
 
 class TestSimulate:
@@ -342,12 +410,12 @@ class TestSimulate:
             fault=FaultSpec(fault_cell=4, r_short=10.0, onset=30.0),
         )
         sim = PackSimulator(cfg)
-        t_init = sim.field.temperatures.copy()
+        t_init = sim.field.copy()
         sim.run()
         lay = sim.layout
         spec = sim.spec
         node_vol = lay.dx * lay.dy * spec.height
-        gained = ((sim.field.temperatures - t_init) * spec.volumetric_heat_capacity).sum() * node_vol
+        gained = ((sim.field - t_init) * spec.volumetric_heat_capacity).sum() * node_vol
         assert sim.heat_injected_j > 0
         assert abs(gained / sim.heat_injected_j - 1.0) < 0.005
 
