@@ -50,6 +50,12 @@ class Telemetry:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(f"{name} has {arr.shape[0]} rows, expected {n}")
+        out_of_order = np.flatnonzero(~(np.diff(self.times) > 0.0))
+        if out_of_order.size:
+            k = int(out_of_order[0]) + 1
+            raise ValueError(f"times must strictly increase; index {k} "
+                             f"({self.times[k]}) does not exceed index {k - 1} "
+                             f"({self.times[k - 1]})")
 
     @classmethod
     def from_frames(cls, frames: list[TelemetryFrame]) -> "Telemetry":
@@ -130,31 +136,38 @@ def _rank1_temporal(excess: np.ndarray, w: int,
 
     Matches decompose_window(order=1) plus temporal_entropy window by
     window. All sliding windows are stacked and decomposed by one batched
-    SVD per chunk, and the fuzzy similarity sums of the leading temporal
-    coefficient are evaluated as broadcast pairwise reductions, with each
-    window's tolerance at 0.2 times its coefficient's spread. Chunking
-    bounds the pairwise intermediates at a few tens of megabytes. Fuzzy
-    entropy does not see the sign of the coefficient, so modes are not
-    sign-aligned.
+    SVD per chunk, with each window's tolerance at 0.2 times its leading
+    temporal coefficient's spread. The fuzzy similarity of two delay
+    vectors is symmetric and self-pairs are excluded, so each pair sum is
+    twice the half sum over lags k = 1 .. count-1: with every delay-vector
+    component laid out as a (count, chunk) array, the pairs (i, i+k) of
+    all windows in the chunk are two contiguous row slices. No pairwise
+    (count, count) array is formed; the chunk bounds the stacked
+    (chunk, n_cells, w) windows and the three (count, chunk) lag buffers
+    to about 16 MB together. Each pair's similarity is summed over lags
+    into its first index, then over that index, so a window's result does
+    not depend on the chunk. Fuzzy entropy does not see the sign of the
+    coefficient, so modes are not sign-aligned.
     """
-    n = excess.shape[0]
+    n, n_cells = excess.shape
     n_win = n - w + 1
     m = FUZZY.m
     count = w - m
 
     if chunk is None:
-        pair_bytes = count * count * 8
-        chunk = max(4, int(48e6 / max(pair_bytes, 1)))
+        window_bytes = (n_cells * w + 3 * count) * 8
+        chunk = max(1, int(16e6 / window_bytes))
     chunk = min(chunk, n_win)
 
     h_t = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
-    pair_buf = np.empty((chunk, count, count))
-    dim_buf = np.empty((chunk, count, count))
-    diag = np.arange(count)
+    dist_buf = np.empty((count, chunk))
+    comp_buf = np.empty((count, chunk))
+    sum_buf = np.empty((count, chunk))
 
     for start in range(0, n_win, chunk):
         stop = min(start + chunk, n_win)
+        c = stop - start
         block = np.ascontiguousarray(windows[start:stop])  # (c, n_cells, w)
         _, s, vt = np.linalg.svd(block, full_matrices=False)
         lam = s[:, 0].copy()
@@ -168,26 +181,32 @@ def _rank1_temporal(excess: np.ndarray, w: int,
         spread = a.std(axis=1)
         quiet = spread < SPREAD_FLOOR
         r = 0.2 * np.where(quiet, 1.0, spread)
-        log_sim = np.zeros((2, stop - start))
+        log_sim = np.zeros((2, c))
         for j, mu in enumerate((m, m + 1)):
             b = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
             b = np.abs(b - b.mean(axis=2, keepdims=True))
-            # chebyshev distances one component at a time, largest kept
-            d = pair_buf[: stop - start]
-            np.subtract(b[:, :, None, 0], b[:, None, :, 0], out=d)
-            np.abs(d, out=d)
-            for dim in range(1, mu):
-                dd = dim_buf[: stop - start]
-                np.subtract(b[:, :, None, dim], b[:, None, :, dim], out=dd)
-                np.abs(dd, out=dd)
-                np.maximum(d, dd, out=d)
-            # in-place Gaussian similarity, self-pairs dropped before the sum
-            d /= r[:, None, None]
-            np.multiply(d, d, out=d)
-            d *= -LN2
-            np.exp(d, out=d)
-            d[:, diag, diag] = 0.0
-            log_sim[j] = np.log(d.sum(axis=(1, 2)) / (count * (count - 1)))
+            comps = np.ascontiguousarray(b.transpose(2, 1, 0))  # (mu, count, c)
+            acc = sum_buf[:, :c]
+            acc.fill(0.0)
+            for k in range(1, count):
+                # chebyshev distances of pairs (i, i+k), one component at a
+                # time, largest kept
+                d = dist_buf[: count - k, :c]
+                np.subtract(comps[0, k:], comps[0, :-k], out=d)
+                np.abs(d, out=d)
+                for dim in range(1, mu):
+                    dd = comp_buf[: count - k, :c]
+                    np.subtract(comps[dim, k:], comps[dim, :-k], out=dd)
+                    np.abs(dd, out=dd)
+                    np.maximum(d, dd, out=d)
+                # in-place Gaussian similarity
+                d /= r
+                np.multiply(d, d, out=d)
+                d *= -LN2
+                np.exp(d, out=d)
+                acc[: count - k] += d
+            total = 2.0 * np.ascontiguousarray(acc.T).sum(axis=1)
+            log_sim[j] = np.log(total / (count * (count - 1)))
         fe = log_sim[0] - log_sim[1]
         fe[quiet] = 0.0
         ht_blk = lam * fe

@@ -1,4 +1,9 @@
-"""In-process tests of the command-line front end and its exit codes."""
+"""Tests of the command-line front end and its exit codes, mostly in process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,17 @@ def work(tmp_path_factory):
     write_params(root / "short.params", DetectorParams(train_len=60))
     write_params(root / "mid.params", DetectorParams(train_len=120))
     return root
+
+
+def test_module_entry_point_runs():
+    # `python -m packdiag` works from a checkout without an installed script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "packdiag", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "benchmark" in done.stdout
 
 
 class TestSimulateCommand:

@@ -46,6 +46,15 @@ def fault_tele():
 
 
 class TestTelemetry:
+    @pytest.mark.parametrize("bad_t", [3.0, 2.0])
+    def test_times_must_strictly_increase(self, bad_t):
+        n = 5
+        times = np.array([1.0, 2.0, 3.0, bad_t, 5.0])
+        with pytest.raises(ValueError, match="index 3"):
+            Telemetry(times=times, temps=np.zeros((n, 24)),
+                      volts=np.zeros((n, 6)), current=np.zeros(n),
+                      labels=np.zeros(n, dtype=int))
+
     def test_shapes_and_labels(self, fault_tele):
         t = fault_tele
         assert t.times.shape == (260,)
@@ -100,7 +109,7 @@ class TestEntropyStreams:
         with pytest.raises(ValueError):
             entropy_streams(normal_tele, window=500)
 
-    @pytest.mark.parametrize("window", [15, 27, 101])
+    @pytest.mark.parametrize("window", [FuzzyParams().m + 2, 15, 27, 101, 200])
     def test_batched_path_matches_loop(self, fault_tele, window):
         # the single-mode vector path must reproduce the per-window loop
         layout = build_layout()
@@ -110,12 +119,30 @@ class TestEntropyStreams:
         np.testing.assert_allclose(h_t_fast, h_t_ref, rtol=1e-9, atol=1e-10)
 
     def test_batched_path_chunking_invariant(self, normal_tele):
-        # tiny chunks must stitch together to the same streams
+        # tiny chunks must stitch together to the same streams, bit for bit
         layout = build_layout()
         excess = compensate(normal_tele.temps, layout.cell_centers)
-        whole = _rank1_temporal(excess, 20)
-        pieces = _rank1_temporal(excess, 20, chunk=7)
-        np.testing.assert_array_equal(whole, pieces)
+        for window, chunks in ((20, (7,)), (200, (1, 7))):
+            whole = _rank1_temporal(excess, window)
+            for chunk in chunks:
+                pieces = _rank1_temporal(excess, window, chunk=chunk)
+                assert np.array_equal(whole, pieces, equal_nan=True), \
+                    (window, chunk)
+
+    @pytest.mark.parametrize("kind", ["dead", "quiet"])
+    def test_degenerate_windows_score_zero(self, kind):
+        # an all-zero excess has no leading mode; a time-constant one has a
+        # leading coefficient with no spread; either way h_t is exactly 0
+        n, w = 40, 15
+        if kind == "dead":
+            excess = np.zeros((n, 24))
+        else:
+            cells = np.random.default_rng(3).normal(0.0, 0.05, 24)
+            excess = np.tile(cells, (n, 1))
+        h_t = _rank1_temporal(excess, w)
+        assert np.isnan(h_t[: w - 1]).all()
+        assert (h_t[w - 1 :] == 0.0).all()
+        assert np.array_equal(h_t, _looped_temporal(excess, w), equal_nan=True)
 
 
 class TestCalibration:
