@@ -45,7 +45,7 @@ def main():
                   rng_seed=7)
     log = []
     print("running GA (lower objective is better)...")
-    tuned = mga_optimize(scenarios, evaluator, ga, base=base, log=log)
+    tuned = mga_optimize(scenarios, evaluator, ga, log=log)
     print("  gen   best     mean     W   weights")
     for line in log:
         gen, best, mean, w, a1, a2, a3 = line.split(",")

@@ -57,8 +57,8 @@ class BenchmarkReport:
     passed: bool
 
 
-def _run_one(name: str, cfg: SimConfig, params: DetectorParams,
-             metrics: MetricsConfig) -> ScenarioResult:
+def _run_one(name: str, cfg: SimConfig,
+             params: DetectorParams) -> ScenarioResult:
     if cfg.fault is None:
         return ScenarioResult(scenario=name, true_cell=0, status="FAILED",
                               message="scenario config injects no fault")
@@ -66,7 +66,7 @@ def _run_one(name: str, cfg: SimConfig, params: DetectorParams,
     try:
         tele = Telemetry.from_frames(simulate(cfg))
         report = run_detector(tele, params, refit=True)
-        met = compute_metrics(report.outcome, tele.labels, metrics)
+        met = compute_metrics(report.outcome, tele.labels, MetricsConfig())
         row.adr_pct = 100.0 * met.adr
         row.far_pct = 100.0 * met.far
         if met.t_detect is not None:
@@ -83,8 +83,7 @@ def _run_one(name: str, cfg: SimConfig, params: DetectorParams,
 
 def run_benchmark(scenarios: list[tuple[str, SimConfig]],
                   params: DetectorParams | None = None,
-                  master_seed: int | None = None,
-                  metrics: MetricsConfig | None = None) -> BenchmarkReport:
+                  master_seed: int | None = None) -> BenchmarkReport:
     """Run every scenario with a fresh per-recording calibration.
 
     Rows keep the given scenario order. A master seed overrides the
@@ -93,13 +92,11 @@ def run_benchmark(scenarios: list[tuple[str, SimConfig]],
     """
     if params is None:
         params = DetectorParams()
-    if metrics is None:
-        metrics = MetricsConfig()
     rows = []
     for idx, (name, cfg) in enumerate(scenarios):
         if master_seed is not None:
             cfg = dataclasses.replace(cfg, rng_seed=master_seed + idx)
-        rows.append(_run_one(name, cfg, params, metrics))
+        rows.append(_run_one(name, cfg, params))
 
     detected_rows = [r for r in rows if r.add_s is not None
                      and r.add_s <= TARGET_ADD_S]

@@ -22,6 +22,7 @@ from .io import (
     read_params,
     read_scenario,
     write_dataset,
+    write_lines,
     write_params,
     write_trace,
 )
@@ -29,11 +30,6 @@ from .locate import contribution_rows, contributions_at
 from .pack import build_layout, simulate
 from .pipeline import Telemetry, calibrate_pooled, entropy_streams, run_detector
 from .tuning import FitnessEvaluator, GaConfig, mga_optimize
-
-
-def _write_lines(path, lines: list[str]):
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
-                          newline="\n")
 
 
 def cmd_simulate(args) -> int:
@@ -97,7 +93,7 @@ def cmd_localize(args) -> int:
     layout = build_layout()
     cmap = contributions_at(tele, args.tf, params.window, layout=layout)
     print(f"#{cmap.cell_serial}")
-    _write_lines(args.out, contribution_rows(cmap, layout))
+    write_lines(args.out, contribution_rows(cmap, layout))
     print(f"wrote {args.out}")
     return 0
 
@@ -112,7 +108,7 @@ def cmd_benchmark(args) -> int:
     scenarios = [(path.stem, read_scenario(path)) for path in files]
     params = read_params(args.params) if args.params else DetectorParams()
     rep = run_benchmark(scenarios, params, master_seed=args.seed)
-    _write_lines(args.out, report_lines(rep))
+    write_lines(args.out, report_lines(rep))
     for line in summary_lines(rep):
         print(line)
     print(f"wrote {args.out}")

@@ -26,6 +26,8 @@ DATASET_HEADER = ("t,"
                   + ",".join(f"V{j}" for j in range(1, N_VOLT_CHANNELS + 1))
                   + ",I,label")
 _N_FIELDS = 3 + N_TEMP_CHANNELS + N_VOLT_CHANNELS  # t, channels, I, label
+# largest relative departure of any sample interval from the median one
+SAMPLING_TOLERANCE = 0.1
 
 
 def _g(x) -> str:
@@ -38,7 +40,8 @@ def _exact(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path, lines: list[str]):
+def write_lines(path, lines: list[str]):
+    """Write the lines as UTF-8 text, each ended by one LF."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")
 
@@ -59,7 +62,7 @@ def write_dataset(path, tele: Telemetry):
         fields.append(_g(tele.current[k]))
         fields.append(str(int(tele.labels[k])))
         lines.append(",".join(fields))
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_dataset(path) -> Telemetry:
@@ -96,11 +99,23 @@ def read_dataset(path) -> Telemetry:
     if not finite.all():
         raise DataFormatError(f"line {int(np.argmin(finite)) + 2}: "
                               "non-finite field")
-    out_of_order = np.flatnonzero(np.diff(times) <= 0)
+    steps = np.diff(times)
+    out_of_order = np.flatnonzero(steps <= 0)
     if out_of_order.size:
         k = int(out_of_order[0]) + 1
         raise DataFormatError(f"line {k + 2}: time {_g(times[k])} does not "
                               f"exceed the previous {_g(times[k - 1])}")
+    # windows count frames while train_len counts seconds, so a dropped or
+    # doubled frame would silently stretch or shrink every window
+    typical = float(np.median(steps)) if steps.size else 0.0
+    uneven = np.flatnonzero(np.abs(steps - typical)
+                            > SAMPLING_TOLERANCE * typical)
+    if uneven.size:
+        k = int(uneven[0]) + 1
+        raise DataFormatError(f"line {k + 2}: sample interval "
+                              f"{_g(steps[k - 1])} s is more than "
+                              f"{SAMPLING_TOLERANCE:.0%} off the median "
+                              f"{_g(typical)} s")
     return Telemetry(times=times,
                      temps=rows[:, :N_TEMP_CHANNELS],
                      volts=rows[:, N_TEMP_CHANNELS:],
@@ -125,7 +140,7 @@ def write_trace(path, report: DetectorReport):
             lines.append(f"{t},{_g(streams.h_d[k])},{_g(streams.h_s[k])},"
                          f"{_g(streams.h_t[k])},{_g(h[k])},{h_r},"
                          f"{int(report.outcome.alarms[k])}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def _parse_kv(path, what: str) -> dict[str, str]:
@@ -177,7 +192,7 @@ def write_params(path, params: DetectorParams):
         value = getattr(params, key)
         if value is not None:
             lines.append(f"{key} = {_exact(value)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_params(path) -> DetectorParams:
@@ -218,7 +233,7 @@ def write_scenario(path, cfg: SimConfig):
         lines.append(f"fault_cell = {int(cfg.fault.fault_cell)}")
         lines.append(f"r_short = {_exact(cfg.fault.r_short)}")
         lines.append(f"onset = {_exact(cfg.fault.onset)}")
-    _write_text(path, lines)
+    write_lines(path, lines)
 
 
 def read_scenario(path) -> SimConfig:

@@ -5,8 +5,6 @@ temperature surface across the window that ends there: the same
 compensated field whose largest window mean is the detector's spatial
 stream, so the cell named is the one that drove that stream. With one
 sensor per cell the argmax maps straight to a cell serial number.
-contribution() scores basis drift between decompositions instead, for
-callers that hold their own.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .pack import PackLayout, build_layout
 from .pipeline import Telemetry
-from .spacetime import Decomposition, compensate
+from .spacetime import compensate
 
 
 @dataclass
@@ -30,34 +28,6 @@ class ContributionMap:
     t_f: float                  # alarm time, seconds
     argmax_sensor: int          # 0-based sensor index, ties -> lowest
     cell_serial: int            # 1-based serial of that sensor's cell
-
-
-def contribution(decs: list[Decomposition], initial: Decomposition,
-                 span: tuple[float, float] = (float("nan"), float("nan")),
-                 ) -> ContributionMap:
-    """Average absolute basis drift of the given windows against the initial.
-
-    Per sensor this is (1 / (order * n_windows)) times the summed |phi - phi0|
-    over every mode of every window. The windows must already be sign-aligned
-    to the initial decomposition, which decompose_window(reference=initial)
-    guarantees.
-    """
-    if not decs:
-        raise ValueError("no decompositions to attribute the alarm to")
-    order = initial.order
-    n = initial.phi.shape[0]
-    acc = np.zeros(n)
-    for dec in decs:
-        if dec.order != order:
-            raise ValueError("decompositions have different orders")
-        if dec.phi.shape[0] != n:
-            raise ValueError("decompositions cover different sensor counts")
-        acc += np.abs(dec.phi - initial.phi).sum(axis=1)
-    acc /= order * len(decs)
-    argmax = int(np.argmax(acc))
-    return ContributionMap(contributions=acc, t_start=float(span[0]),
-                           t_f=float(span[1]), argmax_sensor=argmax,
-                           cell_serial=argmax + 1)
 
 
 def contributions_at(tele: Telemetry, t_f: float, window: int,

@@ -9,53 +9,23 @@ over the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # spreads below this are treated as exactly degenerate
 SPREAD_FLOOR = 1e-15
 
 
-def dissimilarity_entropy(z: np.ndarray) -> float:
-    """Third absolute moment over variance^(3/2) of the z-scores.
-
-    Equals 1 for any symmetric two-valued multiset and 0 when all scores
-    coincide.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.size < 2:
-        raise ValueError("need at least two scores")
-    dev = z - z.mean()
-    var = np.mean(dev**2)
-    if np.sqrt(var) < SPREAD_FLOOR:
-        return 0.0
-    return float(np.mean(np.abs(dev) ** 3) / var**1.5)
-
-
-@dataclass
-class LumpedEntropyTrace:
-    """Per-frame CV vector, z-scores, and entropy; NaN during warm-up."""
-
-    window: int
-    xi: np.ndarray    # (n_frames, n_signals)
-    z: np.ndarray     # (n_frames, n_signals)
-    h_d: np.ndarray   # (n_frames,)
-
-
-def lumped_entropy_series(volts: np.ndarray, window: int) -> LumpedEntropyTrace:
-    """Vectorized trace over a (n_frames, n_signals) voltage matrix.
+def lumped_entropy_series(volts: np.ndarray, window: int) -> np.ndarray:
+    """Per-frame dissimilarity entropy h_d over a (n_frames, n_signals) matrix.
 
     Row k is defined once the window ending at frame k is full; earlier rows
     are NaN.
     """
     volts = np.asarray(volts, dtype=float)
-    n, p = volts.shape
-    xi = np.full((n, p), np.nan)
-    z = np.full((n, p), np.nan)
+    n = volts.shape[0]
     h_d = np.full(n, np.nan)
     if n < window:
-        return LumpedEntropyTrace(window, xi, z, h_d)
+        return h_d
 
     wins = np.lib.stride_tricks.sliding_window_view(volts, window, axis=0)  # (n-W+1, P, W)
     mu = wins.mean(axis=2)
@@ -70,6 +40,8 @@ def lumped_entropy_series(volts: np.ndarray, window: int) -> LumpedEntropyTrace:
     scores[ok] /= sd_cv[ok, None]
     scores[~ok] = 0.0
 
+    # third absolute moment over variance^(3/2) of each frame's scores: 1
+    # for any symmetric two-valued set, 0 when all scores coincide
     dev = scores - scores.mean(axis=1, keepdims=True)
     var = np.mean(dev**2, axis=1)
     third = np.mean(np.abs(dev) ** 3, axis=1)
@@ -77,7 +49,5 @@ def lumped_entropy_series(volts: np.ndarray, window: int) -> LumpedEntropyTrace:
     good = np.sqrt(var) >= SPREAD_FLOOR
     ent[good] = third[good] / var[good] ** 1.5
 
-    xi[window - 1:] = cv
-    z[window - 1:] = scores
     h_d[window - 1:] = ent
-    return LumpedEntropyTrace(window, xi, z, h_d)
+    return h_d

@@ -13,6 +13,7 @@ that sum over the same frames.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,12 @@ from .fusion import (
     multiscale_statistic,
     threshold_from_kde,
 )
-from .lumped import lumped_entropy_series
+from .lumped import SPREAD_FLOOR, lumped_entropy_series
 from .pack import TelemetryFrame, build_layout
-from .spacetime import LN2, SPREAD_FLOOR, FuzzyParams, compensate
+from .spacetime import compensate
 
-# the temporal stream's embedding: dimension 2, tolerance set per window
-FUZZY = FuzzyParams()
+# the temporal stream's embedding dimension; the tolerance is set per window
+M = 2
 
 
 @dataclass
@@ -112,14 +113,14 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     layout = build_layout()
     n = tele.n_frames
     w = int(window)
-    if w < FUZZY.m + 2:
-        raise ValueError(f"window {w} too short for order-{FUZZY.m} matching")
+    if w < M + 2:
+        raise ValueError(f"window {w} too short for order-{M} matching")
     if n < w:
         raise ValueError(f"recording has {n} frames, needs at least {w}")
     if tele.temps.shape[1] != layout.n_cells:
         raise ValueError("temperature channel count does not match the layout")
 
-    h_d = lumped_entropy_series(tele.volts, w).h_d
+    h_d = lumped_entropy_series(tele.volts, w)
     excess = compensate(tele.temps, layout.cell_centers)
     h_s = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
@@ -130,29 +131,37 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
                           window=w)
 
 
+LN2 = math.log(2.0)
+
+
 def _rank1_temporal(excess: np.ndarray, w: int,
                     chunk: int | None = None) -> np.ndarray:
     """Single-mode temporal stream over every sliding window at once.
 
-    Matches decompose_window(order=1) plus temporal_entropy window by
-    window. All sliding windows are stacked and decomposed by one batched
-    SVD per chunk, with each window's tolerance at 0.2 times its leading
-    temporal coefficient's spread. The fuzzy similarity of two delay
-    vectors is symmetric and self-pairs are excluded, so each pair sum is
-    twice the half sum over lags k = 1 .. count-1: with every delay-vector
-    component laid out as a (count, chunk) array, the pairs (i, i+k) of
-    all windows in the chunk are two contiguous row slices. No pairwise
-    (count, count) array is formed; the chunk bounds the stacked
-    (chunk, n_cells, w) windows and the three (count, chunk) lag buffers
-    to about 16 MB together. Each pair's similarity is summed over lags
-    into its first index, then over that index, so a window's result does
-    not depend on the chunk. Fuzzy entropy does not see the sign of the
-    coefficient, so modes are not sign-aligned.
+    Per window: the leading singular value of the (n_cells, w) excess
+    window times the fuzzy entropy of its leading temporal coefficient row,
+    over the first w - M baseline-free delay vectors at dimensions M and
+    M + 1, with Gaussian similarity exp(-ln 2 (d / r)^2) of their Chebyshev
+    distance d and r at 0.2 times the row's spread. No leading mode or no
+    spread scores 0. tests/paper_oracles.looped_temporal is this definition
+    written window by window.
+
+    All sliding windows are stacked and decomposed by one batched SVD per
+    chunk. The fuzzy similarity of two delay vectors is symmetric and
+    self-pairs are excluded, so each pair sum is twice the half sum over
+    lags k = 1 .. count-1: with every delay-vector component laid out as a
+    (count, chunk) array, the pairs (i, i+k) of all windows in the chunk
+    are two contiguous row slices. No pairwise (count, count) array is
+    formed; the chunk bounds the stacked (chunk, n_cells, w) windows and
+    the three (count, chunk) lag buffers to about 16 MB together. Each
+    pair's similarity is summed over lags into its first index, then over
+    that index, so a window's result does not depend on the chunk. Fuzzy
+    entropy does not see the sign of the coefficient, so modes are not
+    sign-aligned.
     """
     n, n_cells = excess.shape
     n_win = n - w + 1
-    m = FUZZY.m
-    count = w - m
+    count = w - M
 
     if chunk is None:
         window_bytes = (n_cells * w + 3 * count) * 8
@@ -182,7 +191,7 @@ def _rank1_temporal(excess: np.ndarray, w: int,
         quiet = spread < SPREAD_FLOOR
         r = 0.2 * np.where(quiet, 1.0, spread)
         log_sim = np.zeros((2, c))
-        for j, mu in enumerate((m, m + 1)):
+        for j, mu in enumerate((M, M + 1)):
             b = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
             b = np.abs(b - b.mean(axis=2, keepdims=True))
             comps = np.ascontiguousarray(b.transpose(2, 1, 0))  # (mu, count, c)

@@ -128,8 +128,7 @@ class FitnessEvaluator:
     """
 
     def __init__(self, scenarios: list[Telemetry],
-                 base: DetectorParams | None = None,
-                 metrics: MetricsConfig | None = None):
+                 base: DetectorParams | None = None):
         if not scenarios:
             raise ValueError("need at least one recording")
         if not any((t.labels == 1).any() for t in scenarios):
@@ -137,8 +136,7 @@ class FitnessEvaluator:
                              "detection rate and delay")
         self.scenarios = scenarios
         self.base = base if base is not None else DetectorParams()
-        self.metrics = metrics if metrics is not None else MetricsConfig()
-        self.metrics.validate()
+        self.metrics = MetricsConfig()
         self._streams: dict[tuple[int, int], EntropyStreams] = {}
         self._memo: dict[tuple, EvaluationResult] = {}
 
@@ -269,9 +267,8 @@ def _clamp_window(w: float, ga: GaConfig) -> int:
 
 
 def mga_optimize(scenarios: list[Telemetry],
-                 evaluator: FitnessEvaluator | None = None,
+                 evaluator: FitnessEvaluator,
                  ga: GaConfig | None = None,
-                 base: DetectorParams | None = None,
                  log: list[str] | None = None) -> DetectorParams:
     """Tune (window, weights) by tournament GA with elitism and immigrants.
 
@@ -288,8 +285,6 @@ def mga_optimize(scenarios: list[Telemetry],
         raise ValueError("need at least one fault recording")
     if not any(not (t.labels == 1).any() for t in scenarios):
         raise ValueError("need at least one all-normal recording")
-    if evaluator is None:
-        evaluator = FitnessEvaluator(scenarios, base=base)
     base_params = evaluator.base
     rng = np.random.default_rng(ga.rng_seed)
 

@@ -1,0 +1,119 @@
+"""Per-window definitions of the paper's streams, kept as test references.
+
+The detector computes each stream for all windows at once; these functions
+state the same quantities one window (or one score vector) at a time, in
+the plainest form, so tests can compare the vectorised paths against them.
+"""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+M = 2  # embedding dimension of the temporal stream
+
+
+class Decomposition(NamedTuple):
+    """Truncated factorization window = phi @ diag(lam) @ coeffs."""
+
+    phi: np.ndarray      # (n_sensors, order) spatial basis
+    lam: np.ndarray      # (order,) singular values, descending
+    coeffs: np.ndarray   # (order, window) temporal coefficients
+    effective_rank: int
+
+    @property
+    def degenerate(self) -> bool:
+        return self.effective_rank < self.lam.size
+
+    def reconstruct(self) -> np.ndarray:
+        return self.phi @ (self.lam[:, None] * self.coeffs)
+
+
+def decompose_window(window: np.ndarray, order: int) -> Decomposition:
+    """Truncated SVD of a sensors-by-time window; modes past the rank are 0."""
+    y = np.asarray(window, dtype=float)
+    if not 1 <= order <= min(y.shape):
+        raise ValueError(f"order {order} outside 1 .. {min(y.shape)}")
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    phi, lam, coeffs = u[:, :order].copy(), s[:order].copy(), vt[:order].copy()
+    effective_rank = int((s > max(y.shape) * np.finfo(float).eps * s[0]).sum())
+    phi[:, effective_rank:] = 0.0
+    lam[effective_rank:] = 0.0
+    coeffs[effective_rank:] = 0.0
+    return Decomposition(phi, lam, coeffs, effective_rank)
+
+
+def _similarity_mean(a: np.ndarray, mu: int, count: int, r: float) -> float:
+    """Mean Gaussian similarity over ordered pairs of distinct delay vectors."""
+    win = np.lib.stride_tricks.sliding_window_view(a, mu)[:count]
+    b = np.abs(win - win.mean(axis=1, keepdims=True))
+    d = np.abs(b[:, None, :] - b[None, :, :]).max(axis=2)
+    dm = np.exp(-math.log(2.0) * (d / r) ** 2)
+    # drop the self-pairs before summing: subtracting their exact 1.0 after
+    # the fact cancels away the tiny off-diagonal mass
+    np.fill_diagonal(dm, 0.0)
+    return float(dm.sum() / (count * (count - 1)))
+
+
+def fuzzy_entropy(series: np.ndarray, m: int = M, r: float | None = None) -> float:
+    """Fuzzy entropy of one series, both dimensions over its first W-m vectors.
+
+    r=None sets the tolerance at 0.2 times the population standard
+    deviation, and a series with no spread scores exactly 0.
+    """
+    a = np.asarray(series, dtype=float)
+    if a.size < m + 2:
+        raise ValueError("window too short: need at least m+2 samples")
+    if r is None:
+        spread = a.std()
+        if spread < 1e-15:
+            return 0.0
+        r = 0.2 * spread
+    count = a.size - m
+    return float(np.log(_similarity_mean(a, m, count, r))
+                 - np.log(_similarity_mean(a, m + 1, count, r)))
+
+
+def window_temporal(window: np.ndarray) -> float:
+    """h_t of one (n_cells, w) window; a rank-0 window's zero row scores 0."""
+    dec = decompose_window(window, order=1)
+    return float(dec.lam[0] * fuzzy_entropy(dec.coeffs[0]))
+
+
+def looped_temporal(excess: np.ndarray, w: int) -> np.ndarray:
+    """h_t for every frame of an (n_frames, n_cells) excess field, NaN in warm-up."""
+    h_t = np.full(excess.shape[0], np.nan)
+    for k in range(w - 1, excess.shape[0]):
+        h_t[k] = window_temporal(excess[k - w + 1 : k + 1].T)
+    return h_t
+
+
+def dissimilarity_entropy(z: np.ndarray) -> float:
+    """Third absolute moment over variance^(3/2) of one frame's scores."""
+    z = np.asarray(z, dtype=float)
+    dev = z - z.mean()
+    var = np.mean(dev**2)
+    if np.sqrt(var) < 1e-15:
+        return 0.0
+    return float(np.mean(np.abs(dev) ** 3) / var**1.5)
+
+
+def exhaustive_fuzzy(series, m: int, r: float) -> float:
+    """Fuzzy entropy by plain loops over every ordered pair of delay vectors."""
+    x = [float(v) for v in series]
+    count = len(x) - m
+
+    def mean_similarity(mu: int) -> float:
+        vecs = []
+        for i in range(count):
+            seg = x[i:i + mu]
+            vecs.append([abs(v - sum(seg) / mu) for v in seg])
+        total = 0.0
+        for i, a in enumerate(vecs):
+            for j, b in enumerate(vecs):
+                if i != j:
+                    d = max(abs(p - q) for p, q in zip(a, b))
+                    total += math.exp(-math.log(2.0) * (d / r) ** 2)
+        return total / (count * (count - 1))
+
+    return math.log(mean_similarity(m)) - math.log(mean_similarity(m + 1))

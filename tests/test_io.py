@@ -120,6 +120,29 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match=f"line {line}: time"):
             read_dataset(path)
 
+    def test_dropped_frame_names_line(self, tmp_path, short_tele):
+        # line 10 (t = 9) goes, so line 10 then carries t = 10 two seconds
+        # after t = 8: windows would span 28 s where training counts 27
+        path = tmp_path / "run.csv"
+        write_dataset(path, short_tele)
+        lines = path.read_text().splitlines()
+        del lines[9]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError,
+                           match="line 10: sample interval 2 s"):
+            read_dataset(path)
+
+    def test_jitter_within_tolerance_accepted(self, tmp_path, short_tele):
+        # t = 8.08 leaves intervals of 1.08 and 0.92 s, both within 10 %
+        path = tmp_path / "run.csv"
+        write_dataset(path, short_tele)
+        lines = path.read_text().splitlines()
+        parts = lines[8].split(",")
+        parts[0] = "8.08"
+        lines[8] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        assert read_dataset(path).times[7] == 8.08
+
     def test_wrong_header_rejected(self, tmp_path, short_tele):
         path = tmp_path / "run.csv"
         write_dataset(path, short_tele)

@@ -1,4 +1,4 @@
-"""Tests for fault localization: excess-field maps and basis-drift maps."""
+"""Tests for fault localization: the excess-field map at an alarm."""
 
 import dataclasses
 
@@ -7,28 +7,10 @@ import pytest
 
 from packdiag.errors import ConfigError
 from packdiag.fusion import DetectorParams
-from packdiag.locate import (
-    ContributionMap,
-    contribution,
-    contribution_rows,
-    contributions_at,
-)
+from packdiag.locate import ContributionMap, contribution_rows, contributions_at
 from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
 from packdiag.pipeline import Telemetry, run_detector
-from packdiag.spacetime import Decomposition, compensate
-
-
-def make_dec(phi: np.ndarray) -> Decomposition:
-    phi = np.asarray(phi, dtype=float)
-    order = phi.shape[1]
-    return Decomposition(phi=phi, lam=np.ones(order),
-                         coeffs=np.zeros((order, 3)), order=order,
-                         effective_rank=order, degenerate=False)
-
-
-def random_basis(rng, n, order):
-    q, _ = np.linalg.qr(rng.normal(size=(n, order)))
-    return q
+from packdiag.spacetime import compensate
 
 
 @pytest.fixture(scope="module")
@@ -44,72 +26,14 @@ def normal_tele():
     return Telemetry.from_frames(simulate(cfg))
 
 
-class TestContribution:
-    def test_identical_windows_score_zero(self):
-        rng = np.random.default_rng(0)
-        phi = random_basis(rng, 24, 2)
-        initial = make_dec(phi)
-        cmap = contribution([make_dec(phi.copy()) for _ in range(5)], initial)
-        assert np.array_equal(cmap.contributions, np.zeros(24))
-        assert cmap.cell_serial == 1  # all-equal tie resolves to the lowest
-
-    def test_single_window_single_mode_is_plain_deviation(self):
-        rng = np.random.default_rng(1)
-        phi0 = random_basis(rng, 24, 1)
-        phi1 = random_basis(rng, 24, 1)
-        cmap = contribution([make_dec(phi1)], make_dec(phi0))
-        expect = np.abs(phi1 - phi0)[:, 0]
-        np.testing.assert_array_equal(cmap.contributions, expect)
-
-    def test_point_perturbation_is_localized(self):
-        rng = np.random.default_rng(2)
-        phi0 = random_basis(rng, 24, 3)
-        phi1 = phi0.copy()
-        phi1[3] += 0.4
-        cmap = contribution([make_dec(phi1)], make_dec(phi0))
-        assert cmap.argmax_sensor == 3
-        assert cmap.cell_serial == 4
-
-    def test_averaging_over_windows_and_modes(self):
-        rng = np.random.default_rng(3)
-        phi0 = random_basis(rng, 6, 2)
-        decs = [make_dec(random_basis(rng, 6, 2)) for _ in range(4)]
-        cmap = contribution(decs, make_dec(phi0))
-        manual = sum(np.abs(d.phi - phi0).sum(axis=1) for d in decs)
-        manual /= 2 * 4
-        np.testing.assert_allclose(cmap.contributions, manual, rtol=0, atol=1e-15)
-
-    def test_mode_permutation_invariance(self):
-        rng = np.random.default_rng(4)
-        phi0 = random_basis(rng, 12, 3)
-        phis = [random_basis(rng, 12, 3) for _ in range(3)]
-        base = contribution([make_dec(p) for p in phis], make_dec(phi0))
-        perm = [2, 0, 1]
-        swapped = contribution([make_dec(p[:, perm]) for p in phis],
-                               make_dec(phi0[:, perm]))
-        np.testing.assert_allclose(swapped.contributions, base.contributions,
-                                   rtol=0, atol=1e-15)
-
-    def test_empty_window_list_rejected(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            contribution([], make_dec(random_basis(rng, 24, 1)))
-
-    def test_order_mismatch_rejected(self):
-        rng = np.random.default_rng(6)
-        with pytest.raises(ValueError):
-            contribution([make_dec(random_basis(rng, 24, 2))],
-                         make_dec(random_basis(rng, 24, 1)))
-
-
 class TestLocalize:
     # the named cell is the argmax of the map, ties to the lowest serial
-    def test_matches_map_serial(self):
-        rng = np.random.default_rng(7)
-        phi0 = random_basis(rng, 24, 1)
-        phi1 = phi0.copy()
-        phi1[16] += 0.3
-        cmap = contribution([make_dec(phi1)], make_dec(phi0))
+    def test_matches_map_serial(self, fault_tele, monkeypatch):
+        excess = np.zeros((27, 24))
+        excess[:, 16] = 0.3
+        monkeypatch.setattr("packdiag.locate.compensate",
+                            lambda temps, coords: excess)
+        cmap = contributions_at(fault_tele, 180.0, window=27)
         assert cmap.argmax_sensor == int(np.argmax(cmap.contributions)) == 16
         assert cmap.cell_serial == 17
 

@@ -8,28 +8,15 @@ from packdiag.fusion import DetectorParams, multiscale_statistic
 from packdiag.lumped import lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
 from packdiag.pipeline import (
+    M,
     Telemetry,
     _rank1_temporal,
     calibrate_from_streams,
     entropy_streams,
     run_detector,
 )
-from packdiag.spacetime import (
-    FuzzyParams,
-    compensate,
-    decompose_window,
-    temporal_entropy,
-)
-
-
-def _looped_temporal(excess: np.ndarray, w: int) -> np.ndarray:
-    """Reference h_t: one single-mode decomposition per sliding window."""
-    n = excess.shape[0]
-    h_t = np.full(n, np.nan)
-    for k in range(w - 1, n):
-        dec = decompose_window(excess[k - w + 1 : k + 1].T, order=1)
-        h_t[k] = temporal_entropy(dec, FuzzyParams())
-    return h_t
+from packdiag.spacetime import compensate
+from paper_oracles import looped_temporal, window_temporal
 
 
 @pytest.fixture(scope="module")
@@ -90,32 +77,30 @@ class TestEntropyStreams:
     def test_matches_per_frame_recomputation(self, normal_tele):
         # direct frame-by-frame oracle over a handful of rows
         w = 15
-        fuzzy = FuzzyParams()
         layout = build_layout()
         streams = entropy_streams(normal_tele, window=w)
 
-        volts_trace = lumped_entropy_series(normal_tele.volts, w)
+        h_d = lumped_entropy_series(normal_tele.volts, w)
         # compensate() itself is checked against a least-squares oracle in
         # test_spacetime; here the streams are rebuilt window by window
         excess = compensate(normal_tele.temps, layout.cell_centers)
         for k in [w - 1, 40, 77, 201]:
             win = excess[k - w + 1 : k + 1].T
-            dec = decompose_window(win, order=1)
             assert abs(streams.h_s[k] - win.mean(axis=1).max()) < 1e-12
-            assert abs(streams.h_t[k] - temporal_entropy(dec, fuzzy)) < 1e-12
-            assert abs(streams.h_d[k] - volts_trace.h_d[k]) < 1e-12
+            assert abs(streams.h_t[k] - window_temporal(win)) < 1e-12
+            assert abs(streams.h_d[k] - h_d[k]) < 1e-12
 
     def test_window_longer_than_run_rejected(self, normal_tele):
         with pytest.raises(ValueError):
             entropy_streams(normal_tele, window=500)
 
-    @pytest.mark.parametrize("window", [FuzzyParams().m + 2, 15, 27, 101, 200])
+    @pytest.mark.parametrize("window", [M + 2, 15, 27, 101, 200])
     def test_batched_path_matches_loop(self, fault_tele, window):
         # the single-mode vector path must reproduce the per-window loop
         layout = build_layout()
         excess = compensate(fault_tele.temps, layout.cell_centers)
         h_t_fast = _rank1_temporal(excess, window)
-        h_t_ref = _looped_temporal(excess, window)
+        h_t_ref = looped_temporal(excess, window)
         np.testing.assert_allclose(h_t_fast, h_t_ref, rtol=1e-9, atol=1e-10)
 
     def test_batched_path_chunking_invariant(self, normal_tele):
@@ -142,7 +127,7 @@ class TestEntropyStreams:
         h_t = _rank1_temporal(excess, w)
         assert np.isnan(h_t[: w - 1]).all()
         assert (h_t[w - 1 :] == 0.0).all()
-        assert np.array_equal(h_t, _looped_temporal(excess, w), equal_nan=True)
+        assert np.array_equal(h_t, looped_temporal(excess, w), equal_nan=True)
 
 
 class TestCalibration:

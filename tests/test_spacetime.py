@@ -1,4 +1,4 @@
-"""Tests for windowed SVD decomposition, spatial pdf, and fuzzy/temporal entropy."""
+"""Tests for smooth-surface compensation and the per-window paper references."""
 
 import math
 
@@ -6,41 +6,8 @@ import numpy as np
 import pytest
 
 from packdiag.pack import build_layout
-from packdiag.spacetime import (
-    Decomposition,
-    FuzzyParams,
-    compensate,
-    decompose_window,
-    fuzzy_entropy,
-    sbf_variation,
-    spatial_entropy,
-    temporal_entropy,
-)
-
-
-def fuzzy_oracle(a, m, r):
-    """Exhaustive pair enumeration with plain loops; the reference for fuzzy_entropy."""
-    w = len(a)
-    v = w - m
-
-    def s_of(mu):
-        vecs = []
-        for j in range(v):
-            seg = a[j:j + mu]
-            u = sum(seg) / mu
-            vecs.append([abs(x - u) for x in seg])
-        tot = 0.0
-        cnt = 0
-        for j in range(v):
-            for q in range(v):
-                if j == q:
-                    continue
-                d = max(abs(vecs[j][l] - vecs[q][l]) for l in range(mu))
-                tot += math.exp(-math.log(2.0) * (d / r) ** 2)
-                cnt += 1
-        return tot / cnt
-
-    return math.log(s_of(m)) - math.log(s_of(m + 1))
+from packdiag.spacetime import compensate
+from paper_oracles import decompose_window, exhaustive_fuzzy, fuzzy_entropy
 
 
 def rank_n_oracle(window, n):
@@ -171,118 +138,20 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_window(np.ones((4, 5)), order=5)
 
-    def test_sign_alignment(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal((10, 12))
-        ref = decompose_window(y, order=4)
-        flipped = Decomposition(phi=-ref.phi, lam=ref.lam.copy(), coeffs=-ref.coeffs,
-                                order=4, effective_rank=ref.effective_rank,
-                                degenerate=ref.degenerate)
-        aligned = decompose_window(y, order=4, reference=flipped)
-        for i in range(4):
-            assert aligned.phi[:, i] @ flipped.phi[:, i] >= 0
-        # alignment never changes the reconstruction
-        assert np.abs(aligned.reconstruct() - ref.reconstruct()).max() < 1e-10
-
-    def test_same_window_zero_variation(self):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal((8, 9))
-        coords = rng.uniform(0, 1, (8, 2))
-        ref = decompose_window(y, order=3)
-        cur = decompose_window(y, order=3, reference=ref)
-        pdf = sbf_variation(cur, ref, coords)
-        assert pdf.variation.max() < 1e-9
-        assert pdf.null
-
-
-class TestSpatialPdf:
-    def _pdf(self, variation, coords):
-        n = len(variation)
-        phi0 = np.zeros((n, 1))
-        phik = np.asarray(variation, float).reshape(n, 1)
-        ref = Decomposition(phi=phi0, lam=np.ones(1), coeffs=np.zeros((1, 2)),
-                            order=1, effective_rank=1, degenerate=False)
-        cur = Decomposition(phi=phik, lam=np.ones(1), coeffs=np.zeros((1, 2)),
-                            order=1, effective_rank=1, degenerate=False)
-        return sbf_variation(cur, ref, np.asarray(coords, float))
-
-    def test_hand_masses(self):
-        coords = [(0, 0), (1, 0), (2, 1), (3, 1)]
-        pdf = self._pdf([0.2, 0.0, 0.0, 0.6], coords)
-        assert abs(pdf.total - 0.8) < 1e-12
-        assert np.allclose(pdf.p, [0.25, 0.0, 0.0, 0.75], atol=1e-12)
-        assert abs(pdf.p1[0] - 0.25) < 1e-12
-        assert abs(pdf.p2[0] - 0.75) < 1e-12
-        assert abs(pdf.p1[1] - 0.25) < 1e-12
-
-    def test_masses_sum_exactly(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            v = rng.uniform(0, 1, 24)
-            coords = rng.uniform(0, 1, (24, 2))
-            pdf = self._pdf(v, coords)
-            assert pdf.p1[0] + pdf.p2[0] == 1.0
-            assert pdf.p1[1] + pdf.p2[1] == 1.0
-
-    def test_odd_count_lower_half_gets_extra(self):
-        coords = [(i, 0.0) for i in range(5)]
-        pdf = self._pdf([1.0, 1.0, 1.0, 1.0, 1.0], coords)
-        # ceil(5/2)=3 cells in the lower-x half
-        assert abs(pdf.p1[0] - 0.6) < 1e-12
-
-    def test_entropy_hand_value(self):
-        coords = [(0, 0), (1, 0), (2, 1), (3, 1)]
-        pdf = self._pdf([0.2, 0.0, 0.0, 0.6], coords)
-        # both axes split 0.25/0.75
-        want = 1.0 + 0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)
-        assert abs(spatial_entropy(pdf) - want) < 1e-12
-        assert abs(spatial_entropy(pdf) - 0.18872187554086717) < 1e-12
-
-    def test_entropy_balanced_is_zero(self):
-        coords = [(0, 0), (1, 1), (2, 0), (3, 1)]
-        pdf = self._pdf([0.5, 0.5, 0.5, 0.5], coords)
-        assert spatial_entropy(pdf) == 0.0
-
-    def test_entropy_one_sided_is_one(self):
-        coords = [(0, 0), (1, 0), (2, 1), (3, 1)]
-        pdf = self._pdf([1.0, 1.0, 0.0, 0.0], coords)
-        # all mass in the lower half on both axes
-        assert abs(spatial_entropy(pdf) - 1.0) < 1e-12
-
-    def test_single_axis_mixed(self):
-        # one-sided in x, balanced in y -> mean of 1 and 0
-        coords = [(0, 0), (1, 1), (2, 1), (3, 0)]
-        pdf = self._pdf([0.5, 0.5, 0.0, 0.0], coords)
-        assert abs(spatial_entropy(pdf) - 0.5) < 1e-12
-
-    def test_null_pdf_zero_entropy(self):
-        coords = [(0, 0), (1, 1), (2, 0), (3, 1)]
-        pdf = self._pdf([0.0, 0.0, 0.0, 0.0], coords)
-        assert pdf.null
-        assert spatial_entropy(pdf) == 0.0
-
-    def test_entropy_bounds(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            v = rng.uniform(0, 1, 24)
-            coords = rng.uniform(0, 1, (24, 2))
-            h = spatial_entropy(self._pdf(v, coords))
-            assert -1e-12 <= h <= 1.0 + 1e-12
-
 
 class TestFuzzyEntropy:
     def test_constant_series_is_zero(self):
-        assert fuzzy_entropy(np.full(30, 3.3), FuzzyParams()) == 0.0
+        assert fuzzy_entropy(np.full(30, 3.3)) == 0.0
 
     def test_linear_ramp_explicit_r(self):
-        got = fuzzy_entropy(np.array([1.0, 2.0, 3.0, 4.0]), FuzzyParams(m=2, r=0.2))
+        got = fuzzy_entropy(np.array([1.0, 2.0, 3.0, 4.0]), m=2, r=0.2)
         assert abs(got - 0.0) < 1e-12
 
     def test_frozen_oracle_values(self):
         a = np.array([0.1, 0.5, 0.2, 0.9, 0.4, 0.7])
-        got = fuzzy_entropy(a, FuzzyParams(m=2, r=0.2))
+        got = fuzzy_entropy(a, m=2, r=0.2)
         assert abs(got - 0.4894512589268187) < 1e-12
-        got_adaptive = fuzzy_entropy(a, FuzzyParams(m=2))
+        got_adaptive = fuzzy_entropy(a, m=2)
         assert abs(got_adaptive - 1.2577667602203353) < 1e-12
 
     def test_matches_exhaustive_oracle(self):
@@ -291,49 +160,16 @@ class TestFuzzyEntropy:
             w = int(rng.integers(5, 13))
             a = rng.standard_normal(w)
             r = 0.2 * a.std()
-            got = fuzzy_entropy(a, FuzzyParams(m=2, r=r))
-            want = fuzzy_oracle(a.tolist(), 2, r)
+            got = fuzzy_entropy(a, m=2, r=r)
+            want = exhaustive_fuzzy(a, 2, r)
             assert abs(got - want) < 1e-10
 
     def test_window_too_short(self):
         with pytest.raises(ValueError):
-            fuzzy_entropy(np.array([1.0, 2.0, 3.0]), FuzzyParams(m=2))
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            fuzzy_entropy(np.arange(6.0), FuzzyParams(m=2, r=-1.0))
+            fuzzy_entropy(np.array([1.0, 2.0, 3.0]), m=2)
 
     def test_noise_more_irregular_than_ramp(self):
         rng = np.random.default_rng(8)
         ramp = np.linspace(0, 1, 40)
         noise = rng.standard_normal(40)
-        p = FuzzyParams(m=2)
-        assert fuzzy_entropy(noise, p) > fuzzy_entropy(ramp, p)
-
-
-class TestTemporalEntropy:
-    def _dec(self, lam, rows):
-        rows = np.asarray(rows, float)
-        n = rows.shape[0]
-        return Decomposition(phi=np.zeros((3, n)), lam=np.asarray(lam, float),
-                             coeffs=rows, order=n, effective_rank=n, degenerate=False)
-
-    def test_weighted_sum_of_modes(self):
-        r1 = [0.1, 0.5, 0.2, 0.9, 0.4, 0.7]
-        r2 = [1.0, 2.0, 3.0, 4.0, 2.0, 1.0]
-        dec = self._dec([2.0, 0.5], [r1, r2])
-        got = temporal_entropy(dec, FuzzyParams(m=2))
-        assert abs(got - 3.0747043123528384) < 1e-12
-
-    def test_linear_in_singular_values(self):
-        r1 = [0.1, 0.5, 0.2, 0.9, 0.4, 0.7]
-        r2 = [1.0, 2.0, 3.0, 4.0, 2.0, 1.0]
-        a = temporal_entropy(self._dec([2.0, 0.5], [r1, r2]), FuzzyParams(m=2))
-        b = temporal_entropy(self._dec([4.0, 1.0], [r1, r2]), FuzzyParams(m=2))
-        assert abs(b - 2.0 * a) < 1e-10
-
-    def test_zero_modes_contribute_nothing(self):
-        r1 = [0.1, 0.5, 0.2, 0.9, 0.4, 0.7]
-        a = temporal_entropy(self._dec([2.0], [r1]), FuzzyParams(m=2))
-        b = temporal_entropy(self._dec([2.0, 0.0], [r1, np.zeros(6)]), FuzzyParams(m=2))
-        assert abs(a - b) < 1e-12
+        assert fuzzy_entropy(noise, m=2) > fuzzy_entropy(ramp, m=2)
