@@ -1,0 +1,103 @@
+"""Print SHA-256 digests of the outputs a refactor must leave unchanged.
+
+Runs the packdiag command line of one checkout in a temporary directory and
+prints one `digest  name` line per output, sorted by name:
+
+- the `simulate` CSV of each shipped scenario (`sc01.csv` ...);
+- the `benchmark scenarios/` report (`report.csv`);
+- the `detect` traces of each of those CSVs at w = 27 and w = 200
+  (`sc01.w27.trace.csv` ...);
+- a short `fit --optimize` params file (`tune.params`): population 10,
+  5 generations, seed 0, on the three 1200-frame recordings of the `tune`
+  workload (faults in cells 4 and 23 from t = 700 s, and one normal run).
+
+Usage, from anywhere:
+
+    python3 scripts/output_digests.py [CHECKOUT]
+
+CHECKOUT defaults to the checkout holding this script. Run it on two
+checkouts and diff the output to compare them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+WINDOWS = (27, 200)
+
+# the tune workload's recordings, as scenario files
+TUNE_SCENARIOS = {
+    "tune_fault_a": "duration = 1200.0\nrng_seed = 201\n"
+                    "fault_cell = 4\nr_short = 10.0\nonset = 700.0\n",
+    "tune_fault_b": "duration = 1200.0\nrng_seed = 202\n"
+                    "fault_cell = 23\nr_short = 10.0\nonset = 700.0\n",
+    "tune_normal": "duration = 1200.0\nrng_seed = 203\n",
+}
+
+
+def run(main, *argv: str):
+    """One packdiag command with its console output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"packdiag {' '.join(argv)} exited {code}")
+
+
+def produce(checkout: Path, out: Path) -> list[Path]:
+    """Write every compared output under out and return their paths."""
+    sys.path.insert(0, str(checkout / "src"))
+    from packdiag.cli import main
+
+    for w in WINDOWS:
+        (out / f"w{w}.params").write_text(f"window = {w}\n", encoding="utf-8")
+    made = []
+    for scenario in sorted((checkout / "scenarios").glob("*.scenario")):
+        csv = out / f"{scenario.stem}.csv"
+        run(main, "simulate", str(scenario), "--out", str(csv))
+        made.append(csv)
+        for w in WINDOWS:
+            trace = out / f"{scenario.stem}.w{w}.trace.csv"
+            run(main, "detect", str(csv), "--params", str(out / f"w{w}.params"),
+                "--out", str(trace))
+            made.append(trace)
+
+    report = out / "report.csv"
+    run(main, "benchmark", str(checkout / "scenarios"), "--out", str(report))
+    made.append(report)
+
+    recordings = {}
+    for name, text in TUNE_SCENARIOS.items():
+        scenario = out / f"{name}.scenario"
+        scenario.write_text(text, encoding="utf-8")
+        recordings[name] = out / f"{name}.csv"
+        run(main, "simulate", str(scenario), "--out", str(recordings[name]))
+    tuned = out / "tune.params"
+    run(main, "fit", "--normal", str(recordings["tune_normal"]),
+        "--fault", str(recordings["tune_fault_a"]),
+        str(recordings["tune_fault_b"]),
+        "--optimize", "--population", "10", "--generations", "5",
+        "--seed", "0", "--out", str(tuned))
+    made.append(tuned)
+    return made
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parent.parent)
+    if not (checkout / "src" / "packdiag" / "__init__.py").is_file():
+        print(f"error: no packdiag sources under {checkout}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(produce(checkout.resolve(), Path(tmp)),
+                           key=lambda p: p.name):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -27,7 +27,7 @@ from .io import (
     write_trace,
 )
 from .locate import contribution_rows, contributions_at
-from .pack import build_layout, simulate
+from .pack import simulate
 from .pipeline import Telemetry, calibrate_pooled, entropy_streams, run_detector
 from .tuning import FitnessEvaluator, GaConfig, mga_optimize
 
@@ -71,9 +71,6 @@ def cmd_fit(args) -> int:
 def cmd_detect(args) -> int:
     tele = read_dataset(args.data)
     params = read_params(args.params)
-    if args.no_refit and not params.calibrated:
-        raise ConfigError("--no-refit needs a params file with stored "
-                          "calibration (max_hd/max_hs/max_ht/h_r)")
     report = run_detector(tele, params, refit=not args.no_refit)
     write_trace(args.out, report)
     usable = int((~np.isnan(report.h_stream)).sum())
@@ -90,10 +87,9 @@ def cmd_detect(args) -> int:
 def cmd_localize(args) -> int:
     tele = read_dataset(args.data)
     params = read_params(args.params)
-    layout = build_layout()
-    cmap = contributions_at(tele, args.tf, params.window, layout=layout)
+    cmap = contributions_at(tele, args.tf, params.window)
     print(f"#{cmap.cell_serial}")
-    write_lines(args.out, contribution_rows(cmap, layout))
+    write_lines(args.out, contribution_rows(cmap))
     print(f"wrote {args.out}")
     return 0
 

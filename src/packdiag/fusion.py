@@ -9,7 +9,6 @@ the training maximum is the whole point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,8 @@ from scipy.special import ndtr
 from .errors import ConfigError
 
 DEFAULT_ALPHA = (0.216, 0.573, 0.211)
+# width at which the threshold bisection stops
+THRESHOLD_TOL = 1e-10
 
 
 @dataclass
@@ -55,10 +56,6 @@ class DetectorParams:
             if self.h_r is None:
                 raise ConfigError("calibrated params need a threshold")
 
-    @property
-    def calibrated(self) -> bool:
-        return None not in (self.max_hd, self.max_hs, self.max_ht, self.h_r)
-
 
 def normalize(value, training_max: float):
     """Scale by the training maximum. No clipping: ratios above 1 carry signal."""
@@ -82,11 +79,6 @@ class KdeModel:
     samples: np.ndarray
     bandwidth: float
 
-    def pdf(self, x):
-        u = (np.asarray(x, dtype=float)[..., None] - self.samples) / self.bandwidth
-        k = np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
-        return k.mean(axis=-1) / self.bandwidth
-
     def cdf(self, x):
         u = (np.asarray(x, dtype=float)[..., None] - self.samples) / self.bandwidth
         return ndtr(u).mean(axis=-1)
@@ -109,7 +101,7 @@ def fit_kde(samples: np.ndarray) -> KdeModel:
     return KdeModel(samples=samples.copy(), bandwidth=bandwidth)
 
 
-def threshold_from_kde(model: KdeModel, beta: float, tol: float = 1e-10) -> float:
+def threshold_from_kde(model: KdeModel, beta: float) -> float:
     """Smallest value whose mixture CDF reaches beta, found by bisection.
 
     The CDF runs from minus infinity, so any density mass below zero counts
@@ -119,7 +111,7 @@ def threshold_from_kde(model: KdeModel, beta: float, tol: float = 1e-10) -> floa
         raise ValueError("beta must lie strictly between 0 and 1")
     lo = float(model.samples.min() - 10.0 * model.bandwidth)
     hi = float(model.samples.max() + 10.0 * model.bandwidth)
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if model.cdf(mid) >= beta:
             hi = mid
@@ -136,11 +128,10 @@ class DetectionOutcome:
     h_stream: np.ndarray
     alarms: np.ndarray
     t_f: float | None
-    t_a: float | None = None
 
 
-def detect(times: np.ndarray, h_stream: np.ndarray, params: DetectorParams,
-           onset: float | None = None) -> DetectionOutcome:
+def detect(times: np.ndarray, h_stream: np.ndarray,
+           params: DetectorParams) -> DetectionOutcome:
     """Alarm wherever the statistic strictly exceeds the threshold.
 
     Warm-up entries arrive as NaN and can never alarm.
@@ -154,4 +145,4 @@ def detect(times: np.ndarray, h_stream: np.ndarray, params: DetectorParams,
         alarms = h > params.h_r
     alarms &= ~np.isnan(h)
     t_f = float(times[int(np.argmax(alarms))]) if alarms.any() else None
-    return DetectionOutcome(times=times, h_stream=h, alarms=alarms, t_f=t_f, t_a=onset)
+    return DetectionOutcome(times=times, h_stream=h, alarms=alarms, t_f=t_f)

@@ -14,20 +14,16 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .fusion import DetectorParams
-from .pack import FaultSpec, SimConfig
-from .pipeline import DetectorReport, Telemetry
+from .pack import N_CELLS, N_GROUPS, FaultSpec, SimConfig
+from .pipeline import DetectorReport, Telemetry, first_bad_time
 
-N_TEMP_CHANNELS = 24
-N_VOLT_CHANNELS = 6
-
+# one temperature channel per cell, one voltage channel per series group
 DATASET_HEADER = ("t,"
-                  + ",".join(f"T{i:02d}" for i in range(1, N_TEMP_CHANNELS + 1))
+                  + ",".join(f"T{i:02d}" for i in range(1, N_CELLS + 1))
                   + ","
-                  + ",".join(f"V{j}" for j in range(1, N_VOLT_CHANNELS + 1))
+                  + ",".join(f"V{j}" for j in range(1, N_GROUPS + 1))
                   + ",I,label")
-_N_FIELDS = 3 + N_TEMP_CHANNELS + N_VOLT_CHANNELS  # t, channels, I, label
-# largest relative departure of any sample interval from the median one
-SAMPLING_TOLERANCE = 0.1
+_N_FIELDS = 3 + N_CELLS + N_GROUPS  # t, channels, I, label
 
 
 def _g(x) -> str:
@@ -48,11 +44,11 @@ def write_lines(path, lines: list[str]):
 
 def write_dataset(path, tele: Telemetry):
     """Write one recording as the standard telemetry CSV."""
-    if tele.temps.shape[1] != N_TEMP_CHANNELS:
-        raise ConfigError(f"dataset format carries {N_TEMP_CHANNELS} "
+    if tele.temps.shape[1] != N_CELLS:
+        raise ConfigError(f"dataset format carries {N_CELLS} "
                           f"temperature channels, got {tele.temps.shape[1]}")
-    if tele.volts.shape[1] != N_VOLT_CHANNELS:
-        raise ConfigError(f"dataset format carries {N_VOLT_CHANNELS} "
+    if tele.volts.shape[1] != N_GROUPS:
+        raise ConfigError(f"dataset format carries {N_GROUPS} "
                           f"voltage channels, got {tele.volts.shape[1]}")
     lines = [DATASET_HEADER]
     for k in range(tele.n_frames):
@@ -99,26 +95,13 @@ def read_dataset(path) -> Telemetry:
     if not finite.all():
         raise DataFormatError(f"line {int(np.argmin(finite)) + 2}: "
                               "non-finite field")
-    steps = np.diff(times)
-    out_of_order = np.flatnonzero(steps <= 0)
-    if out_of_order.size:
-        k = int(out_of_order[0]) + 1
-        raise DataFormatError(f"line {k + 2}: time {_g(times[k])} does not "
-                              f"exceed the previous {_g(times[k - 1])}")
-    # windows count frames while train_len counts seconds, so a dropped or
-    # doubled frame would silently stretch or shrink every window
-    typical = float(np.median(steps)) if steps.size else 0.0
-    uneven = np.flatnonzero(np.abs(steps - typical)
-                            > SAMPLING_TOLERANCE * typical)
-    if uneven.size:
-        k = int(uneven[0]) + 1
-        raise DataFormatError(f"line {k + 2}: sample interval "
-                              f"{_g(steps[k - 1])} s is more than "
-                              f"{SAMPLING_TOLERANCE:.0%} off the median "
-                              f"{_g(typical)} s")
+    bad = first_bad_time(times)
+    if bad is not None:
+        k, why = bad
+        raise DataFormatError(f"line {k + 2}: {why}")
     return Telemetry(times=times,
-                     temps=rows[:, :N_TEMP_CHANNELS],
-                     volts=rows[:, N_TEMP_CHANNELS:],
+                     temps=rows[:, :N_CELLS],
+                     volts=rows[:, N_CELLS:],
                      current=currents,
                      labels=np.asarray(labels, dtype=int))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pack import PackLayout, build_layout
+from .pack import N_CELLS, build_layout
 from .pipeline import Telemetry
 from .spacetime import compensate
 
@@ -30,8 +30,7 @@ class ContributionMap:
     cell_serial: int            # 1-based serial of that sensor's cell
 
 
-def contributions_at(tele: Telemetry, t_f: float, window: int,
-                     layout: PackLayout | None = None) -> ContributionMap:
+def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMap:
     """Mean excess temperature per cell over the window ending at the alarm.
 
     The excess is spacetime.compensate of the raw telemetry: each cell's
@@ -43,8 +42,6 @@ def contributions_at(tele: Telemetry, t_f: float, window: int,
     w = int(window)
     if w < 1:
         raise ConfigError("window must be a positive integer")
-    if layout is None:
-        layout = build_layout()
     hits = np.isclose(tele.times, t_f, rtol=0.0, atol=1e-9)
     if not hits.any():
         raise ValueError(f"t_f={t_f} is not a sampled frame time")
@@ -53,7 +50,7 @@ def contributions_at(tele: Telemetry, t_f: float, window: int,
         raise ConfigError("alarm in warm-up: no full window ends by t_f")
 
     first = idx - w + 1
-    excess = compensate(tele.temps[first : idx + 1], layout.cell_centers)
+    excess = compensate(tele.temps[first : idx + 1], build_layout().cell_centers)
     scores = excess.mean(axis=0)
     argmax = int(np.argmax(scores))
     return ContributionMap(contributions=scores,
@@ -62,13 +59,14 @@ def contributions_at(tele: Telemetry, t_f: float, window: int,
                            cell_serial=argmax + 1)
 
 
-def contribution_rows(cmap: ContributionMap, layout: PackLayout) -> list[str]:
+def contribution_rows(cmap: ContributionMap) -> list[str]:
     """Plot-ready export: one row per sensor with its position and mass."""
     c = np.asarray(cmap.contributions, dtype=float)
-    if c.shape != (layout.n_cells,):
+    if c.shape != (N_CELLS,):
         raise ValueError("contribution length does not match the layout")
+    centers = build_layout().cell_centers
     rows = ["cell,serial,x,y,C"]
-    for i in range(layout.n_cells):
-        x, y = layout.cell_centers[i]
+    for i in range(N_CELLS):
+        x, y = centers[i]
         rows.append(f"T{i + 1:02d},{i + 1},{x:.12g},{y:.12g},{c[i]:.12g}")
     return rows

@@ -28,20 +28,46 @@ from .fusion import (
     threshold_from_kde,
 )
 from .lumped import SPREAD_FLOOR, lumped_entropy_series
-from .pack import TelemetryFrame, build_layout
+from .pack import N_CELLS, TelemetryFrame, build_layout
 from .spacetime import compensate
 
 # the temporal stream's embedding dimension; the tolerance is set per window
 M = 2
+# largest relative departure of any sample interval from the median one
+SAMPLING_TOLERANCE = 0.1
+
+
+def first_bad_time(times: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first frame whose time breaks the sampling rule, and why.
+
+    Times must strictly increase, and every interval must lie within
+    SAMPLING_TOLERANCE of the median interval: windows count frames while
+    train_len counts seconds, so a dropped or doubled frame would silently
+    stretch or shrink every window. None when every frame is in line.
+    """
+    steps = np.diff(times)
+    out_of_order = np.flatnonzero(~(steps > 0.0))
+    if out_of_order.size:
+        k = int(out_of_order[0]) + 1
+        return k, (f"time {times[k]:.12g} does not exceed the previous "
+                   f"{times[k - 1]:.12g}")
+    typical = float(np.median(steps)) if steps.size else 0.0
+    uneven = np.flatnonzero(np.abs(steps - typical)
+                            > SAMPLING_TOLERANCE * typical)
+    if uneven.size:
+        k = int(uneven[0]) + 1
+        return k, (f"sample interval {steps[k - 1]:.12g} s is more than "
+                   f"{SAMPLING_TOLERANCE:.0%} off the median {typical:.12g} s")
+    return None
 
 
 @dataclass
 class Telemetry:
-    """Column-stacked sensor history for one recording."""
+    """Column-stacked sensor history for one recording, evenly sampled."""
 
     times: np.ndarray    # (n,) seconds
-    temps: np.ndarray    # (n, n_cells) cell surface temperatures, K
-    volts: np.ndarray    # (n, n_groups) series-group terminal voltages, V
+    temps: np.ndarray    # (n, N_CELLS) cell surface temperatures, K
+    volts: np.ndarray    # (n, N_GROUPS) series-group terminal voltages, V
     current: np.ndarray  # (n,) pack current, A
     labels: np.ndarray   # (n,) 0 normal / 1 abnormal
 
@@ -51,12 +77,10 @@ class Telemetry:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(f"{name} has {arr.shape[0]} rows, expected {n}")
-        out_of_order = np.flatnonzero(~(np.diff(self.times) > 0.0))
-        if out_of_order.size:
-            k = int(out_of_order[0]) + 1
-            raise ValueError(f"times must strictly increase; index {k} "
-                             f"({self.times[k]}) does not exceed index {k - 1} "
-                             f"({self.times[k - 1]})")
+        bad = first_bad_time(self.times)
+        if bad is not None:
+            k, why = bad
+            raise ValueError(f"times at index {k}: {why}")
 
     @classmethod
     def from_frames(cls, frames: list[TelemetryFrame]) -> "Telemetry":
@@ -73,15 +97,6 @@ class Telemetry:
     @property
     def n_frames(self) -> int:
         return self.times.shape[0]
-
-    def onset(self) -> float | None:
-        """Last normal timestamp before the labeled stretch, None if all normal."""
-        idx = np.nonzero(self.labels == 1)[0]
-        if idx.size == 0:
-            return None
-        if idx[0] == 0:
-            return float(self.times[0])
-        return float(self.times[idx[0] - 1])
 
 
 @dataclass
@@ -110,18 +125,17 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
       temporal mode of the excess window. The higher modes sit at the
       sensor-noise floor, so only the first is kept.
     """
-    layout = build_layout()
     n = tele.n_frames
     w = int(window)
     if w < M + 2:
         raise ValueError(f"window {w} too short for order-{M} matching")
     if n < w:
         raise ValueError(f"recording has {n} frames, needs at least {w}")
-    if tele.temps.shape[1] != layout.n_cells:
+    if tele.temps.shape[1] != N_CELLS:
         raise ValueError("temperature channel count does not match the layout")
 
     h_d = lumped_entropy_series(tele.volts, w)
-    excess = compensate(tele.temps, layout.cell_centers)
+    excess = compensate(tele.temps, build_layout().cell_centers)
     h_s = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
     h_s[w - 1 :] = windows.mean(axis=2).max(axis=1)
@@ -282,14 +296,14 @@ def run_detector(tele: Telemetry, params: DetectorParams,
 
     With refit=True (default) the normalizers and threshold are re-derived
     from this recording's own training prefix; otherwise params must already
-    be calibrated and is used as-is.
+    be calibrated (ConfigError if not) and is used as-is.
     """
     streams = entropy_streams(tele, params.window)
-    if refit or not params.calibrated:
+    if refit:
         params = calibrate_from_streams(streams, params)
     else:
         params.validate(calibrated=True)
     h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, params)
-    outcome = detect(streams.times, h, params, onset=tele.onset())
+    outcome = detect(streams.times, h, params)
     return DetectorReport(streams=streams, h_stream=h, params=params,
                           outcome=outcome)

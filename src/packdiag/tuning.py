@@ -55,12 +55,24 @@ class EvaluationResult:
     objective_value: float | None = None
 
 
+def frame_counts(outcome: DetectionOutcome,
+                 labels: np.ndarray) -> tuple[int, int, int, int]:
+    """Detected, abnormal, false-alarm and normal frames of one recording.
+
+    Abnormal frames count toward the detection rate; post-warm-up normal
+    frames toward the false-alarm rate.
+    """
+    abnormal = labels == 1
+    normal = (labels == 0) & ~np.isnan(outcome.h_stream)
+    return (int((outcome.alarms & abnormal).sum()), int(abnormal.sum()),
+            int((outcome.alarms & normal).sum()), int(normal.sum()))
+
+
 def compute_metrics(outcome: DetectionOutcome, labels: np.ndarray,
                     cfg: MetricsConfig) -> EvaluationResult:
     """Score one recording's alarms against its frame labels.
 
-    Abnormal frames count toward the detection rate; post-warm-up normal
-    frames toward the false-alarm rate. The delay runs from the last normal
+    Frames are counted by frame_counts. The delay runs from the last normal
     timestamp to the first alarm after it; a run with no such alarm is
     penalized with the full recording length.
     """
@@ -69,25 +81,16 @@ def compute_metrics(outcome: DetectionOutcome, labels: np.ndarray,
     times = outcome.times
     if labels.shape != times.shape:
         raise ValueError("labels and outcome cover different frame counts")
-    abnormal = labels == 1
-    usable = ~np.isnan(outcome.h_stream)
-    normal = (labels == 0) & usable
-    total_abnormal = int(abnormal.sum())
-    total_normal = int(normal.sum())
+    detected, total_abnormal, false_alarms, total_normal = \
+        frame_counts(outcome, labels)
     if total_abnormal == 0 or total_normal == 0:
         raise ValueError("unusable scenario labeling: need both normal and "
                          "abnormal frames")
-
-    detected = int((outcome.alarms & abnormal).sum())
-    false_alarms = int((outcome.alarms & normal).sum())
     adr = detected / total_abnormal
     far = false_alarms / total_normal
 
-    if outcome.t_a is not None:
-        t_onset = float(outcome.t_a)
-    else:
-        first = int(np.argmax(abnormal))
-        t_onset = float(times[first - 1]) if first > 0 else float(times[0])
+    first = int(np.argmax(labels == 1))
+    t_onset = float(times[first - 1]) if first > 0 else float(times[0])
     post = outcome.alarms & (times > t_onset)
     if post.any():
         t_detect = float(times[int(np.argmax(post))])
@@ -146,16 +149,15 @@ class FitnessEvaluator:
             self._streams[key] = entropy_streams(self.scenarios[idx], window)
         return self._streams[key]
 
-    def _detect_streams(self, streams: EntropyStreams, tele: Telemetry,
-                        window: int, alpha) -> tuple:
+    def _detect_streams(self, streams: EntropyStreams, window: int,
+                        alpha) -> DetectionOutcome:
         params = dataclasses.replace(self.base, window=int(window),
                                      alpha=tuple(float(a) for a in alpha),
                                      max_hd=None, max_hs=None, max_ht=None,
                                      h_r=None)
         cal = calibrate_from_streams(streams, params)
         h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, cal)
-        outcome = detect(streams.times, h, cal, onset=tele.onset())
-        return h, outcome
+        return detect(streams.times, h, cal)
 
     def evaluate(self, window: int, alpha) -> EvaluationResult:
         """Pooled metrics of one candidate across every recording.
@@ -170,28 +172,21 @@ class FitnessEvaluator:
         if key in self._memo:
             return self._memo[key]
 
-        detected = total_abn = false = total_norm = 0
+        counts = []
         delays = []
         try:
             for idx, tele in enumerate(self.scenarios):
-                streams = self._stream(idx, w)
-                h, outcome = self._detect_streams(streams, tele, w, key[1])
-                labels = tele.labels
-                abnormal = labels == 1
-                usable = ~np.isnan(h)
-                normal = (labels == 0) & usable
-                detected += int((outcome.alarms & abnormal).sum())
-                total_abn += int(abnormal.sum())
-                false += int((outcome.alarms & normal).sum())
-                total_norm += int(normal.sum())
-                if abnormal.any():
-                    res = compute_metrics(outcome, labels, self.metrics)
+                outcome = self._detect_streams(self._stream(idx, w), w, key[1])
+                counts.append(frame_counts(outcome, tele.labels))
+                if (tele.labels == 1).any():
+                    res = compute_metrics(outcome, tele.labels, self.metrics)
                     delays.append(res.relative_delay)
         except (ConfigError, ValueError):
             result = _infeasible()
             self._memo[key] = result
             return result
 
+        detected, total_abn, false, total_norm = (sum(c) for c in zip(*counts))
         if total_abn == 0 or total_norm == 0:
             raise ValueError("unusable scenario labeling: need both normal "
                              "and abnormal frames across the recordings")
@@ -220,42 +215,31 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+# operators of the genetic search
+TOURNAMENT = 3
+CROSSOVER_RATE = 0.9
+MUTATION_PROB = 0.35
+MUTATION_SCALE = 0.30   # initial sigma of the weight mutation
+MUTATION_FLOOR = 0.05   # sigma after the linear decay
+W_STEP = 8              # largest +- step of a window mutation
+ELITE = 2
+IMMIGRANTS = 2          # fresh random individuals per generation
+
+
 @dataclass(frozen=True)
 class GaConfig:
-    """Knobs of the genetic search."""
+    """Size, window bounds and seed of the genetic search."""
 
     population: int = 30
     generations: int = 50
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    mutation_prob: float = 0.35
-    mutation_scale: float = 0.30   # initial sigma of the weight mutation
-    mutation_floor: float = 0.05   # sigma after the linear decay
-    w_step: int = 8                # largest +- step of a window mutation
-    elite: int = 2
-    immigrants: int = 2            # fresh random individuals per generation
     w_min: int = 5
     w_max: int = 200
     rng_seed: int = 0
 
     def validate(self):
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if not 0 <= self.elite < self.population:
-            raise ValueError("elite count must be below the population size")
-        if self.immigrants < 0 or self.elite + self.immigrants >= self.population:
-            raise ValueError("elites plus immigrants must leave room for "
-                             "offspring")
-        if self.tournament < 1:
-            raise ValueError("tournament size must be positive")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("mutation probability must lie in [0, 1]")
-        if self.mutation_scale <= 0 or self.mutation_floor <= 0:
-            raise ValueError("mutation scales must be positive")
-        if self.w_step < 1:
-            raise ValueError("window mutation step must be positive")
+        if self.population <= ELITE + IMMIGRANTS:
+            raise ValueError(f"population must exceed the {ELITE} elites "
+                             f"plus {IMMIGRANTS} immigrants")
         if not 3 <= self.w_min <= self.w_max:
             raise ValueError("window bounds must satisfy 3 <= w_min <= w_max")
         if self.generations < 1:
@@ -303,35 +287,35 @@ def mga_optimize(scenarios: list[Telemetry],
     fit = [fitness(ind) for ind in pop]
 
     def tournament() -> int:
-        picks = rng.integers(0, ga.population, ga.tournament)
+        picks = rng.integers(0, ga.population, TOURNAMENT)
         return int(min(picks, key=lambda i: (fit[i], i)))
 
-    n_children = ga.population - ga.elite - ga.immigrants
+    n_children = ga.population - ELITE - IMMIGRANTS
     denom = max(ga.generations - 1, 1)
     for gen in range(ga.generations):
-        scale = ga.mutation_scale + (ga.mutation_floor
-                                     - ga.mutation_scale) * gen / denom
+        scale = MUTATION_SCALE + (MUTATION_FLOOR
+                                  - MUTATION_SCALE) * gen / denom
         order = sorted(range(ga.population), key=lambda i: (fit[i], i))
-        elites = [pop[i] for i in order[: ga.elite]]
+        elites = [pop[i] for i in order[:ELITE]]
         children = []
         while len(children) < n_children:
             w1, a1 = pop[tournament()]
             w2, a2 = pop[tournament()]
-            if rng.random() < ga.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 u = rng.uniform(-0.1, 1.1, 3)
                 alpha = simplex_project(u * a1 + (1.0 - u) * a2)
                 t = rng.random()
                 w = _clamp_window(t * w1 + (1.0 - t) * w2, ga)
             else:
                 w, alpha = w1, a1.copy()
-            if rng.random() < ga.mutation_prob:
+            if rng.random() < MUTATION_PROB:
                 alpha = simplex_project(alpha + rng.normal(0.0, scale, 3))
-            if rng.random() < ga.mutation_prob:
-                step = int(rng.integers(1, ga.w_step + 1))
+            if rng.random() < MUTATION_PROB:
+                step = int(rng.integers(1, W_STEP + 1))
                 sign = 1 if rng.random() < 0.5 else -1
                 w = _clamp_window(w + sign * step, ga)
             children.append((w, alpha))
-        fresh = [random_individual() for _ in range(ga.immigrants)]
+        fresh = [random_individual() for _ in range(IMMIGRANTS)]
         pop = elites + children + fresh
         fit = [fitness(ind) for ind in pop]
         if log is not None:

@@ -3,6 +3,7 @@
 The detector computes each stream for all windows at once; these functions
 state the same quantities one window (or one score vector) at a time, in
 the plainest form, so tests can compare the vectorised paths against them.
+The threshold's kernel density is here too: the detector reads only its CDF.
 """
 
 import math
@@ -117,3 +118,10 @@ def exhaustive_fuzzy(series, m: int, r: float) -> float:
         return total / (count * (count - 1))
 
     return math.log(mean_similarity(m)) - math.log(mean_similarity(m + 1))
+
+
+def kde_pdf(model, x):
+    """Density of a fusion.KdeModel: the mean of its Gaussian kernels at x."""
+    u = (np.asarray(x, dtype=float)[..., None] - model.samples) / model.bandwidth
+    k = np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
+    return k.mean(axis=-1) / model.bandwidth

@@ -20,7 +20,17 @@ from packdiag.fusion import (
     threshold_from_kde,
 )
 from packdiag.io import read_scenario, write_dataset
-from packdiag.pack import FaultSpec, PackSimulator, SimConfig, simulate
+from packdiag.pack import (
+    HEIGHT,
+    N_CELLS,
+    N_GROUPS,
+    ROWS,
+    VOLUMETRIC_HEAT_CAPACITY,
+    FaultSpec,
+    PackSimulator,
+    SimConfig,
+    simulate,
+)
 from packdiag.pipeline import (
     Telemetry,
     calibrate_from_streams,
@@ -39,6 +49,7 @@ from paper_oracles import (
     dissimilarity_entropy,
     exhaustive_fuzzy,
     fuzzy_entropy,
+    kde_pdf,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -127,7 +138,7 @@ def test_threshold_calibration():
     model = fit_kde(h_train)
     grid = np.linspace(model.samples.min() - 10.0 * model.bandwidth,
                        model.samples.max() + 10.0 * model.bandwidth, 40001)
-    integral = float(np.trapezoid(model.pdf(grid), grid))
+    integral = float(np.trapezoid(kde_pdf(model, grid), grid))
     assert abs(integral - 1.0) <= 1e-3
     # the fitted threshold is what the detector actually compares against
     assert cal.h_r == pytest.approx(threshold_from_kde(model, params.beta),
@@ -149,7 +160,7 @@ def test_metric_arithmetic():
     alarm_times = np.arange(1011.0, 1933.0)
     alarms = np.isin(times, alarm_times)
     out = DetectionOutcome(times=times, h_stream=h, alarms=alarms,
-                           t_f=1011.0, t_a=1000.0)
+                           t_f=1011.0)
     from packdiag.tuning import MetricsConfig
     res = compute_metrics(out, labels, MetricsConfig(t_r=1000.0))
     rate_text = f"{100.0 * res.adr:.2f}"
@@ -249,15 +260,15 @@ def test_simulator_physics(tmp_path):
     sim = PackSimulator(cfg)
     t_init = sim.field.copy()
     sim.run()
-    node_volume = sim.layout.dx * sim.layout.dy * sim.spec.height
+    node_volume = sim.layout.dx * sim.layout.dy * HEIGHT
     gained = float(((sim.field - t_init)
-                    * sim.spec.volumetric_heat_capacity).sum() * node_volume)
+                    * VOLUMETRIC_HEAT_CAPACITY).sum() * node_volume)
     energy_err = abs(gained / sim.heat_injected_j - 1.0)
     assert sim.heat_injected_j > 0
     assert energy_err < 0.005
 
     worst_kcl = 0.0
-    for grp in sim.layout.series_groups:
+    for grp in np.arange(N_CELLS).reshape(N_GROUPS, ROWS):
         worst_kcl = max(worst_kcl,
                         abs(float(sim.elec.branch_current[grp].sum())
                             - sim.pack_current))

@@ -1,7 +1,8 @@
-"""Every module-level function and class in the package has a non-test user.
+"""Every function, class, method and property in the package has a non-test user.
 
 A definition that only tests reach is a test oracle in the public API; it
-belongs in tests/ (see paper_oracles.py) or nowhere.
+belongs in tests/ (see paper_oracles.py) or nowhere. Dunder methods are
+called by the language, so they are not checked.
 """
 
 import ast
@@ -16,8 +17,18 @@ ALLOWED = {"io.write_scenario"}
 
 
 def definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    """Module-level functions and classes, then each class's methods and
+    properties as Class.name."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__")
+                               and item.name.endswith("__"))]
+    return names
 
 
 def referenced_names(source: str) -> set[str]:
@@ -43,17 +54,20 @@ def unreached(package: Path, users: list[Path]) -> list[str]:
                          for p in users))
     found = [f"{p.stem}.{name}" for p in sorted(package.glob("*.py"))
              for name in definitions(p.read_text(encoding="utf-8"))
-             if name not in used]
+             if name.split(".")[-1] not in used]
     return [name for name in found if name not in ALLOWED]
 
 
 def test_scanner_sees_every_kind_of_reference():
     source = ("import a.b as c\nfrom m import f, g as h\nx = obj.attr\n"
               "SITES = ((mod, 'traced', 'span.name', None),)\n"
-              "def d(): return y\nclass K: pass\n")
+              "def d(): return y\nclass K:\n    def __init__(self): pass\n"
+              "    def m(self): pass\n    @property\n"
+              "    def p(self): return 1\n")
     assert referenced_names(source) == {"c", "b", "f", "g", "h", "x", "obj",
-                                        "attr", "SITES", "mod", "traced", "y"}
-    assert definitions(source) == ["d", "K"]
+                                        "attr", "SITES", "mod", "traced", "y",
+                                        "property"}
+    assert definitions(source) == ["d", "K", "K.m", "K.p"]
 
 
 def test_every_definition_has_a_non_test_user():

@@ -113,7 +113,7 @@ class TestFitCommand:
         assert params.window == 27
         assert params.alpha == (0.216, 0.573, 0.211)
         assert params.beta == 0.99
-        assert params.calibrated
+        params.validate(calibrated=True)
         assert params.h_r is not None and params.h_r > 0
 
     def test_beta_passthrough(self, work, tmp_path):
@@ -141,7 +141,7 @@ class TestFitCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         fitted = read_params(a)
-        assert fitted.calibrated
+        fitted.validate(calibrated=True)
         assert abs(sum(fitted.alpha) - 1.0) <= 1e-9
 
 

@@ -57,11 +57,10 @@ class TestLocalize:
         assert cmap.cell_serial == 7
 
     def test_sensor_count_must_match_layout(self):
-        layout = build_layout()
         cmap = ContributionMap(contributions=np.zeros(10), t_start=1.0,
                                t_f=27.0, argmax_sensor=0, cell_serial=1)
         with pytest.raises(ValueError):
-            contribution_rows(cmap, layout)
+            contribution_rows(cmap)
 
 
 class TestContributionRows:
@@ -70,7 +69,7 @@ class TestContributionRows:
         c = np.linspace(0.5, 1.0, 24)
         cmap = ContributionMap(contributions=c, t_start=1.0, t_f=27.0,
                                argmax_sensor=23, cell_serial=24)
-        rows = contribution_rows(cmap, layout)
+        rows = contribution_rows(cmap)
         assert rows[0] == "cell,serial,x,y,C"
         assert len(rows) == 25
         fields = rows[4].split(",")

@@ -5,7 +5,13 @@ import pytest
 
 from packdiag.errors import ConfigError, SimulationError
 from packdiag.pack import (
-    CellSpec,
+    CAPACITY_AH,
+    HEIGHT,
+    INTERNAL_RESISTANCE,
+    N_CELLS,
+    N_GROUPS,
+    ROWS,
+    VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
     PackSimulator,
     SimConfig,
@@ -13,12 +19,14 @@ from packdiag.pack import (
     deposit_sources,
     heat_generation,
     ocv_of_soc,
-    pack_current_a,
     stability_limit,
     step_electrical,
     step_thermal,
     simulate,
 )
+
+# cell indices, one row per series group (a column of parallel cells)
+SERIES_GROUPS = np.arange(N_CELLS).reshape(N_GROUPS, ROWS)
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +38,17 @@ def _footprints(layout):
     return np.split(layout.footprint_nodes, layout.footprint_offsets[1:])
 
 
-def _looped_step_electrical(state, pack_current, layout, spec, fault, t, dt):
+def _looped_step_electrical(state, pack_current, fault, t, dt):
     # reference: solve each series group's parallel network one group at a time
     ocv = ocv_of_soc(state.soc)
-    r = spec.internal_resistance
+    r = INTERNAL_RESISTANCE
     active = fault is not None and t >= fault.onset
     fault_idx = fault.fault_cell - 1 if fault is not None else -1
 
-    group_v = np.empty(layout.n_groups)
-    branch = np.empty(layout.n_cells)
-    drain = np.zeros(layout.n_cells)
-    for g, grp in enumerate(layout.series_groups):
+    group_v = np.empty(N_GROUPS)
+    branch = np.empty(N_CELLS)
+    drain = np.zeros(N_CELLS)
+    for g, grp in enumerate(SERIES_GROUPS):
         denom = len(grp) / r
         if active and fault_idx in grp:
             denom += 1.0 / fault.r_short
@@ -52,23 +60,23 @@ def _looped_step_electrical(state, pack_current, layout, spec, fault, t, dt):
         if active and fault_idx in grp:
             drain[fault_idx] = v / fault.r_short
             branch[fault_idx] -= drain[fault_idx]
-    soc = state.soc - (branch + drain) * dt / (3600.0 * spec.capacity_ah)
+    soc = state.soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
     return soc, branch, drain, group_v
 
 
-def _looped_heat(branch, drain, group_v, layout, spec, fault, t):
+def _looped_heat(branch, drain, group_v, fault, t):
     # reference: Joule heat per cell, then the short's V_group * I_drain in the faulted one
-    watts = (branch + drain) ** 2 * spec.internal_resistance
+    watts = (branch + drain) ** 2 * INTERNAL_RESISTANCE
     if fault is not None and t >= fault.onset:
         f = fault.fault_cell - 1
-        watts[f] += group_v[f // layout.rows] * drain[f]
+        watts[f] += group_v[f // ROWS] * drain[f]
     return watts
 
 
-def _looped_deposit(cell_watts, layout, spec):
+def _looped_deposit(cell_watts, layout):
     # reference: fill one footprint at a time
     src = np.zeros(layout.nx * layout.ny)
-    node_vol = layout.dx * layout.dy * spec.height
+    node_vol = layout.dx * layout.dy * HEIGHT
     for c, fp in enumerate(_footprints(layout)):
         src[fp] = cell_watts[c] / (len(fp) * node_vol)
     return src.reshape(layout.nx, layout.ny)
@@ -112,8 +120,9 @@ class TestLayout:
         assert abs(layout.cell_centers[0, 1] - 0.0115) < 1e-12
 
     def test_extent(self, layout):
-        assert abs(layout.extent[0] - 6 * 0.023) < 1e-12
-        assert abs(layout.extent[1] - 4 * 0.023) < 1e-12
+        # the thermal grid spans the whole pack
+        assert abs(layout.nx * layout.dx - 6 * 0.023) < 1e-12
+        assert abs(layout.ny * layout.dy - 4 * 0.023) < 1e-12
 
     def test_grid_spacing(self, layout):
         assert abs(layout.dx - 0.023 / 4) < 1e-12
@@ -127,11 +136,13 @@ class TestLayout:
         assert abs(c5[1] - 0.0115) < 1e-12
 
     def test_groups_partition(self, layout):
-        seen = np.concatenate(layout.series_groups)
-        assert sorted(seen.tolist()) == list(range(24))
-        assert len(layout.series_groups) == 6
+        # the simulator's (N_GROUPS, ROWS) reshape makes each column one group
+        assert N_GROUPS == 6 and ROWS == 4
+        for g, grp in enumerate(SERIES_GROUPS):
+            assert np.allclose(layout.cell_centers[grp, 0], (g + 0.5) * 0.023,
+                               rtol=0, atol=1e-12)
         # column-wise: first group is serials 1..4
-        assert layout.series_groups[0].tolist() == [0, 1, 2, 3]
+        assert SERIES_GROUPS[0].tolist() == [0, 1, 2, 3]
 
     def test_footprints_nonempty_disjoint(self, layout):
         all_nodes = layout.footprint_nodes
@@ -148,49 +159,35 @@ class TestLayout:
             d = np.hypot(xs[i] - layout.cell_centers[c, 0], ys[j] - layout.cell_centers[c, 1])
             assert (d <= r + 1e-12).all()
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ConfigError):
-            build_layout(rows=5, cols=6)
-        with pytest.raises(ConfigError):
-            build_layout(grid_res=1)
-
-    def test_single_cell_layout(self):
-        lay = build_layout(rows=1, cols=1, gap=0.0, grid_res=2, enforce_pack_size=False)
-        assert lay.n_cells == 1
-        assert len(lay.series_groups) == 1
-
 
 class TestElectrical:
-    def test_symmetric_discharge(self, layout):
-        spec = CellSpec()
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
-        nxt = step_electrical(state, 9.6, layout, spec, None, 0.0, 1.0)
+    def test_symmetric_discharge(self):
+        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        nxt = step_electrical(state, 9.6, None, 0.0, 1.0)
         ocv = ocv_of_soc(0.9)
         assert np.allclose(nxt.branch_current, 2.4, atol=1e-12)
         assert np.allclose(nxt.group_voltage, ocv - 9.6 * 0.03 / 4, atol=1e-12)
         # coulomb counting moves every soc identically
         assert np.allclose(nxt.soc, 0.9 - 2.4 / (3600 * 4.8), atol=1e-15)
 
-    def test_zero_current_open_circuit(self, layout):
-        spec = CellSpec()
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.7)
-        nxt = step_electrical(state, 0.0, layout, spec, None, 0.0, 1.0)
+    def test_zero_current_open_circuit(self):
+        state = PackSimulator.initial_electrical_state(initial_soc=0.7)
+        nxt = step_electrical(state, 0.0, None, 0.0, 1.0)
         assert np.allclose(nxt.branch_current, 0.0, atol=1e-12)
         assert np.allclose(nxt.group_voltage, ocv_of_soc(0.7), atol=1e-12)
 
-    def test_fault_against_dense_solve(self, layout):
+    def test_fault_against_dense_solve(self):
         # oracle: set up the full linear system for the faulted group and solve it
-        spec = CellSpec()
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=0.0)
         rng = np.random.default_rng(3)
         soc = 0.9 + 0.02 * rng.uniform(-1, 1, 24)
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
+        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
         state.soc[:] = soc
-        nxt = step_electrical(state, 9.6, layout, spec, fault, 5.0, 1.0)
+        nxt = step_electrical(state, 9.6, fault, 5.0, 1.0)
 
-        grp = layout.series_groups[0]  # fault cell 4 sits in the first group
+        grp = SERIES_GROUPS[0]  # fault cell 4 sits in the first group
         ocv = ocv_of_soc(soc[grp])
-        r = spec.internal_resistance
+        r = INTERNAL_RESISTANCE
         # unknowns: four bus branch currents and the group voltage
         a = np.zeros((5, 5))
         b = np.zeros(5)
@@ -207,68 +204,68 @@ class TestElectrical:
         # the short pulls roughly V/R_short
         assert 0.3 < nxt.drain_current[3] < 0.45
 
-    def test_branch_currents_sum_to_pack_current(self, layout):
-        spec = CellSpec()
+    def test_branch_currents_sum_to_pack_current(self):
         fault = FaultSpec(fault_cell=11, r_short=5.0, onset=0.0)
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.95)
+        state = PackSimulator.initial_electrical_state(initial_soc=0.95)
         rng = np.random.default_rng(11)
         state.soc[:] = 0.9 + 0.05 * rng.uniform(-1, 1, 24)
         for k in range(200):
-            state = step_electrical(state, 9.6, layout, spec, fault, float(k), 0.5)
-            for grp in layout.series_groups:
+            state = step_electrical(state, 9.6, fault, float(k), 0.5)
+            for grp in SERIES_GROUPS:
                 assert abs(state.branch_current[grp].sum() - 9.6) < 1e-9
 
-    def test_fault_inactive_before_onset(self, layout):
-        spec = CellSpec()
+    def test_fault_inactive_before_onset(self):
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=100.0)
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
-        nxt = step_electrical(state, 9.6, layout, spec, fault, 99.0, 1.0)
+        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        nxt = step_electrical(state, 9.6, fault, 99.0, 1.0)
         assert nxt.drain_current.sum() == 0.0
-        nxt2 = step_electrical(nxt, 9.6, layout, spec, fault, 100.0, 1.0)
+        nxt2 = step_electrical(nxt, 9.6, fault, 100.0, 1.0)
         assert nxt2.drain_current[3] > 0.0
 
-    def test_heat_generation_joule(self, layout):
-        spec = CellSpec()
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
+    def test_heat_generation_joule(self):
+        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
         state.branch_current[:] = 2.4
-        watts = heat_generation(state, spec)
+        watts = heat_generation(state)
         assert np.allclose(watts, 2.4**2 * 0.03, atol=1e-12)
         assert abs(watts[0] - 0.1728) < 1e-12
 
-    def test_matches_per_group_loop(self, layout):
+    def test_matches_per_group_loop(self):
         # a fault in each group, before and after onset, from random states of charge
-        spec = CellSpec()
         rng = np.random.default_rng(19)
-        for g in range(layout.n_groups):
-            cell = g * layout.rows + int(rng.integers(layout.rows)) + 1
+        for g in range(N_GROUPS):
+            cell = g * ROWS + int(rng.integers(ROWS)) + 1
             fault = FaultSpec(fault_cell=cell, r_short=float(rng.uniform(2.0, 20.0)),
                               onset=50.0)
             for t in (49.5, 50.0, 80.0):
-                state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
-                state.soc[:] = rng.uniform(0.2, 1.0, layout.n_cells)
-                nxt = step_electrical(state, 9.6, layout, spec, fault, t, 0.5)
+                state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+                state.soc[:] = rng.uniform(0.2, 1.0, N_CELLS)
+                nxt = step_electrical(state, 9.6, fault, t, 0.5)
                 soc, branch, drain, group_v = _looped_step_electrical(
-                    state, 9.6, layout, spec, fault, t, 0.5)
+                    state, 9.6, fault, t, 0.5)
                 assert np.array_equal(nxt.soc, soc)
                 assert np.array_equal(nxt.branch_current, branch)
                 assert np.array_equal(nxt.drain_current, drain)
                 assert np.array_equal(nxt.group_voltage, group_v)
                 assert (nxt.drain_current[cell - 1] > 0) == (t >= fault.onset)
                 assert np.array_equal(
-                    heat_generation(nxt, spec),
-                    _looped_heat(branch, drain, group_v, layout, spec, fault, t))
+                    heat_generation(nxt),
+                    _looped_heat(branch, drain, group_v, fault, t))
 
-    def test_singular_network_raises(self, layout):
-        # 4 / 1e-320 overflows to inf, so the parallel conductance is not finite
-        spec = CellSpec(internal_resistance=1e-320)
-        state = PackSimulator.initial_electrical_state(layout, initial_soc=0.9)
+    def test_singular_network_raises(self):
+        # 1 / 1e-320 overflows to inf, so the parallel conductance is not finite
+        fault = FaultSpec(fault_cell=4, r_short=1e-320, onset=0.0)
+        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
         for solve in (step_electrical, _looped_step_electrical):
             with pytest.raises(SimulationError):
-                solve(state, 9.6, layout, spec, None, 0.0, 0.5)
+                solve(state, 9.6, fault, 0.0, 0.5)
 
     def test_pack_current_from_rate(self):
-        assert abs(pack_current_a(2.0) - 9.6) < 1e-12
-        assert abs(pack_current_a(1.0) - 4.8) < 1e-12
+        def current(rate):
+            return PackSimulator(SimConfig(duration=10.0,
+                                           discharge_rate=rate)).pack_current
+
+        assert abs(current(2.0) - 9.6) < 1e-12
+        assert abs(current(1.0) - 4.8) < 1e-12
 
     def test_fault_keeps_the_runs_c_rate(self):
         # a short changes the cells, not the load the pack is asked for
@@ -289,69 +286,62 @@ class TestThermal:
         return SimConfig(**base)
 
     def test_stability_limit_value(self, layout):
-        spec = CellSpec()
         want = (0.023 / 4) ** 2 / (2 * (1e-5 + 1e-5))
-        assert abs(stability_limit(layout, spec) - want) < 1e-12
+        assert abs(stability_limit(layout) - want) < 1e-12
 
     def test_uniform_field_stays_put(self, layout):
-        spec = CellSpec()
         cfg = self._config(ambient=293.15)
         field = np.full((layout.nx, layout.ny), 293.15)
         src = np.zeros((layout.nx, layout.ny))
-        nxt = step_thermal(field, src, cfg.dt, cfg, layout, spec)
+        nxt = step_thermal(field, src, cfg.dt, cfg, layout)
         assert np.allclose(nxt, 293.15, atol=1e-12)
 
     def test_insulated_mean_conserved(self, layout):
-        spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         rng = np.random.default_rng(5)
         t0 = 293.15 + rng.uniform(0, 10, (layout.nx, layout.ny))
         field = t0.copy()
         src = np.zeros_like(t0)
         for _ in range(50):
-            field = step_thermal(field, src, cfg.dt, cfg, layout, spec)
+            field = step_thermal(field, src, cfg.dt, cfg, layout)
         assert abs(field.mean() / t0.mean() - 1.0) < 1e-12
 
     def test_hot_node_diffuses(self, layout):
-        spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         t0 = np.full((layout.nx, layout.ny), 293.15)
         t0[10, 8] += 5.0
-        field = step_thermal(t0.copy(), np.zeros_like(t0), cfg.dt, cfg, layout, spec)
+        field = step_thermal(t0.copy(), np.zeros_like(t0), cfg.dt, cfg, layout)
         assert field[10, 8] < t0[10, 8]
         assert field[9, 8] > 293.15
         assert field[10, 7] > 293.15
 
     def test_convection_pulls_toward_ambient(self, layout):
-        spec = CellSpec()
         cfg = self._config(ambient=293.15)
         t0 = np.full((layout.nx, layout.ny), 303.15)
         field = t0
         for _ in range(200):
-            field = step_thermal(field, np.zeros_like(t0), cfg.dt, cfg, layout, spec)
+            field = step_thermal(field, np.zeros_like(t0), cfg.dt, cfg, layout)
         assert (field < 303.15).all()
         assert (field >= 293.15 - 1e-9).all()
         # forced-air edge cools fastest
         assert field[0, 8] < field[-1, 8]
 
     def test_source_heats_footprint(self, layout):
-        spec = CellSpec()
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         t0 = np.full((layout.nx, layout.ny), 293.15)
         src = np.zeros_like(t0)
         fp = _footprints(layout)[0]
         src.ravel()[fp] = 1e4
-        field = step_thermal(t0, src, cfg.dt, cfg, layout, spec)
+        field = step_thermal(t0, src, cfg.dt, cfg, layout)
         i, j = np.unravel_index(fp[0], (layout.nx, layout.ny))
         assert abs(field[i, j] - (293.15 + 0.5 * 1e4 / 2e6)) < 1e-12
 
     def test_deposit_matches_per_footprint_loop(self, layout):
-        spec = CellSpec()
         rng = np.random.default_rng(23)
         for _ in range(5):
-            watts = rng.uniform(0.0, 2.0, layout.n_cells)
-            assert np.array_equal(deposit_sources(watts, layout, spec),
-                                  _looped_deposit(watts, layout, spec))
+            watts = rng.uniform(0.0, 2.0, N_CELLS)
+            assert np.array_equal(deposit_sources(watts, layout),
+                                  _looped_deposit(watts, layout))
 
 
 class TestSimulate:
@@ -413,9 +403,8 @@ class TestSimulate:
         t_init = sim.field.copy()
         sim.run()
         lay = sim.layout
-        spec = sim.spec
-        node_vol = lay.dx * lay.dy * spec.height
-        gained = ((sim.field - t_init) * spec.volumetric_heat_capacity).sum() * node_vol
+        node_vol = lay.dx * lay.dy * HEIGHT
+        gained = ((sim.field - t_init) * VOLUMETRIC_HEAT_CAPACITY).sum() * node_vol
         assert sim.heat_injected_j > 0
         assert abs(gained / sim.heat_injected_j - 1.0) < 0.005
 

@@ -50,9 +50,14 @@ class TestTelemetry:
         assert t.labels.sum() == 110
         assert t.times[0] == 1.0
 
-    def test_onset_from_labels(self, fault_tele, normal_tele):
-        assert fault_tele.onset() == 150.0
-        assert normal_tele.onset() is None
+    def test_dropped_frame_names_index(self):
+        # t = 4 is missing, so index 3 comes 2 s after the frame before it
+        n = 6
+        times = np.array([1.0, 2.0, 3.0, 5.0, 6.0, 7.0])
+        with pytest.raises(ValueError, match="index 3: sample interval 2 s"):
+            Telemetry(times=times, temps=np.zeros((n, 24)),
+                      volts=np.zeros((n, 6)), current=np.zeros(n),
+                      labels=np.zeros(n, dtype=int))
 
 
 class TestEntropyStreams:
@@ -181,6 +186,11 @@ class TestRunDetector:
         usable = ~np.isnan(report.h_stream)
         far = report.outcome.alarms[usable].mean()
         assert far <= 0.05
+
+    def test_no_refit_needs_calibrated_params(self, fault_tele):
+        # without stored normalizers and threshold there is nothing to use
+        with pytest.raises(ConfigError, match="calibrated params"):
+            run_detector(fault_tele, DetectorParams(train_len=60), refit=False)
 
     def test_deterministic(self, fault_tele):
         params = DetectorParams(window=27, train_len=120)

@@ -11,6 +11,8 @@ from packdiag.fusion import DetectionOutcome, DetectorParams
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry, run_detector
 from packdiag.tuning import (
+    ELITE,
+    IMMIGRANTS,
     EvaluationResult,
     FitnessEvaluator,
     GaConfig,
@@ -26,14 +28,8 @@ def synthetic_outcome(times, labels, alarm_times, warmup):
     times = np.asarray(times, dtype=float)
     h = np.where(np.arange(times.size) < warmup, np.nan, 0.5)
     alarms = np.isin(times, alarm_times) & ~np.isnan(h)
-    lab = np.asarray(labels)
-    onset = None
-    if (lab == 1).any():
-        first = int(np.argmax(lab == 1))
-        onset = float(times[first - 1]) if first > 0 else float(times[0])
     t_f = float(times[np.argmax(alarms)]) if alarms.any() else None
-    return DetectionOutcome(times=times, h_stream=h, alarms=alarms,
-                            t_f=t_f, t_a=onset)
+    return DetectionOutcome(times=times, h_stream=h, alarms=alarms, t_f=t_f)
 
 
 @pytest.fixture(scope="module")
@@ -221,15 +217,14 @@ class TestGaConfig:
         with pytest.raises(ValueError):
             GaConfig(population=3).validate()
         with pytest.raises(ValueError):
-            GaConfig(population=8, elite=8).validate()
+            GaConfig(population=ELITE + IMMIGRANTS).validate()
         GaConfig().validate()
 
 
 @pytest.fixture(scope="module")
 def ga_setup(tiny_scenarios):
     ev = FitnessEvaluator(tiny_scenarios, base=DetectorParams(train_len=60))
-    ga = GaConfig(population=8, generations=5, elite=2, immigrants=1,
-                  w_min=5, w_max=40, rng_seed=11)
+    ga = GaConfig(population=8, generations=5, w_min=5, w_max=40, rng_seed=11)
     return ev, ga
 
 
@@ -290,7 +285,7 @@ class TestMgaOptimize:
                               base=DetectorParams(train_len=60))
         ev.evaluate = lambda w, a: EvaluationResult(adr=0.0, far=0.0,
                                                     relative_delay=1.0)
-        ga = GaConfig(population=6, generations=2, elite=1, w_min=5, w_max=40,
+        ga = GaConfig(population=6, generations=2, w_min=5, w_max=40,
                       rng_seed=3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
