@@ -29,7 +29,7 @@ from .fusion import (
 )
 from .lumped import SPREAD_FLOOR, lumped_entropy_series
 from .pack import N_CELLS, TelemetryFrame, build_layout
-from .spacetime import compensate
+from .spacetime import complement_basis, compensate
 
 # the temporal stream's embedding dimension; the tolerance is set per window
 M = 2
@@ -135,11 +135,12 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
         raise ValueError("temperature channel count does not match the layout")
 
     h_d = lumped_entropy_series(tele.volts, w)
-    excess = compensate(tele.temps, build_layout().cell_centers)
+    coords = build_layout().cell_centers
+    excess = compensate(tele.temps, coords)
     h_s = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
     h_s[w - 1 :] = windows.mean(axis=2).max(axis=1)
-    h_t = _rank1_temporal(excess, w)
+    h_t = _rank1_temporal(excess @ complement_basis(coords), w)
 
     return EntropyStreams(times=tele.times.copy(), h_d=h_d, h_s=h_s, h_t=h_t,
                           window=w)
@@ -148,42 +149,54 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
 LN2 = math.log(2.0)
 
 
-def _rank1_temporal(excess: np.ndarray, w: int,
+def _rank1_temporal(field: np.ndarray, w: int,
                     chunk: int | None = None) -> np.ndarray:
     """Single-mode temporal stream over every sliding window at once.
 
-    Per window: the leading singular value of the (n_cells, w) excess
-    window times the fuzzy entropy of its leading temporal coefficient row,
-    over the first w - M baseline-free delay vectors at dimensions M and
-    M + 1, with Gaussian similarity exp(-ln 2 (d / r)^2) of their Chebyshev
-    distance d and r at 0.2 times the row's spread. No leading mode or no
-    spread scores 0. tests/paper_oracles.looped_temporal is this definition
-    written window by window.
+    Per window: the leading singular value of the (n_channels, w) field
+    window times the fuzzy entropy of its leading temporal coefficient row
+    (right singular vector), over the first w - M baseline-free delay
+    vectors at dimensions M and M + 1, with Gaussian similarity
+    exp(-ln 2 (d / r)^2) of their Chebyshev distance d and r at 0.2 times
+    the row's spread. No leading mode or no spread scores 0.
+    tests/paper_oracles.looped_temporal is this definition written window
+    by window.
 
-    All sliding windows are stacked and decomposed by one batched SVD per
-    chunk. The fuzzy similarity of two delay vectors is symmetric and
-    self-pairs are excluded, so each pair sum is twice the half sum over
-    lags k = 1 .. count-1: with every delay-vector component laid out as a
+    The leading pair comes from the (n_channels, n_channels) Gram matrix
+    B B^T of each window B, not from an SVD: its top eigenvector u is the
+    leading left singular vector, so a = u^T B is the leading singular
+    value times the leading temporal row, lam = |a| and a / lam is that
+    row. The singular values and right singular vectors of B depend on B
+    only through B^T B, which is unchanged when B is rewritten in any
+    orthonormal basis of a subspace holding its columns. Every compensated
+    frame lies in the 18-dimensional span of spacetime.complement_basis,
+    so entropy_streams passes the excess in those 18 coordinates and the
+    Gram is 18 x 18 instead of 24 x 24. All windows of a chunk share one
+    batched matrix product and one batched np.linalg.eigh.
+
+    The fuzzy similarity of two delay vectors is symmetric and self-pairs
+    are excluded, so each pair sum is twice the half sum over lags
+    k = 1 .. count-1: with every delay-vector component laid out as a
     (count, chunk) array, the pairs (i, i+k) of all windows in the chunk
     are two contiguous row slices. No pairwise (count, count) array is
-    formed; the chunk bounds the stacked (chunk, n_cells, w) windows and
+    formed; the chunk bounds the stacked (chunk, n_channels, w) windows and
     the three (count, chunk) lag buffers to about 16 MB together. Each
     pair's similarity is summed over lags into its first index, then over
     that index, so a window's result does not depend on the chunk. Fuzzy
     entropy does not see the sign of the coefficient, so modes are not
     sign-aligned.
     """
-    n, n_cells = excess.shape
+    n, n_channels = field.shape
     n_win = n - w + 1
     count = w - M
 
     if chunk is None:
-        window_bytes = (n_cells * w + 3 * count) * 8
+        window_bytes = (n_channels * w + 3 * count) * 8
         chunk = max(1, int(16e6 / window_bytes))
     chunk = min(chunk, n_win)
 
     h_t = np.full(n, np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(field, w, axis=0)
     dist_buf = np.empty((count, chunk))
     comp_buf = np.empty((count, chunk))
     sum_buf = np.empty((count, chunk))
@@ -191,15 +204,14 @@ def _rank1_temporal(excess: np.ndarray, w: int,
     for start in range(0, n_win, chunk):
         stop = min(start + chunk, n_win)
         c = stop - start
-        block = np.ascontiguousarray(windows[start:stop])  # (c, n_cells, w)
-        _, s, vt = np.linalg.svd(block, full_matrices=False)
-        lam = s[:, 0].copy()
-        a = vt[:, 0, :].copy()
-        # rank-0 windows mirror the loop's zero-filled degenerate modes
-        dead = lam <= 0.0
-        if dead.any():
-            lam[dead] = 0.0
-            a[dead] = 0.0
+        block = np.ascontiguousarray(windows[start:stop])  # (c, n_channels, w)
+        gram = block @ block.transpose(0, 2, 1)
+        u = np.linalg.eigh(gram)[1][:, :, -1:]  # top eigenvectors, as columns
+        a = (u.transpose(0, 2, 1) @ block)[:, 0, :]
+        lam = np.sqrt(np.einsum("ij,ij->i", a, a))
+        # an all-zero window keeps lam = 0 and a = 0, which has no spread:
+        # it scores 0, as the loop's zero-filled degenerate mode does
+        a /= np.where(lam > 0.0, lam, 1.0)[:, None]
 
         spread = a.std(axis=1)
         quiet = spread < SPREAD_FLOOR
@@ -232,9 +244,7 @@ def _rank1_temporal(excess: np.ndarray, w: int,
             log_sim[j] = np.log(total / (count * (count - 1)))
         fe = log_sim[0] - log_sim[1]
         fe[quiet] = 0.0
-        ht_blk = lam * fe
-        ht_blk[dead] = 0.0
-        h_t[w - 1 + start : w - 1 + stop] = ht_blk
+        h_t[w - 1 + start : w - 1 + stop] = lam * fe
 
     return h_t
 

@@ -7,7 +7,10 @@ surface over the cell positions), leaving each cell's excess over its
 surroundings in the same unit as the input, whatever its zero. Both thermal
 streams and localization read this excess field: the spatial stream is its
 largest per-cell window mean, and the temporal stream is the fuzzy entropy
-of its dominant window mode (see pipeline._rank1_temporal).
+of its dominant window mode (see pipeline._rank1_temporal). The excess
+has as many dimensions as sensors but fills only those that
+complement_basis() spans, 18 of the pack's 24; the temporal stream
+decomposes its windows in those coordinates.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def _smooth_projector(coords: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto what no quadratic surface over coords explains."""
+def _surface_svd(coords: np.ndarray, full: bool) -> tuple[np.ndarray, int]:
+    """Left singular vectors of the quadratic surfaces over coords, and their rank.
+
+    The first rank columns span every quadratic surface in x and y; with
+    full=True the remaining columns span what no such surface explains.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must be (n_sensors, 2)")
@@ -25,12 +32,31 @@ def _smooth_projector(coords: np.ndarray) -> np.ndarray:
     spread = coords.std(axis=0)
     x, y = ((coords - coords.mean(axis=0)) / np.where(spread > 0, spread, 1.0)).T
     basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    span = u[:, s > s[0] * coords.shape[0] * np.finfo(float).eps]
-    if span.shape[1] >= coords.shape[0]:
+    u, s, _ = np.linalg.svd(basis, full_matrices=full)
+    rank = int((s > s[0] * coords.shape[0] * np.finfo(float).eps).sum())
+    if rank >= coords.shape[0]:
         raise ValueError("too few sensors to separate a hot spot from the "
                          "smooth temperature surface")
-    return np.eye(coords.shape[0]) - span @ span.T
+    return u, rank
+
+
+def _smooth_projector(coords: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto what no quadratic surface over coords explains."""
+    u, rank = _surface_svd(coords, full=False)
+    span = u[:, :rank]
+    return np.eye(span.shape[0]) - span @ span.T
+
+
+def complement_basis(coords: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning what _smooth_projector keeps.
+
+    For the 24-cell pack this is (24, 18): every compensated frame lies in
+    its span, so `excess @ complement_basis(coords)` holds the same frames
+    in 18 coordinates, with the same norms and the same inner products
+    between frames.
+    """
+    u, rank = _surface_svd(coords, full=True)
+    return u[:, rank:]
 
 
 def compensate(temps: np.ndarray, coords: np.ndarray) -> np.ndarray:

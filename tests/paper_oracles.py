@@ -3,13 +3,16 @@
 The detector computes each stream for all windows at once; these functions
 state the same quantities one window (or one score vector) at a time, in
 the plainest form, so tests can compare the vectorised paths against them.
-The threshold's kernel density is here too: the detector reads only its CDF.
+The threshold's kernel density is here too, with the plain bisection for
+the threshold that the detector's Newton search is checked against.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+
+from packdiag.fusion import THRESHOLD_TOL
 
 M = 2  # embedding dimension of the temporal stream
 
@@ -125,3 +128,20 @@ def kde_pdf(model, x):
     u = (np.asarray(x, dtype=float)[..., None] - model.samples) / model.bandwidth
     k = np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
     return k.mean(axis=-1) / model.bandwidth
+
+
+def bisect_threshold(model, beta: float) -> float:
+    """Smallest x with model.cdf(x) >= beta, by bisection to THRESHOLD_TOL.
+
+    Returns the upper end of the final bracket, so its CDF reaches beta and
+    the root lies at most THRESHOLD_TOL below it.
+    """
+    lo = float(model.samples.min() - 10.0 * model.bandwidth)
+    hi = float(model.samples.max() + 10.0 * model.bandwidth)
+    while hi - lo > THRESHOLD_TOL:
+        mid = 0.5 * (lo + hi)
+        if model.cdf(mid) >= beta:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -31,43 +31,70 @@ def definitions(source: str) -> list[str]:
     return names
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names read, imported or looked up as attributes, plus identifier
-    strings such as the attribute names in the benchmark tracer's SITES."""
-    names = set()
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """Names a file can reach a definition by, and those that reach a member.
+
+    The first set holds names read, imported or looked up as attributes,
+    plus identifier strings such as the attribute names in the benchmark
+    tracer's SITES. A class member is reached only through an attribute
+    lookup or an identifier string, so the second set leaves out bare names
+    and imports: a local variable spelled like a method does not use it.
+    """
+    names, members = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update({node.asname, node.name.split(".")[-1]} - {None})
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
             names.add(node.value)
-    return names
+            members.add(node.value)
+    return names, members
 
 
 def unreached(package: Path, users: list[Path]) -> list[str]:
-    """module.name of each package definition that no user file names."""
-    used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
-                         for p in users))
+    """module.name of each package definition that no user file reaches."""
+    names, members = set(), set()
+    for path in users:
+        file_names, file_members = referenced_names(
+            path.read_text(encoding="utf-8"))
+        names |= file_names
+        members |= file_members
     found = [f"{p.stem}.{name}" for p in sorted(package.glob("*.py"))
              for name in definitions(p.read_text(encoding="utf-8"))
-             if name.split(".")[-1] not in used]
+             if name.split(".")[-1] not in (members if "." in name else names)]
     return [name for name in found if name not in ALLOWED]
 
 
 def test_scanner_sees_every_kind_of_reference():
     source = ("import a.b as c\nfrom m import f, g as h\nx = obj.attr\n"
               "SITES = ((mod, 'traced', 'span.name', None),)\n"
-              "def d(): return y\nclass K:\n    def __init__(self): pass\n"
+              "def d():\n    m = y\n    return m\n"
+              "class K:\n    def __init__(self): pass\n"
               "    def m(self): pass\n    @property\n"
               "    def p(self): return 1\n")
-    assert referenced_names(source) == {"c", "b", "f", "g", "h", "x", "obj",
-                                        "attr", "SITES", "mod", "traced", "y",
-                                        "property"}
+    names, members = referenced_names(source)
+    assert names == {"c", "b", "f", "g", "h", "x", "obj", "attr", "SITES",
+                     "mod", "traced", "y", "m", "property"}
+    # the local m is a name, but it does not reach the method K.m
+    assert members == {"attr", "traced"}
     assert definitions(source) == ["d", "K", "K.m", "K.p"]
+
+
+def test_local_variable_does_not_hide_a_member(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def used(): pass\nclass K:\n    def m(self): pass\n"
+        "    def n(self): pass\n", encoding="utf-8")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import used, K\nm = 3\nK().n()\n",
+                    encoding="utf-8")
+    assert unreached(package, [user]) == ["mod.K.m"]
 
 
 def test_every_definition_has_a_non_test_user():

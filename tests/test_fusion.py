@@ -10,10 +10,11 @@ from packdiag.fusion import (
     detect,
     fit_kde,
     multiscale_statistic,
+    THRESHOLD_TOL,
     normalize,
     threshold_from_kde,
 )
-from paper_oracles import kde_pdf
+from paper_oracles import bisect_threshold, kde_pdf
 
 
 class TestParams:
@@ -169,6 +170,27 @@ class TestThreshold:
             threshold_from_kde(model, 0.0)
         with pytest.raises(ValueError):
             threshold_from_kde(model, 1.0)
+
+
+
+class TestNewtonThreshold:
+    @pytest.mark.parametrize("shape", ["normal", "skewed"])
+    def test_matches_bisection_oracle(self, shape):
+        # 120 seeded models per shape: the Newton search and plain bisection
+        # both return a point within THRESHOLD_TOL above the root
+        rng = np.random.default_rng(20 if shape == "normal" else 21)
+        for _ in range(120):
+            size = int(rng.integers(300, 1801))
+            if shape == "normal":
+                samples = rng.normal(rng.uniform(-1.0, 1.0),
+                                     rng.uniform(0.01, 0.5), size)
+            else:
+                samples = rng.lognormal(0.0, rng.uniform(0.2, 1.2), size)
+            beta = float(rng.choice([0.5, 0.9, 0.95, 0.99, 0.999, 0.9999]))
+            model = fit_kde(samples)
+            h = threshold_from_kde(model, beta)
+            assert model.cdf(h) >= beta
+            assert abs(h - bisect_threshold(model, beta)) <= THRESHOLD_TOL
 
 
 class TestDetect:

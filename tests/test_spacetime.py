@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from packdiag.pack import build_layout
-from packdiag.spacetime import compensate
+from packdiag.spacetime import _smooth_projector, complement_basis, compensate
 from paper_oracles import decompose_window, exhaustive_fuzzy, fuzzy_entropy
 
 
@@ -90,6 +90,36 @@ class TestCompensate:
         few = np.array([[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]], float)
         with pytest.raises(ValueError):
             compensate(np.zeros((3, 6)), few)
+
+
+
+class TestComplementBasis:
+    def test_orthonormal_and_kept_by_the_projector(self):
+        coords = build_layout().cell_centers
+        q = complement_basis(coords)
+        assert q.shape == (24, 18)
+        np.testing.assert_allclose(q.T @ q, np.eye(18), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(_smooth_projector(coords) @ q, q,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_keeps_each_frame_norm(self):
+        rng = np.random.default_rng(13)
+        coords = build_layout().cell_centers
+        excess = compensate(300.0 + rng.normal(0.0, 0.3, (50, 24)), coords)
+        reduced = excess @ complement_basis(coords)
+        np.testing.assert_allclose(np.linalg.norm(reduced, axis=1),
+                                   np.linalg.norm(excess, axis=1),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_no_surface_leaks_in(self):
+        # every quadratic surface over the cell positions, in the raw
+        # coordinates, has no component along the basis
+        coords = build_layout().cell_centers
+        x, y = coords.T
+        q = complement_basis(coords)
+        for surface in (np.ones_like(x), x, y, x * x, x * y, y * y):
+            leak = np.linalg.norm(surface @ q) / np.linalg.norm(surface)
+            assert leak < 1e-13
 
 
 class TestDecomposition:
