@@ -15,7 +15,8 @@ Usage, from anywhere:
     python3 scripts/compare_outputs.py OLD NEW
 
 OLD and NEW are checkouts. It takes about two minutes: each side runs the
-whole output_digests set.
+whole output_digests set. The exit status is 0 when every output is
+identical, 1 when any differs, and 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ def main(argv: list[str]) -> int:
         print(f"error: output sets differ: {sorted(old.keys() ^ new.keys())}",
               file=sys.stderr)
         return 1
-    for name in sorted(old):
-        print(f"{name}: {compare(name, old[name], new[name])}")
-    return 0
+    verdicts = [compare(name, old[name], new[name]) for name in sorted(old)]
+    for name, verdict in zip(sorted(old), verdicts):
+        print(f"{name}: {verdict}")
+    return 0 if all(v == "identical" for v in verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .io import (
     write_trace,
 )
 from .locate import contribution_rows, contributions_at
-from .pack import simulate
+from .pack import PackSimulator
 from .pipeline import Telemetry, calibrate_pooled, entropy_streams, run_detector
 from .tuning import FitnessEvaluator, GaConfig, mga_optimize
 
@@ -36,11 +36,16 @@ def cmd_simulate(args) -> int:
     cfg = read_scenario(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    tele = Telemetry.from_frames(simulate(cfg))
+    sim = PackSimulator(cfg)
+    tele = Telemetry.from_frames(sim.run())
     write_dataset(args.out, tele)
     n_abn = int((tele.labels == 1).sum())
     print(f"{tele.n_frames} frames: {tele.n_frames - n_abn} normal, "
           f"{n_abn} abnormal")
+    if sim.status == "depleted":
+        print(f"warning: a cell ran out of charge; the run stopped at "
+              f"{tele.times[-1]:.12g} s, {tele.n_frames} of {sim.n_frames} "
+              "frames", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 
@@ -105,6 +110,9 @@ def cmd_benchmark(args) -> int:
     params = read_params(args.params) if args.params else DetectorParams()
     rep = run_benchmark(scenarios, params, master_seed=args.seed)
     write_lines(args.out, report_lines(rep))
+    for row in rep.rows:
+        if row.status == "FAILED":
+            print(f"{row.scenario} FAILED: {row.message}", file=sys.stderr)
     for line in summary_lines(rep):
         print(line)
     print(f"wrote {args.out}")

@@ -18,6 +18,10 @@ from scipy.special import ndtr
 from .errors import ConfigError
 
 DEFAULT_ALPHA = (0.216, 0.573, 0.211)
+# the temporal stream's embedding dimension; its fuzzy entropy pairs up
+# w - M delay vectors, so a window needs at least M + 2 frames
+M = 2
+MIN_WINDOW = M + 2
 # the threshold search stops once it has a point with CDF below beta and one
 # with CDF at or above it at most this far apart, and returns the upper one
 THRESHOLD_TOL = 1e-10
@@ -38,8 +42,9 @@ class DetectorParams:
     h_r: float | None = None
 
     def validate(self, calibrated: bool = False):
-        if not isinstance(self.window, (int, np.integer)) or self.window < 1:
-            raise ConfigError("window must be a positive integer")
+        if (not isinstance(self.window, (int, np.integer))
+                or self.window < MIN_WINDOW):
+            raise ConfigError(f"window must be an integer of at least {MIN_WINDOW}")
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != (3,):
             raise ConfigError("alpha must have three entries")

@@ -50,7 +50,7 @@ def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMa
         raise ConfigError("alarm in warm-up: no full window ends by t_f")
 
     first = idx - w + 1
-    excess = compensate(tele.temps[first : idx + 1], build_layout().cell_centers)
+    excess = compensate(tele.temps[first : idx + 1])
     scores = excess.mean(axis=0)
     argmax = int(np.argmax(scores))
     return ContributionMap(contributions=scores,

@@ -45,6 +45,11 @@ VOLUMETRIC_HEAT_CAPACITY = 2.0e6  # J/(m^3 K)
 DIFFUSIVITY_X = 1.0e-5           # m^2/s
 DIFFUSIVITY_Y = 1.0e-5
 
+PITCH = DIAMETER + GAP
+# largest stable explicit step of the diffusion scheme, whose nodes are
+# PITCH / GRID_RES apart in both directions
+STABLE_DT = (PITCH / GRID_RES) ** 2 / (2.0 * (DIFFUSIVITY_X + DIFFUSIVITY_Y))
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -55,6 +60,8 @@ class FaultSpec:
     onset: float             # seconds
 
     def validate(self):
+        if not 1 <= self.fault_cell <= N_CELLS:
+            raise ConfigError(f"fault_cell {self.fault_cell} outside 1..{N_CELLS}")
         if self.r_short <= 0:
             raise ConfigError("r_short must be positive")
         if self.onset < 0:
@@ -81,10 +88,15 @@ class SimConfig:
     def validate(self):
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.dt > STABLE_DT + 1e-12:
+            raise ConfigError(
+                f"dt={self.dt} violates the explicit stability bound {STABLE_DT:.6g} s")
         if self.duration < self.dt:
             raise ConfigError("duration must cover at least one step")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
+        if round(self.duration / self.sample_interval) < 1:
+            raise ConfigError("duration shorter than one sample interval")
         if self.ambient <= 0:
             raise ConfigError("ambient must be positive kelvin")
         if self.temp_noise_std < 0 or self.volt_noise_std < 0:
@@ -112,15 +124,14 @@ class PackLayout:
 
 
 def build_layout() -> PackLayout:
-    """Place the cells on a pitch of DIAMETER + GAP and grid the pack plane.
+    """Place the cells PITCH apart and grid the pack plane.
 
     Serial numbers run down each column ("column-major"), and each column is
     one series group of parallel cells. The grid has GRID_RES nodes per cell
     pitch in each direction.
     """
-    pitch = DIAMETER + GAP
-    x_b = COLS * pitch
-    y_b = ROWS * pitch
+    x_b = COLS * PITCH
+    y_b = ROWS * PITCH
     nx = COLS * GRID_RES
     ny = ROWS * GRID_RES
     dx = x_b / nx
@@ -130,7 +141,7 @@ def build_layout() -> PackLayout:
     for serial0 in range(N_CELLS):
         col = serial0 // ROWS
         row = serial0 % ROWS
-        centers[serial0] = ((col + 0.5) * pitch, (row + 0.5) * pitch)
+        centers[serial0] = ((col + 0.5) * PITCH, (row + 0.5) * PITCH)
 
     node_x = (np.arange(nx) + 0.5) * dx
     node_y = (np.arange(ny) + 0.5) * dy
@@ -233,11 +244,6 @@ def deposit_sources(cell_watts: np.ndarray, layout: PackLayout) -> np.ndarray:
     return src.reshape(layout.nx, layout.ny)
 
 
-def stability_limit(layout: PackLayout) -> float:
-    """Largest stable explicit step for the diffusion scheme."""
-    return min(layout.dx, layout.dy) ** 2 / (2.0 * (DIFFUSIVITY_X + DIFFUSIVITY_Y))
-
-
 def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float, cfg: SimConfig,
                  layout: PackLayout) -> np.ndarray:
     """One explicit finite-volume step of dt seconds of the 2-D heat equation.
@@ -279,21 +285,9 @@ class PackSimulator:
         cfg.validate()
         self.layout = build_layout()
         self.cfg = cfg
-
-        limit = stability_limit(self.layout)
-        if cfg.dt > limit + 1e-12:
-            raise ConfigError(
-                f"dt={cfg.dt} violates the explicit stability bound {limit:.6g} s")
-        if cfg.fault is not None:
-            if not 1 <= cfg.fault.fault_cell <= N_CELLS:
-                raise ConfigError(
-                    f"fault_cell {cfg.fault.fault_cell} outside 1..{N_CELLS}")
-
         self.steps_per_frame = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
         self.eff_dt = cfg.sample_interval / self.steps_per_frame
         self.n_frames = int(round(cfg.duration / cfg.sample_interval))
-        if self.n_frames < 1:
-            raise ConfigError("duration shorter than one sample interval")
 
         self.rng = np.random.default_rng(cfg.rng_seed)
         self.field = np.full((self.layout.nx, self.layout.ny), cfg.ambient)

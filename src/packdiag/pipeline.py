@@ -20,31 +20,37 @@ import numpy as np
 
 from .errors import ConfigError
 from .fusion import (
+    MIN_WINDOW,
     DetectionOutcome,
     DetectorParams,
+    M,
     detect,
     fit_kde,
     multiscale_statistic,
     threshold_from_kde,
 )
 from .lumped import SPREAD_FLOOR, lumped_entropy_series
-from .pack import N_CELLS, TelemetryFrame, build_layout
-from .spacetime import complement_basis, compensate
+from .pack import N_CELLS, N_GROUPS, TelemetryFrame
+from .spacetime import COMPLEMENT_BASIS, compensate
 
-# the temporal stream's embedding dimension; the tolerance is set per window
-M = 2
 # largest relative departure of any sample interval from the median one
 SAMPLING_TOLERANCE = 0.1
 
 
-def first_bad_time(times: np.ndarray) -> tuple[int, str] | None:
-    """Index of the first frame whose time breaks the sampling rule, and why.
+def first_bad_frame(times: np.ndarray, *channels: np.ndarray
+                    ) -> tuple[int, str] | None:
+    """Index of the first frame that breaks the telemetry rules, and why.
 
-    Times must strictly increase, and every interval must lie within
+    Every time and every channel reading must be finite. Times must
+    strictly increase, and every interval must lie within
     SAMPLING_TOLERANCE of the median interval: windows count frames while
     train_len counts seconds, so a dropped or doubled frame would silently
-    stretch or shrink every window. None when every frame is in line.
+    stretch or shrink every window. channels are arrays with one row per
+    frame. None when every frame is in line.
     """
+    finite = np.isfinite(np.column_stack((times, *channels))).all(axis=1)
+    if not finite.all():
+        return int(np.argmin(finite)), "non-finite field"
     steps = np.diff(times)
     out_of_order = np.flatnonzero(~(steps > 0.0))
     if out_of_order.size:
@@ -63,7 +69,8 @@ def first_bad_time(times: np.ndarray) -> tuple[int, str] | None:
 
 @dataclass
 class Telemetry:
-    """Column-stacked sensor history for one recording, evenly sampled."""
+    """Column-stacked sensor history for one recording, shape-checked and
+    held to first_bad_frame's rules on construction."""
 
     times: np.ndarray    # (n,) seconds
     temps: np.ndarray    # (n, N_CELLS) cell surface temperatures, K
@@ -73,14 +80,16 @@ class Telemetry:
 
     def __post_init__(self):
         n = self.times.shape[0]
-        for name in ("temps", "volts", "current", "labels"):
-            arr = getattr(self, name)
-            if arr.shape[0] != n:
-                raise ValueError(f"{name} has {arr.shape[0]} rows, expected {n}")
-        bad = first_bad_time(self.times)
+        for name, shape in (("times", (n,)), ("temps", (n, N_CELLS)),
+                            ("volts", (n, N_GROUPS)), ("current", (n,)),
+                            ("labels", (n,))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape}")
+        bad = first_bad_frame(self.times, self.temps, self.volts, self.current)
         if bad is not None:
             k, why = bad
-            raise ValueError(f"times at index {k}: {why}")
+            raise ValueError(f"frame at index {k}: {why}")
 
     @classmethod
     def from_frames(cls, frames: list[TelemetryFrame]) -> "Telemetry":
@@ -127,20 +136,17 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     """
     n = tele.n_frames
     w = int(window)
-    if w < M + 2:
+    if w < MIN_WINDOW:
         raise ValueError(f"window {w} too short for order-{M} matching")
     if n < w:
         raise ValueError(f"recording has {n} frames, needs at least {w}")
-    if tele.temps.shape[1] != N_CELLS:
-        raise ValueError("temperature channel count does not match the layout")
 
     h_d = lumped_entropy_series(tele.volts, w)
-    coords = build_layout().cell_centers
-    excess = compensate(tele.temps, coords)
+    excess = compensate(tele.temps)
     h_s = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(excess, w, axis=0)
     h_s[w - 1 :] = windows.mean(axis=2).max(axis=1)
-    h_t = _rank1_temporal(excess @ complement_basis(coords), w)
+    h_t = _rank1_temporal(excess @ COMPLEMENT_BASIS, w)
 
     return EntropyStreams(times=tele.times.copy(), h_d=h_d, h_s=h_s, h_t=h_t,
                           window=w)
@@ -169,7 +175,7 @@ def _rank1_temporal(field: np.ndarray, w: int,
     row. The singular values and right singular vectors of B depend on B
     only through B^T B, which is unchanged when B is rewritten in any
     orthonormal basis of a subspace holding its columns. Every compensated
-    frame lies in the 18-dimensional span of spacetime.complement_basis,
+    frame lies in the 18-dimensional span of spacetime.COMPLEMENT_BASIS,
     so entropy_streams passes the excess in those 18 coordinates and the
     Gram is 18 x 18 instead of 24 x 24. All windows of a chunk share one
     batched matrix product and one batched np.linalg.eigh.

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fusion import DetectionOutcome, DetectorParams, detect, multiscale_statistic
+from .fusion import (
+    MIN_WINDOW,
+    DetectionOutcome,
+    DetectorParams,
+    detect,
+    multiscale_statistic,
+)
 from .pipeline import (
     EntropyStreams,
     Telemetry,
@@ -240,8 +246,8 @@ class GaConfig:
         if self.population <= ELITE + IMMIGRANTS:
             raise ValueError(f"population must exceed the {ELITE} elites "
                              f"plus {IMMIGRANTS} immigrants")
-        if not 3 <= self.w_min <= self.w_max:
-            raise ValueError("window bounds must satisfy 3 <= w_min <= w_max")
+        if not MIN_WINDOW <= self.w_min <= self.w_max:
+            raise ValueError(f"window bounds must satisfy {MIN_WINDOW} <= w_min <= w_max")
         if self.generations < 1:
             raise ValueError("need at least one generation")
 

@@ -85,6 +85,19 @@ class TestSimulateCommand:
                      "--seed", "42"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_depleted_run_reports_its_stop(self, tmp_path, capsys):
+        # at 16 C a cell runs dry at 810 s: the frames up to then are
+        # written and the early stop is said on stderr
+        cfg_path = tmp_path / "dry.scenario"
+        write_scenario(cfg_path, SimConfig(duration=900.0, rng_seed=3,
+                                           discharge_rate=16.0))
+        out = tmp_path / "dry.csv"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        assert read_dataset(out).n_frames == 810
+        captured = capsys.readouterr()
+        assert "810 frames: 810 normal, 0 abnormal" in captured.out
+        assert "stopped at 810 s, 810 of 900 frames" in captured.err
+
     def test_zero_duration_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.scenario"
         cfg_path.write_text("duration = 0.0\n")
@@ -346,6 +359,21 @@ class TestBenchmarkCommand:
                   "--params", str(work / "short.params"),
                   "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_row_says_why(self, work, tmp_path, capsys):
+        # the cells run dry before the onset, so the recording has no
+        # abnormal frame to score
+        root = tmp_path / "dry"
+        root.mkdir()
+        write_scenario(root / "sc01.scenario",
+                       SimConfig(duration=2000.0, discharge_rate=16.0,
+                                 fault=FaultSpec(fault_cell=4, r_short=10.0,
+                                                 onset=1000.0)))
+        report = tmp_path / "report.csv"
+        assert main(["benchmark", str(root), "--out", str(report)]) == 5
+        assert report.read_text().splitlines()[1] == "sc01,,,,,4,no,FAILED"
+        err = capsys.readouterr().err
+        assert "sc01 FAILED: unusable scenario labeling" in err
 
     def test_missing_directory_is_config_error(self, work, tmp_path):
         ret = main(["benchmark", str(tmp_path / "nowhere"),

@@ -39,6 +39,12 @@ class TestParams:
         with pytest.raises(ConfigError):
             DetectorParams(window=0).validate()
 
+    def test_window_floor_is_the_temporal_streams(self):
+        # order-2 fuzzy matching needs two delay vectors of dimension 3
+        with pytest.raises(ConfigError, match="at least 4"):
+            DetectorParams(window=3).validate()
+        DetectorParams(window=4).validate()
+
     def test_beta_open_interval(self):
         with pytest.raises(ConfigError):
             DetectorParams(beta=1.0).validate()

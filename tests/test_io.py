@@ -212,6 +212,12 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="window"):
             read_params(path)
 
+    def test_window_below_floor_rejected_on_read(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_text("window = 3\n")
+        with pytest.raises(ConfigError, match="window"):
+            read_params(path)
+
     def test_invalid_weights_rejected_on_read(self, tmp_path):
         path = tmp_path / "a.params"
         write_params(path, DetectorParams())

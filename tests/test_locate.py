@@ -32,7 +32,7 @@ class TestLocalize:
         excess = np.zeros((27, 24))
         excess[:, 16] = 0.3
         monkeypatch.setattr("packdiag.locate.compensate",
-                            lambda temps, coords: excess)
+                            lambda temps: excess)
         cmap = contributions_at(fault_tele, 180.0, window=27)
         assert cmap.argmax_sensor == int(np.argmax(cmap.contributions)) == 16
         assert cmap.cell_serial == 17
@@ -50,7 +50,7 @@ class TestLocalize:
         excess = np.zeros((27, 24))
         excess[:, 6] = excess[:, 11] = 0.7
         monkeypatch.setattr("packdiag.locate.compensate",
-                            lambda temps, coords: excess)
+                            lambda temps: excess)
         cmap = contributions_at(fault_tele, 180.0, window=27)
         assert cmap.contributions[6] == cmap.contributions[11]
         assert cmap.argmax_sensor == 6
@@ -96,7 +96,7 @@ class TestContributionsAt:
         t_f = 180.0
         cmap = contributions_at(fault_tele, t_f, window=w)
         idx = int(np.searchsorted(fault_tele.times, t_f))
-        excess = compensate(fault_tele.temps, build_layout().cell_centers)
+        excess = compensate(fault_tele.temps)
         acc = np.zeros(24)
         for k in range(idx - w + 1, idx + 1):
             acc += excess[k]

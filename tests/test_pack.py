@@ -11,6 +11,7 @@ from packdiag.pack import (
     N_CELLS,
     N_GROUPS,
     ROWS,
+    STABLE_DT,
     VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
     PackSimulator,
@@ -19,7 +20,6 @@ from packdiag.pack import (
     deposit_sources,
     heat_generation,
     ocv_of_soc,
-    stability_limit,
     step_electrical,
     step_thermal,
     simulate,
@@ -285,9 +285,9 @@ class TestThermal:
         base.update(kw)
         return SimConfig(**base)
 
-    def test_stability_limit_value(self, layout):
+    def test_stability_limit_value(self):
         want = (0.023 / 4) ** 2 / (2 * (1e-5 + 1e-5))
-        assert abs(stability_limit(layout) - want) < 1e-12
+        assert abs(STABLE_DT - want) < 1e-12
 
     def test_uniform_field_stays_put(self, layout):
         cfg = self._config(ambient=293.15)

@@ -6,7 +6,7 @@ import pytest
 from packdiag.errors import ConfigError
 from packdiag.fusion import DetectorParams, multiscale_statistic
 from packdiag.lumped import lumped_entropy_series
-from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
+from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import (
     M,
     Telemetry,
@@ -42,6 +42,30 @@ class TestTelemetry:
                       volts=np.zeros((n, 6)), current=np.zeros(n),
                       labels=np.zeros(n, dtype=int))
 
+    def test_channel_counts_checked(self):
+        n = 5
+        good = dict(times=np.arange(1.0, n + 1), temps=np.zeros((n, 24)),
+                    volts=np.ones((n, 6)), current=np.zeros(n),
+                    labels=np.zeros(n, dtype=int))
+        Telemetry(**good)
+        for name, shape in (("temps", (n, 23)), ("volts", (n, 5))):
+            with pytest.raises(ValueError, match=f"{name} has shape"):
+                Telemetry(**dict(good, **{name: np.zeros(shape)}))
+
+    @pytest.mark.parametrize("name, where", [("times", 4), ("temps", (4, 7)),
+                                             ("volts", (4, 2)),
+                                             ("current", 4)],
+                             ids=["times", "temps", "volts", "current"])
+    def test_non_finite_reading_names_index(self, name, where):
+        # a NaN voltage would score h_d = 0 in every window holding it
+        n = 6
+        arrays = dict(times=np.arange(1.0, n + 1), temps=np.zeros((n, 24)),
+                      volts=np.ones((n, 6)), current=np.zeros(n),
+                      labels=np.zeros(n, dtype=int))
+        arrays[name][where] = np.nan
+        with pytest.raises(ValueError, match="index 4: non-finite"):
+            Telemetry(**arrays)
+
     def test_shapes_and_labels(self, fault_tele):
         t = fault_tele
         assert t.times.shape == (260,)
@@ -69,8 +93,7 @@ class TestEntropyStreams:
         assert np.isnan(streams.h_t[: w - 1]).all()
         # the first full window is scored on its own frames alone, with no
         # reference from elsewhere in the recording
-        layout = build_layout()
-        first = compensate(normal_tele.temps[:w], layout.cell_centers)
+        first = compensate(normal_tele.temps[:w])
         assert streams.h_s[w - 1] == pytest.approx(first.mean(axis=0).max(),
                                                    rel=0.0, abs=1e-15)
         # per frame the excess sums to zero, so the hottest cell is never
@@ -82,13 +105,12 @@ class TestEntropyStreams:
     def test_matches_per_frame_recomputation(self, normal_tele):
         # direct frame-by-frame oracle over a handful of rows
         w = 15
-        layout = build_layout()
         streams = entropy_streams(normal_tele, window=w)
 
         h_d = lumped_entropy_series(normal_tele.volts, w)
         # compensate() itself is checked against a least-squares oracle in
         # test_spacetime; here the streams are rebuilt window by window
-        excess = compensate(normal_tele.temps, layout.cell_centers)
+        excess = compensate(normal_tele.temps)
         for k in [w - 1, 40, 77, 201]:
             win = excess[k - w + 1 : k + 1].T
             assert abs(streams.h_s[k] - win.mean(axis=1).max()) < 1e-12
@@ -102,16 +124,14 @@ class TestEntropyStreams:
     @pytest.mark.parametrize("window", [M + 2, 15, 27, 101, 200])
     def test_batched_path_matches_loop(self, fault_tele, window):
         # the single-mode vector path must reproduce the per-window loop
-        layout = build_layout()
-        excess = compensate(fault_tele.temps, layout.cell_centers)
+        excess = compensate(fault_tele.temps)
         h_t_fast = _rank1_temporal(excess, window)
         h_t_ref = looped_temporal(excess, window)
         np.testing.assert_allclose(h_t_fast, h_t_ref, rtol=1e-9, atol=1e-10)
 
     def test_batched_path_chunking_invariant(self, normal_tele):
         # tiny chunks must stitch together to the same streams, bit for bit
-        layout = build_layout()
-        excess = compensate(normal_tele.temps, layout.cell_centers)
+        excess = compensate(normal_tele.temps)
         for window, chunks in ((20, (7,)), (200, (1, 7))):
             whole = _rank1_temporal(excess, window)
             for chunk in chunks:

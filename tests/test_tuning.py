@@ -220,6 +220,13 @@ class TestGaConfig:
             GaConfig(population=ELITE + IMMIGRANTS).validate()
         GaConfig().validate()
 
+    def test_window_floor_is_the_detectors(self):
+        # a shorter window could never be scored, so the search may not
+        # draw one
+        with pytest.raises(ValueError, match="4 <= w_min"):
+            GaConfig(w_min=3).validate()
+        GaConfig(w_min=4).validate()
+
 
 @pytest.fixture(scope="module")
 def ga_setup(tiny_scenarios):
