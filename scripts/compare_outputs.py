@@ -25,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from output_digests import produce
+from output_digests import first_alarm, produce
 
 
 def _produce_fresh(checkout: Path, out: Path) -> list[Path]:
@@ -34,10 +34,6 @@ def _produce_fresh(checkout: Path, out: Path) -> list[Path]:
                  if m == "packdiag" or m.startswith("packdiag.")]:
         del sys.modules[name]
     return produce(checkout, out)
-
-
-def _first_alarm(rows: list[list[str]]) -> str | None:
-    return next((row[0] for row in rows if row[-1] == "1"), None)
 
 
 def compare_trace(old: str, new: str) -> str:
@@ -62,7 +58,7 @@ def compare_trace(old: str, new: str) -> str:
             x, y = float(x), float(y)
             rel = abs(y - x) / abs(x) if x else float("inf")
             largest[col] = max(largest.get(col, 0.0), rel)
-    t_f_old, t_f_new = _first_alarm(old_rows), _first_alarm(new_rows)
+    t_f_old, t_f_new = first_alarm(old), first_alarm(new)
     t_f = (f"t_f {t_f_old}" if t_f_old == t_f_new
            else f"t_f MOVED {t_f_old} -> {t_f_new}")
     columns = ", ".join(f"{col} {rel:.1e}" for col, rel in largest.items())

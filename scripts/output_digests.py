@@ -7,6 +7,8 @@ prints one `digest  name` line per output, sorted by name:
 - the `benchmark scenarios/` report (`report.csv`);
 - the `detect` traces of each of those CSVs at w = 27 and w = 200
   (`sc01.w27.trace.csv` ...);
+- the `localize` contribution CSV at each trace's first alarm
+  (`sc01.w27.contrib.csv` ...), for every trace that alarms;
 - a short `fit --optimize` params file (`tune.params`): population 10,
   5 generations, seed 0, on the three 1200-frame recordings of the `tune`
   workload (faults in cells 4 and 23 from t = 700 s, and one normal run).
@@ -48,6 +50,12 @@ def run(main, *argv: str):
         sys.exit(f"packdiag {' '.join(argv)} exited {code}")
 
 
+def first_alarm(trace: str) -> str | None:
+    """The time field of a trace's first alarmed row, as written."""
+    rows = (line.split(",") for line in trace.splitlines()[1:])
+    return next((row[0] for row in rows if row[-1] == "1"), None)
+
+
 def produce(checkout: Path, out: Path) -> list[Path]:
     """Write every compared output under out and return their paths."""
     sys.path.insert(0, str(checkout / "src"))
@@ -62,9 +70,16 @@ def produce(checkout: Path, out: Path) -> list[Path]:
         made.append(csv)
         for w in WINDOWS:
             trace = out / f"{scenario.stem}.w{w}.trace.csv"
-            run(main, "detect", str(csv), "--params", str(out / f"w{w}.params"),
+            params = str(out / f"w{w}.params")
+            run(main, "detect", str(csv), "--params", params,
                 "--out", str(trace))
             made.append(trace)
+            t_f = first_alarm(trace.read_text(encoding="utf-8"))
+            if t_f is not None:
+                contrib = out / f"{scenario.stem}.w{w}.contrib.csv"
+                run(main, "localize", str(csv), "--params", params,
+                    "--tf", t_f, "--out", str(contrib))
+                made.append(contrib)
 
     report = out / "report.csv"
     run(main, "benchmark", str(checkout / "scenarios"), "--out", str(report))

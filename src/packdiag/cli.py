@@ -51,16 +51,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.fault and not args.optimize:
+        raise ConfigError("--fault datasets are read only with --optimize")
     normals = [read_dataset(p) for p in args.normal]
-    faults = [read_dataset(p) for p in args.fault]
     params = DetectorParams(beta=args.beta, train_len=args.train_len)
     if args.optimize:
-        if not faults:
-            raise ConfigError("--optimize needs at least one fault dataset")
         ga = GaConfig(population=args.population,
                       generations=args.generations,
                       rng_seed=0 if args.seed is None else args.seed)
-        scenarios = normals + faults
+        scenarios = normals + [read_dataset(p) for p in args.fault]
         evaluator = FitnessEvaluator(scenarios, base=params)
         params = mga_optimize(scenarios, evaluator, ga)
     streams = [entropy_streams(tele, params.window) for tele in normals]
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normal", nargs="+", required=True,
                    help="normal dataset CSVs (calibration source)")
     p.add_argument("--fault", nargs="*", default=[],
-                   help="fault dataset CSVs (needed with --optimize)")
+                   help="fault dataset CSVs (for --optimize, which needs one)")
     p.add_argument("--optimize", action="store_true",
                    help="tune window and weights by the genetic search")
     p.add_argument("--beta", type=float, default=DetectorParams().beta,

@@ -54,8 +54,6 @@ class DetectorParams:
             raise ConfigError("alpha entries must sum to 1")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie strictly between 0 and 1")
-        if self.train_len < self.window:
-            raise ConfigError("training segment shorter than the window")
         if calibrated:
             for name in ("max_hd", "max_hs", "max_ht"):
                 v = getattr(self, name)
@@ -65,19 +63,11 @@ class DetectorParams:
                 raise ConfigError("calibrated params need a threshold")
 
 
-def normalize(value, training_max: float):
-    """Scale by the training maximum. No clipping: ratios above 1 carry signal."""
-    if training_max is None or training_max <= 0:
-        raise ConfigError("training maximum must be positive")
-    return value / training_max
-
-
 def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams):
-    """Weighted sum of the training-normalized entropy channels."""
+    """Weighted sum of the channels, each divided by its training maximum."""
     a1, a2, a3 = params.alpha
-    return (a1 * normalize(h_d, params.max_hd)
-            + a2 * normalize(h_s, params.max_hs)
-            + a3 * normalize(h_t, params.max_ht))
+    return (a1 * (h_d / params.max_hd) + a2 * (h_s / params.max_hs)
+            + a3 * (h_t / params.max_ht))
 
 
 @dataclass

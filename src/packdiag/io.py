@@ -74,17 +74,19 @@ def read_dataset(path) -> Telemetry:
             values = [float(p) for p in parts[:-1]]
         except ValueError:
             raise DataFormatError(f"line {lineno}: non-numeric field") from None
-        if parts[-1] not in ("0", "1"):
-            raise DataFormatError(f"line {lineno}: label must be 0 or 1, "
-                                  f"got {parts[-1]!r}")
+        try:
+            labels.append(int(parts[-1]))
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: label must be an integer, "
+                                  f"got {parts[-1]!r}") from None
         times.append(values[0])
         rows.append(values[1:-1])
         currents.append(values[-1])
-        labels.append(int(parts[-1]))
     if not times:
         raise DataFormatError("dataset has a header but no rows")
-    times, rows, currents = (np.asarray(v) for v in (times, rows, currents))
-    bad = first_bad_frame(times, rows, currents)
+    times, rows, currents, labels = (np.asarray(v) for v in
+                                     (times, rows, currents, labels))
+    bad = first_bad_frame(times, labels, rows, currents)
     if bad is not None:
         k, why = bad
         raise DataFormatError(f"line {k + 2}: {why}")

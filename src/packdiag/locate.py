@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pack import N_CELLS, build_layout
+from .fusion import MIN_WINDOW
+from .pack import build_layout
 from .pipeline import Telemetry
 from .spacetime import compensate
 
@@ -23,11 +24,10 @@ from .spacetime import compensate
 class ContributionMap:
     """Per-sensor evidence over the alarm window; larger is more suspect."""
 
-    contributions: np.ndarray   # (n_sensors,)
+    contributions: np.ndarray   # (N_CELLS,) one score per cell sensor
     t_start: float              # first frame covered, seconds
     t_f: float                  # alarm time, seconds
-    argmax_sensor: int          # 0-based sensor index, ties -> lowest
-    cell_serial: int            # 1-based serial of that sensor's cell
+    cell_serial: int            # 1-based cell of the top score, ties -> lowest
 
 
 def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMap:
@@ -40,8 +40,8 @@ def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMa
     t_f; an alarm earlier than the first full window cannot be attributed.
     """
     w = int(window)
-    if w < 1:
-        raise ConfigError("window must be a positive integer")
+    if w < MIN_WINDOW:
+        raise ConfigError(f"window must be at least {MIN_WINDOW}")
     hits = np.isclose(tele.times, t_f, rtol=0.0, atol=1e-9)
     if not hits.any():
         raise ValueError(f"t_f={t_f} is not a sampled frame time")
@@ -52,21 +52,16 @@ def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMa
     first = idx - w + 1
     excess = compensate(tele.temps[first : idx + 1])
     scores = excess.mean(axis=0)
-    argmax = int(np.argmax(scores))
     return ContributionMap(contributions=scores,
                            t_start=float(tele.times[first]),
-                           t_f=float(tele.times[idx]), argmax_sensor=argmax,
-                           cell_serial=argmax + 1)
+                           t_f=float(tele.times[idx]),
+                           cell_serial=int(np.argmax(scores)) + 1)
 
 
 def contribution_rows(cmap: ContributionMap) -> list[str]:
     """Plot-ready export: one row per sensor with its position and mass."""
-    c = np.asarray(cmap.contributions, dtype=float)
-    if c.shape != (N_CELLS,):
-        raise ValueError("contribution length does not match the layout")
-    centers = build_layout().cell_centers
     rows = ["cell,serial,x,y,C"]
-    for i in range(N_CELLS):
-        x, y = centers[i]
-        rows.append(f"T{i + 1:02d},{i + 1},{x:.12g},{y:.12g},{c[i]:.12g}")
+    for i, ((x, y), c) in enumerate(zip(build_layout().cell_centers,
+                                        cmap.contributions), start=1):
+        rows.append(f"T{i:02d},{i},{x:.12g},{y:.12g},{c:.12g}")
     return rows

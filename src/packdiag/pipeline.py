@@ -37,20 +37,24 @@ from .spacetime import COMPLEMENT_BASIS, compensate
 SAMPLING_TOLERANCE = 0.1
 
 
-def first_bad_frame(times: np.ndarray, *channels: np.ndarray
-                    ) -> tuple[int, str] | None:
+def first_bad_frame(times: np.ndarray, labels: np.ndarray,
+                    *channels: np.ndarray) -> tuple[int, str] | None:
     """Index of the first frame that breaks the telemetry rules, and why.
 
-    Every time and every channel reading must be finite. Times must
-    strictly increase, and every interval must lie within
-    SAMPLING_TOLERANCE of the median interval: windows count frames while
-    train_len counts seconds, so a dropped or doubled frame would silently
-    stretch or shrink every window. channels are arrays with one row per
-    frame. None when every frame is in line.
+    Every time and every channel reading must be finite, and every label 0
+    (normal) or 1 (abnormal). Times must strictly increase, and every
+    interval must lie within SAMPLING_TOLERANCE of the median interval:
+    windows count frames while train_len counts seconds, so a dropped or
+    doubled frame would silently stretch or shrink every window. channels
+    are arrays with one row per frame. None when every frame is in line.
     """
     finite = np.isfinite(np.column_stack((times, *channels))).all(axis=1)
     if not finite.all():
         return int(np.argmin(finite)), "non-finite field"
+    unlabelled = np.flatnonzero((labels != 0) & (labels != 1))
+    if unlabelled.size:
+        k = int(unlabelled[0])
+        return k, f"label must be 0 or 1, got {labels[k]}"
     steps = np.diff(times)
     out_of_order = np.flatnonzero(~(steps > 0.0))
     if out_of_order.size:
@@ -86,7 +90,8 @@ class Telemetry:
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
-        bad = first_bad_frame(self.times, self.temps, self.volts, self.current)
+        bad = first_bad_frame(self.times, self.labels, self.temps,
+                              self.volts, self.current)
         if bad is not None:
             k, why = bad
             raise ValueError(f"frame at index {k}: {why}")
@@ -260,8 +265,10 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
     """Fill in normalizers and alarm threshold from pooled training prefixes.
 
     Training frames are those with t <= train_len that already have defined
-    stream values, gathered across every given recording. Returns a new
-    parameter set; the inputs are not modified.
+    stream values, gathered across every given recording. Each recording
+    needs one, and each normalizer must come out finite and positive
+    (ConfigError otherwise). Returns a new parameter set; the inputs are
+    not modified.
     """
     params.validate()
     if not streams_list:

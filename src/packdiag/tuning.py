@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fusion import (
+    DEFAULT_ALPHA,
     MIN_WINDOW,
     DetectionOutcome,
     DetectorParams,
@@ -158,9 +159,7 @@ class FitnessEvaluator:
     def _detect_streams(self, streams: EntropyStreams, window: int,
                         alpha) -> DetectionOutcome:
         params = dataclasses.replace(self.base, window=int(window),
-                                     alpha=tuple(float(a) for a in alpha),
-                                     max_hd=None, max_hs=None, max_ht=None,
-                                     h_r=None)
+                                     alpha=tuple(float(a) for a in alpha))
         cal = calibrate_from_streams(streams, params)
         h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, cal)
         return detect(streams.times, h, cal)
@@ -192,10 +191,8 @@ class FitnessEvaluator:
             self._memo[key] = result
             return result
 
+        # compute_metrics has rejected a fault recording with no normal frames
         detected, total_abn, false, total_norm = (sum(c) for c in zip(*counts))
-        if total_abn == 0 or total_norm == 0:
-            raise ValueError("unusable scenario labeling: need both normal "
-                             "and abnormal frames across the recordings")
         result = EvaluationResult(adr=detected / total_abn,
                                   far=false / total_norm,
                                   relative_delay=float(np.mean(delays)),
@@ -332,14 +329,11 @@ def mga_optimize(scenarios: list[Telemetry],
                        f"{ba[0]:.6g},{ba[1]:.6g},{ba[2]:.6g}")
 
     best_i = min(range(ga.population), key=lambda i: (fit[i], i))
+    w_best, a_best = pop[best_i]
     if math.isinf(fit[best_i]):
         warnings.warn("search found no feasible candidate with nonzero "
                       "detection; returning the shipped defaults")
-        fallback = DetectorParams()
-        return dataclasses.replace(base_params, window=fallback.window,
-                                   alpha=fallback.alpha, max_hd=None,
-                                   max_hs=None, max_ht=None, h_r=None)
-    w_best, a_best = pop[best_i]
+        w_best, a_best = DetectorParams().window, DEFAULT_ALPHA
     return dataclasses.replace(base_params, window=int(w_best),
                                alpha=tuple(float(a) for a in a_best),
                                max_hd=None, max_hs=None, max_ht=None, h_r=None)

@@ -144,6 +144,16 @@ class TestFitCommand:
         assert ret == 2
         assert "fault" in capsys.readouterr().err
 
+    def test_fault_data_without_optimize_is_config_error(self, work, tmp_path,
+                                                         capsys):
+        # without --optimize nothing would read the fault datasets
+        out = tmp_path / "p.params"
+        assert main(["fit", "--normal", str(work / "normal.csv"),
+                     "--fault", str(work / "fault.csv"),
+                     "--train-len", "60", "--out", str(out)]) == 2
+        assert "--optimize" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optimize_is_deterministic_per_seed(self, work, tmp_path):
         args = ["fit", "--normal", str(work / "normal.csv"),
                 "--fault", str(work / "fault.csv"),

@@ -11,7 +11,6 @@ from packdiag.fusion import (
     fit_kde,
     multiscale_statistic,
     THRESHOLD_TOL,
-    normalize,
     threshold_from_kde,
 )
 from paper_oracles import bisect_threshold, kde_pdf
@@ -53,21 +52,6 @@ class TestParams:
         p = DetectorParams(max_hd=1.0, max_hs=0.0, max_ht=1.0, h_r=0.5)
         with pytest.raises(ConfigError):
             p.validate(calibrated=True)
-
-
-class TestNormalize:
-    def test_divides(self):
-        assert normalize(0.5, 2.0) == 0.25
-
-    def test_not_clipped(self):
-        # test-time values may exceed the training maximum
-        assert normalize(3.0, 2.0) == 1.5
-
-    def test_rejects_nonpositive_max(self):
-        with pytest.raises(ConfigError):
-            normalize(1.0, 0.0)
-        with pytest.raises(ConfigError):
-            normalize(1.0, -2.0)
 
 
 class TestMultiscaleStatistic:

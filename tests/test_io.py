@@ -90,6 +90,17 @@ class TestDatasetFile:
         with pytest.raises(DataFormatError, match="line 7"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("text", ["1.0", "one", ""])
+    def test_non_integer_label_names_line(self, tmp_path, short_tele, text):
+        path = tmp_path / "run.csv"
+        write_dataset(path, short_tele)
+        lines = path.read_text().splitlines()
+        lines[6] = lines[6].rsplit(",", 1)[0] + "," + text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError,
+                           match="line 7: label must be an integer"):
+            read_dataset(path)
+
     @pytest.mark.parametrize("column, text", [(5, "nan"), (26, "inf"),
                                               (0, "-inf"), (31, "NaN")])
     def test_non_finite_field_names_line(self, tmp_path, short_tele, column,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from packdiag.errors import ConfigError
-from packdiag.fusion import DetectorParams
+from packdiag.fusion import MIN_WINDOW, DetectorParams
 from packdiag.locate import ContributionMap, contribution_rows, contributions_at
 from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
 from packdiag.pipeline import Telemetry, run_detector
@@ -34,7 +34,7 @@ class TestLocalize:
         monkeypatch.setattr("packdiag.locate.compensate",
                             lambda temps: excess)
         cmap = contributions_at(fault_tele, 180.0, window=27)
-        assert cmap.argmax_sensor == int(np.argmax(cmap.contributions)) == 16
+        assert cmap.cell_serial - 1 == int(np.argmax(cmap.contributions)) == 16
         assert cmap.cell_serial == 17
 
     def test_scale_invariance(self, fault_tele):
@@ -53,14 +53,8 @@ class TestLocalize:
                             lambda temps: excess)
         cmap = contributions_at(fault_tele, 180.0, window=27)
         assert cmap.contributions[6] == cmap.contributions[11]
-        assert cmap.argmax_sensor == 6
+        assert cmap.cell_serial - 1 == 6
         assert cmap.cell_serial == 7
-
-    def test_sensor_count_must_match_layout(self):
-        cmap = ContributionMap(contributions=np.zeros(10), t_start=1.0,
-                               t_f=27.0, argmax_sensor=0, cell_serial=1)
-        with pytest.raises(ValueError):
-            contribution_rows(cmap)
 
 
 class TestContributionRows:
@@ -68,7 +62,7 @@ class TestContributionRows:
         layout = build_layout()
         c = np.linspace(0.5, 1.0, 24)
         cmap = ContributionMap(contributions=c, t_start=1.0, t_f=27.0,
-                               argmax_sensor=23, cell_serial=24)
+                               cell_serial=24)
         rows = contribution_rows(cmap)
         assert rows[0] == "cell,serial,x,y,C"
         assert len(rows) == 25
@@ -142,3 +136,9 @@ class TestContributionsAt:
     def test_unsampled_time_rejected(self, fault_tele):
         with pytest.raises(ValueError):
             contributions_at(fault_tele, 177.5, window=27)
+
+    def test_window_floor_is_the_detectors(self, fault_tele):
+        # no detector window is shorter than MIN_WINDOW, so no alarm map is
+        with pytest.raises(ConfigError, match=f"at least {MIN_WINDOW}"):
+            contributions_at(fault_tele, 180.0, window=MIN_WINDOW - 1)
+        contributions_at(fault_tele, 180.0, window=MIN_WINDOW)

@@ -66,6 +66,16 @@ class TestTelemetry:
         with pytest.raises(ValueError, match="index 4: non-finite"):
             Telemetry(**arrays)
 
+    def test_labels_other_than_0_or_1_name_index(self):
+        # frame_counts would count a frame labelled 2 as neither normal nor
+        # abnormal, and compute_metrics would put the onset after it
+        n = 10
+        with pytest.raises(ValueError,
+                           match="index 5: label must be 0 or 1, got 2"):
+            Telemetry(times=np.arange(1.0, n + 1), temps=np.zeros((n, 24)),
+                      volts=np.ones((n, 6)), current=np.zeros(n),
+                      labels=np.array([0, 0, 0, 0, 0, 2, 2, 1, 1, 1]))
+
     def test_shapes_and_labels(self, fault_tele):
         t = fault_tele
         assert t.times.shape == (260,)
@@ -176,6 +186,16 @@ class TestCalibration:
         h = multiscale_statistic(streams.h_d[train], streams.h_s[train],
                                  streams.h_t[train], cal)
         assert (h < cal.h_r).mean() >= 0.97
+
+    def test_train_len_counts_seconds_and_window_frames(self):
+        # at 0.5 s sampling 27 frames span 13.5 s, so a 20 s prefix holds
+        # the 14 frames t = 13.5 .. 20 with all three streams defined
+        tele = Telemetry.from_frames(
+            simulate(SimConfig(duration=60.0, sample_interval=0.5, rng_seed=9)))
+        report = run_detector(tele, DetectorParams(window=27, train_len=20))
+        train = (tele.times <= 20) & ~np.isnan(report.h_stream)
+        assert train.sum() == 14
+        assert report.params.max_hs == np.max(report.streams.h_s[train])
 
     def test_train_len_must_cover_window(self, normal_tele):
         params = DetectorParams(window=15, train_len=10)
