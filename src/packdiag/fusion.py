@@ -54,13 +54,17 @@ class DetectorParams:
             raise ConfigError("alpha entries must sum to 1")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie strictly between 0 and 1")
-        if calibrated:
-            for name in ("max_hd", "max_hs", "max_ht"):
-                v = getattr(self, name)
-                if v is None or v <= 0:
-                    raise ConfigError(f"calibrated params need positive {name}")
-            if self.h_r is None:
-                raise ConfigError("calibrated params need a threshold")
+        # a NaN normalizer or threshold would make every H NaN or no H
+        # alarm, so any value present must be finite, calibrated or not
+        for name in ("max_hd", "max_hs", "max_ht", "h_r"):
+            v = getattr(self, name)
+            if v is None:
+                if calibrated:
+                    raise ConfigError(f"calibrated params need {name}")
+            elif not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
+            elif name != "h_r" and v <= 0:
+                raise ConfigError(f"{name} must be positive, got {v}")
 
 
 def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams):

@@ -159,6 +159,12 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
 
 LN2 = math.log(2.0)
 
+# the windows of one chunk allocate at most this many bytes together. Larger
+# chunks cost fewer calls per lag but at long windows spill the lag buffers
+# out of cache: at w = 200, 4 MB chunks scored 1200 frames about 20 % faster
+# than 16 MB ones, and no shorter window was slower
+CHUNK_BYTES = 4e6
+
 
 def _rank1_temporal(field: np.ndarray, w: int,
                     chunk: int | None = None) -> np.ndarray:
@@ -173,91 +179,121 @@ def _rank1_temporal(field: np.ndarray, w: int,
     tests/paper_oracles.looped_temporal is this definition written window
     by window.
 
-    The leading pair comes from the (n_channels, n_channels) Gram matrix
-    B B^T of each window B, not from an SVD: its top eigenvector u is the
-    leading left singular vector, so a = u^T B is the leading singular
-    value times the leading temporal row, lam = |a| and a / lam is that
-    row. The singular values and right singular vectors of B depend on B
-    only through B^T B, which is unchanged when B is rewritten in any
-    orthonormal basis of a subspace holding its columns. Every compensated
-    frame lies in the 18-dimensional span of spacetime.COMPLEMENT_BASIS,
-    so entropy_streams passes the excess in those 18 coordinates and the
-    Gram is 18 x 18 instead of 24 x 24. All windows of a chunk share one
-    batched matrix product and one batched np.linalg.eigh.
-
-    The fuzzy similarity of two delay vectors is symmetric and self-pairs
-    are excluded, so each pair sum is twice the half sum over lags
-    k = 1 .. count-1: with every delay-vector component laid out as a
-    (count, chunk) array, the pairs (i, i+k) of all windows in the chunk
-    are two contiguous row slices. No pairwise (count, count) array is
-    formed; the chunk bounds the stacked (chunk, n_channels, w) windows and
-    the three (count, chunk) lag buffers to about 16 MB together. Each
-    pair's similarity is summed over lags into its first index, then over
-    that index, so a window's result does not depend on the chunk. Fuzzy
-    entropy does not see the sign of the coefficient, so modes are not
-    sign-aligned.
+    The windows are taken chunk by chunk from the sliding-window view of
+    the field, which is never copied; _leading_modes and _fuzzy_entropies
+    score a chunk, and each window's result depends on that window alone,
+    so not on the chunk. Per window of a chunk they hold either the Gram
+    matrix and its top eigenvector ((n_channels + 1) n_channels floats) or
+    the leading row (w) with, at dimension M + 1, the scaled, lag-ordered
+    delay-vector components and their means ((M + 2) count, count = w - M)
+    and three lag buffers (3 count); the default chunk holds the larger to
+    CHUNK_BYTES. The output and numpy's fixed-size iteration buffers come
+    on top.
     """
     n, n_channels = field.shape
     n_win = n - w + 1
     count = w - M
 
     if chunk is None:
-        window_bytes = (n_channels * w + 3 * count) * 8
-        chunk = max(1, int(16e6 / window_bytes))
+        window_bytes = 8 * max(n_channels * (n_channels + 1),
+                               w + (M + 5) * count)
+        chunk = max(1, int(CHUNK_BYTES / window_bytes))
     chunk = min(chunk, n_win)
 
     h_t = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(field, w, axis=0)
-    dist_buf = np.empty((count, chunk))
-    comp_buf = np.empty((count, chunk))
-    sum_buf = np.empty((count, chunk))
-
     for start in range(0, n_win, chunk):
         stop = min(start + chunk, n_win)
-        c = stop - start
-        block = np.ascontiguousarray(windows[start:stop])  # (c, n_channels, w)
-        gram = block @ block.transpose(0, 2, 1)
-        u = np.linalg.eigh(gram)[1][:, :, -1:]  # top eigenvectors, as columns
-        a = (u.transpose(0, 2, 1) @ block)[:, 0, :]
-        lam = np.sqrt(np.einsum("ij,ij->i", a, a))
-        # an all-zero window keeps lam = 0 and a = 0, which has no spread:
-        # it scores 0, as the loop's zero-filled degenerate mode does
-        a /= np.where(lam > 0.0, lam, 1.0)[:, None]
-
-        spread = a.std(axis=1)
-        quiet = spread < SPREAD_FLOOR
-        r = 0.2 * np.where(quiet, 1.0, spread)
-        log_sim = np.zeros((2, c))
-        for j, mu in enumerate((M, M + 1)):
-            b = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
-            b = np.abs(b - b.mean(axis=2, keepdims=True))
-            comps = np.ascontiguousarray(b.transpose(2, 1, 0))  # (mu, count, c)
-            acc = sum_buf[:, :c]
-            acc.fill(0.0)
-            for k in range(1, count):
-                # chebyshev distances of pairs (i, i+k), one component at a
-                # time, largest kept
-                d = dist_buf[: count - k, :c]
-                np.subtract(comps[0, k:], comps[0, :-k], out=d)
-                np.abs(d, out=d)
-                for dim in range(1, mu):
-                    dd = comp_buf[: count - k, :c]
-                    np.subtract(comps[dim, k:], comps[dim, :-k], out=dd)
-                    np.abs(dd, out=dd)
-                    np.maximum(d, dd, out=d)
-                # in-place Gaussian similarity
-                d /= r
-                np.multiply(d, d, out=d)
-                d *= -LN2
-                np.exp(d, out=d)
-                acc[: count - k] += d
-            total = 2.0 * np.ascontiguousarray(acc.T).sum(axis=1)
-            log_sim[j] = np.log(total / (count * (count - 1)))
-        fe = log_sim[0] - log_sim[1]
-        fe[quiet] = 0.0
-        h_t[w - 1 + start : w - 1 + stop] = lam * fe
-
+        lam, a = _leading_modes(windows[start:stop])
+        h_t[w - 1 + start : w - 1 + stop] = lam * _fuzzy_entropies(a, count)
     return h_t
+
+
+def _leading_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading singular value and unit leading temporal row of each window
+    of a (c, n_channels, w) stack.
+
+    The leading pair comes from the (n_channels, n_channels) Gram matrix
+    B B^T of each window B, not from an SVD: its top eigenvector u is the
+    leading left singular vector, so a = u^T B is the leading singular
+    value times the leading temporal row, lam = |a| and a / lam is that
+    row. LAPACK's dsyevr finds the top eigenpair alone. The singular values
+    and right singular vectors of B depend on B only through B^T B, which
+    is unchanged when B is rewritten in any orthonormal basis of a subspace
+    holding its columns. Every compensated frame lies in the 18-dimensional
+    span of spacetime.COMPLEMENT_BASIS, so entropy_streams passes the
+    excess in those 18 coordinates and the Gram is 18 x 18 instead of
+    24 x 24. Fuzzy entropy does not see the sign of the row, so rows are
+    not sign-aligned.
+    """
+    # scipy.linalg takes about 45 ms to import; only this stream needs it
+    from scipy.linalg.lapack import dsyevr
+
+    c, n_channels, _ = block.shape
+    gram = block @ block.transpose(0, 2, 1)
+    u = np.empty((c, 1, n_channels))
+    for i in range(c):
+        u[i, 0] = dsyevr(gram[i], range="I", il=n_channels,
+                         iu=n_channels)[1][:, 0]
+    del gram
+    a = (u @ block)[:, 0, :]
+    lam = np.sqrt(np.einsum("ij,ij->i", a, a))
+    # an all-zero window keeps lam = 0 and a = 0, which has no spread:
+    # it scores 0, as the loop's zero-filled degenerate mode does
+    a /= np.where(lam > 0.0, lam, 1.0)[:, None]
+    return lam, a
+
+
+def _fuzzy_entropies(a: np.ndarray, count: int) -> np.ndarray:
+    """Fuzzy entropy of each row of a (c, w) array over its first count
+    delay vectors, with r at 0.2 times the row's spread; 0 with no spread.
+
+    The similarity of two delay vectors is symmetric and self-pairs are
+    excluded, so each pair sum is twice the half sum over lags
+    k = 1 .. count-1: with every delay-vector component laid out as a
+    (count, c) array, the pairs (i, i+k) of all rows are two contiguous row
+    slices. Each component is scaled by sqrt(ln 2) / r once, so a pair's
+    similarity exp(-ln 2 (d / r)^2) is exp(-the largest squared component
+    difference). No pairwise (count, count) array is formed. Each pair's
+    similarity is summed over lags into its first index, then over that
+    index, so a row's result does not depend on the other rows.
+    """
+    c = a.shape[0]
+    spread = a.std(axis=1)
+    quiet = spread < SPREAD_FLOOR
+    scale = math.sqrt(LN2) / (0.2 * np.where(quiet, 1.0, spread))
+    comps_buf = np.empty((M + 1, count, c))
+    dist = np.empty((count, c))
+    diff = np.empty((count, c))
+    acc = np.empty((count, c))
+    log_sim = np.zeros((2, c))
+    for j, mu in enumerate((M, M + 1)):
+        vecs = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
+        comps = comps_buf[:mu]  # (mu, count, c)
+        np.subtract(vecs.transpose(2, 1, 0), vecs.mean(axis=2).T, out=comps)
+        np.abs(comps, out=comps)
+        comps *= scale
+        acc.fill(0.0)
+        for k in range(1, count):
+            # largest squared component difference of pairs (i, i+k), one
+            # component at a time
+            d = dist[: count - k]
+            np.subtract(comps[0, k:], comps[0, :-k], out=d)
+            np.multiply(d, d, out=d)
+            for dim in range(1, mu):
+                dd = diff[: count - k]
+                np.subtract(comps[dim, k:], comps[dim, :-k], out=dd)
+                np.multiply(dd, dd, out=dd)
+                np.maximum(d, dd, out=d)
+            # in-place Gaussian similarity
+            np.negative(d, out=d)
+            np.exp(d, out=d)
+            acc[: count - k] += d
+        total = 2.0 * np.ascontiguousarray(acc.T).sum(axis=1)
+        log_sim[j] = np.log(total / (count * (count - 1)))
+    fe = log_sim[0] - log_sim[1]
+    fe[quiet] = 0.0
+    return fe
 
 
 def calibrate_pooled(streams_list: list[EntropyStreams],

@@ -227,6 +227,20 @@ class TestDetectCommand:
                     "--out", str(tmp_path / "t.csv"), "--no-refit"])
         assert ret == 2
 
+    def test_no_refit_rejects_nan_normalizer(self, work, tmp_path, capsys):
+        # with max_hd = nan every H is NaN, so detect would report no alarm
+        fitted = tmp_path / "fitted.params"
+        assert main(["fit", "--normal", str(work / "normal.csv"),
+                     "--train-len", "60", "--out", str(fitted)]) == 0
+        lines = [("max_hd = nan" if line.startswith("max_hd") else line)
+                 for line in fitted.read_text().splitlines()]
+        fitted.write_text("\n".join(lines) + "\n")
+        ret = main(["detect", str(work / "fault.csv"),
+                    "--params", str(fitted),
+                    "--out", str(tmp_path / "t.csv"), "--no-refit"])
+        assert ret == 2
+        assert "max_hd must be finite" in capsys.readouterr().err
+
     def test_malformed_row_names_line_and_exits_4(self, work, tmp_path,
                                                   capsys):
         broken = tmp_path / "broken.csv"

@@ -1,5 +1,8 @@
 """Tests for normalization, the fused statistic, KDE thresholding, and detection."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -52,6 +55,21 @@ class TestParams:
         p = DetectorParams(max_hd=1.0, max_hs=0.0, max_ht=1.0, h_r=0.5)
         with pytest.raises(ConfigError):
             p.validate(calibrated=True)
+
+    @pytest.mark.parametrize("calibrated", [False, True],
+                             ids=["uncalibrated", "calibrated"])
+    @pytest.mark.parametrize("name, value, why", [
+        ("max_hd", math.nan, "finite"), ("max_hd", math.inf, "finite"),
+        ("h_r", math.nan, "finite"), ("max_hs", 0.0, "positive")],
+        ids=["max_hd-nan", "max_hd-inf", "h_r-nan", "max_hs-zero"])
+    def test_present_calibration_values_checked(self, name, value, why,
+                                                calibrated):
+        # NaN passes a `v <= 0` check, and a NaN normalizer makes every H
+        # NaN, so nothing could alarm
+        p = DetectorParams(max_hd=1.0, max_hs=1.0, max_ht=1.0, h_r=0.5)
+        p.validate(calibrated=True)
+        with pytest.raises(ConfigError, match=f"{name} must be {why}"):
+            dataclasses.replace(p, **{name: value}).validate(calibrated)
 
 
 class TestMultiscaleStatistic:

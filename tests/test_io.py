@@ -237,6 +237,15 @@ class TestParamsFile:
         with pytest.raises(ConfigError):
             read_params(path)
 
+    @pytest.mark.parametrize("line", ["max_hd = nan", "max_hd = inf",
+                                      "h_r = nan"])
+    def test_non_finite_calibration_rejected_on_read(self, tmp_path, line):
+        path = tmp_path / "a.params"
+        write_params(path, DetectorParams())
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ConfigError, match="must be finite"):
+            read_params(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "a.params"
         path.write_text("window 27\n")

@@ -1,5 +1,7 @@
 """Tests for the end-to-end stream assembly: telemetry -> entropies -> alarms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from packdiag.fusion import DetectorParams, multiscale_statistic
 from packdiag.lumped import lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import (
+    CHUNK_BYTES,
     M,
     Telemetry,
     _rank1_temporal,
@@ -112,16 +115,16 @@ class TestEntropyStreams:
         assert np.isfinite(streams.h_d[w - 1 :]).all()
         assert np.isfinite(streams.h_t[w - 1 :]).all()
 
-    def test_matches_per_frame_recomputation(self, normal_tele):
+    @pytest.mark.parametrize("w", [4, 6, 15, 27, 200])
+    def test_matches_per_frame_recomputation(self, normal_tele, w):
         # direct frame-by-frame oracle over a handful of rows
-        w = 15
         streams = entropy_streams(normal_tele, window=w)
 
         h_d = lumped_entropy_series(normal_tele.volts, w)
         # compensate() itself is checked against a least-squares oracle in
         # test_spacetime; here the streams are rebuilt window by window
         excess = compensate(normal_tele.temps)
-        for k in [w - 1, 40, 77, 201]:
+        for k in [k for k in (w - 1, 40, 77, 201) if k >= w - 1]:
             win = excess[k - w + 1 : k + 1].T
             assert abs(streams.h_s[k] - win.mean(axis=1).max()) < 1e-12
             assert abs(streams.h_t[k] - window_temporal(win)) < 1e-12
@@ -148,6 +151,22 @@ class TestEntropyStreams:
                 pieces = _rank1_temporal(excess, window, chunk=chunk)
                 assert np.array_equal(whole, pieces, equal_nan=True), \
                     (window, chunk)
+
+    @pytest.mark.parametrize("w", [27, 200])
+    def test_peak_memory_within_chunk_budget(self, w):
+        # the windows are read through a view of the field, chunk by chunk,
+        # so however long the recording the traced peak is the chunk's
+        # budget plus the output and numpy's iteration buffers (about
+        # 0.15 MB, whatever the chunk)
+        field = np.random.default_rng(4).normal(0.0, 0.05, (2000, 18))
+        _rank1_temporal(field[:w], w)  # the first call imports scipy.linalg
+        tracemalloc.start()
+        try:
+            h_t = _rank1_temporal(field, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_BYTES + h_t.nbytes + 0.25e6, peak
 
     @pytest.mark.parametrize("kind", ["dead", "quiet"])
     def test_degenerate_windows_score_zero(self, kind):
