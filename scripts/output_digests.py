@@ -11,7 +11,10 @@ prints one `digest  name` line per output, sorted by name:
   (`sc01.w27.contrib.csv` ...), for every trace that alarms;
 - a short `fit --optimize` params file (`tune.params`): population 10,
   5 generations, seed 0, on the three 1200-frame recordings of the `tune`
-  workload (faults in cells 4 and 23 from t = 700 s, and one normal run).
+  workload (faults in cells 4 and 23 from t = 700 s, and one normal run);
+- a `fit` params file calibrated at the defaults on that normal run alone
+  (`fit.params`), and the `detect --no-refit` trace of each shipped
+  scenario's CSV with it (`sc01.norefit.trace.csv` ...).
 
 Usage, from anywhere:
 
@@ -64,10 +67,12 @@ def produce(checkout: Path, out: Path) -> list[Path]:
     for w in WINDOWS:
         (out / f"w{w}.params").write_text(f"window = {w}\n", encoding="utf-8")
     made = []
+    csvs = []
     for scenario in sorted((checkout / "scenarios").glob("*.scenario")):
         csv = out / f"{scenario.stem}.csv"
         run(main, "simulate", str(scenario), "--out", str(csv))
         made.append(csv)
+        csvs.append(csv)
         for w in WINDOWS:
             trace = out / f"{scenario.stem}.w{w}.trace.csv"
             params = str(out / f"w{w}.params")
@@ -98,6 +103,16 @@ def produce(checkout: Path, out: Path) -> list[Path]:
         "--optimize", "--population", "10", "--generations", "5",
         "--seed", "0", "--out", str(tuned))
     made.append(tuned)
+
+    fitted = out / "fit.params"
+    run(main, "fit", "--normal", str(recordings["tune_normal"]),
+        "--out", str(fitted))
+    made.append(fitted)
+    for csv in csvs:
+        trace = out / f"{csv.stem}.norefit.trace.csv"
+        run(main, "detect", str(csv), "--params", str(fitted), "--no-refit",
+            "--out", str(trace))
+        made.append(trace)
     return made
 
 

@@ -48,7 +48,8 @@ class DetectorParams:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != (3,):
             raise ConfigError("alpha must have three entries")
-        if (alpha < 0).any() or (alpha > 1).any():
+        # written so that NaN fails it too
+        if not ((alpha >= 0) & (alpha <= 1)).all():
             raise ConfigError("alpha entries must lie in [0, 1]")
         if abs(alpha.sum() - 1.0) > 1e-9:
             raise ConfigError("alpha entries must sum to 1")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fusion import MIN_WINDOW
-from .pack import build_layout
+from .pack import LAYOUT
 from .pipeline import Telemetry
 from .spacetime import compensate
 
@@ -61,7 +61,7 @@ def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMa
 def contribution_rows(cmap: ContributionMap) -> list[str]:
     """Plot-ready export: one row per sensor with its position and mass."""
     rows = ["cell,serial,x,y,C"]
-    for i, ((x, y), c) in enumerate(zip(build_layout().cell_centers,
+    for i, ((x, y), c) in enumerate(zip(LAYOUT.cell_centers,
                                         cmap.contributions), start=1):
         rows.append(f"T{i:02d},{i},{x:.12g},{y:.12g},{c:.12g}")
     return rows

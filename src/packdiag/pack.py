@@ -13,13 +13,13 @@ place they are set.
 Each substep is whole-array work: the groups are contiguous runs of ROWS
 serials, so one reshape solves every group's network, and the footprints are
 stored flat, so one scatter deposits every cell's heat. The thermal field is
-a plain (nx, ny) array of kelvin.
+a plain (NX, NY) array of kelvin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,13 +42,23 @@ HEIGHT = 0.070                   # m
 CAPACITY_AH = 4.8
 INTERNAL_RESISTANCE = 0.03       # ohm
 VOLUMETRIC_HEAT_CAPACITY = 2.0e6  # J/(m^3 K)
-DIFFUSIVITY_X = 1.0e-5           # m^2/s
-DIFFUSIVITY_Y = 1.0e-5
+DIFFUSIVITY = 1.0e-5             # m^2/s, the same in both directions
 
 PITCH = DIAMETER + GAP
-# largest stable explicit step of the diffusion scheme, whose nodes are
-# PITCH / GRID_RES apart in both directions
-STABLE_DT = (PITCH / GRID_RES) ** 2 / (2.0 * (DIFFUSIVITY_X + DIFFUSIVITY_Y))
+# the thermal grid: square nodes NODE apart, NX along the groups, NY across
+NODE = PITCH / GRID_RES
+NX = COLS * GRID_RES
+NY = ROWS * GRID_RES
+# largest stable explicit step of the diffusion scheme on that grid
+STABLE_DT = NODE**2 / (4.0 * DIFFUSIVITY)
+
+
+def _require_finite(cfg):
+    """Reject a NaN or infinite float field; range checks pass NaN."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,7 @@ class FaultSpec:
     onset: float             # seconds
 
     def validate(self):
+        _require_finite(self)
         if not 1 <= self.fault_cell <= N_CELLS:
             raise ConfigError(f"fault_cell {self.fault_cell} outside 1..{N_CELLS}")
         if self.r_short <= 0:
@@ -86,6 +97,7 @@ class SimConfig:
     fault: FaultSpec | None = None
 
     def validate(self):
+        _require_finite(self)
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.dt > STABLE_DT + 1e-12:
@@ -111,12 +123,8 @@ class SimConfig:
 
 @dataclass
 class PackLayout:
-    """Cell placement and the thermal grid derived from it."""
+    """Cell placement and each cell's footprint on the thermal grid."""
 
-    dx: float
-    dy: float
-    nx: int
-    ny: int
     cell_centers: np.ndarray                  # (N_CELLS, 2)
     footprint_nodes: np.ndarray               # flat node indices, cell by cell
     footprint_counts: np.ndarray              # (N_CELLS,) nodes per cell
@@ -127,24 +135,17 @@ def build_layout() -> PackLayout:
     """Place the cells PITCH apart and grid the pack plane.
 
     Serial numbers run down each column ("column-major"), and each column is
-    one series group of parallel cells. The grid has GRID_RES nodes per cell
-    pitch in each direction.
+    one series group of parallel cells. A cell's footprint is the grid nodes
+    within its radius. The pack is fixed, so LAYOUT holds the one result.
     """
-    x_b = COLS * PITCH
-    y_b = ROWS * PITCH
-    nx = COLS * GRID_RES
-    ny = ROWS * GRID_RES
-    dx = x_b / nx
-    dy = y_b / ny
-
     centers = np.zeros((N_CELLS, 2))
     for serial0 in range(N_CELLS):
         col = serial0 // ROWS
         row = serial0 % ROWS
         centers[serial0] = ((col + 0.5) * PITCH, (row + 0.5) * PITCH)
 
-    node_x = (np.arange(nx) + 0.5) * dx
-    node_y = (np.arange(ny) + 0.5) * dy
+    node_x = (np.arange(NX) + 0.5) * NODE
+    node_y = (np.arange(NY) + 0.5) * NODE
     gx, gy = np.meshgrid(node_x, node_y, indexing="ij")
     radius = DIAMETER / 2
     footprints = []
@@ -153,10 +154,13 @@ def build_layout() -> PackLayout:
         footprints.append(np.flatnonzero(inside.ravel()))
     counts = np.array([len(fp) for fp in footprints])
 
-    return PackLayout(dx=dx, dy=dy, nx=nx, ny=ny, cell_centers=centers,
+    return PackLayout(cell_centers=centers,
                       footprint_nodes=np.concatenate(footprints),
                       footprint_counts=counts,
                       footprint_offsets=np.cumsum(counts) - counts)
+
+
+LAYOUT = build_layout()
 
 
 @dataclass
@@ -235,41 +239,38 @@ def heat_generation(state: ElectricalState) -> np.ndarray:
     return internal**2 * INTERNAL_RESISTANCE + short
 
 
-def deposit_sources(cell_watts: np.ndarray, layout: PackLayout) -> np.ndarray:
+def deposit_sources(cell_watts: np.ndarray) -> np.ndarray:
     """Spread per-cell watts uniformly over each footprint as W/m^3."""
-    src = np.zeros(layout.nx * layout.ny)
-    node_vol = layout.dx * layout.dy * HEIGHT
-    counts = layout.footprint_counts
-    src[layout.footprint_nodes] = np.repeat(cell_watts / (counts * node_vol), counts)
-    return src.reshape(layout.nx, layout.ny)
+    src = np.zeros(NX * NY)
+    node_vol = NODE * NODE * HEIGHT
+    counts = LAYOUT.footprint_counts
+    src[LAYOUT.footprint_nodes] = np.repeat(cell_watts / (counts * node_vol), counts)
+    return src.reshape(NX, NY)
 
 
-def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float, cfg: SimConfig,
-                 layout: PackLayout) -> np.ndarray:
+def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float,
+                 cfg: SimConfig) -> np.ndarray:
     """One explicit finite-volume step of dt seconds of the 2-D heat equation.
 
     Interior faces carry diffusive flux; edges exchange heat with ambient air
     (forced coefficient on the left edge, natural elsewhere). Insulated edges
     (both coefficients zero) conserve the spatial mean exactly.
     """
-    kx = DIFFUSIVITY_X
-    ky = DIFFUSIVITY_Y
-    dx, dy = layout.dx, layout.dy
     c_vol = VOLUMETRIC_HEAT_CAPACITY
 
     rate = np.zeros_like(t)
-    fx = (t[1:, :] - t[:-1, :]) * (kx / dx**2)
+    fx = (t[1:, :] - t[:-1, :]) * (DIFFUSIVITY / NODE**2)
     rate[:-1, :] += fx
     rate[1:, :] -= fx
-    fy = (t[:, 1:] - t[:, :-1]) * (ky / dy**2)
+    fy = (t[:, 1:] - t[:, :-1]) * (DIFFUSIVITY / NODE**2)
     rate[:, :-1] += fy
     rate[:, 1:] -= fy
 
     # convective edges; corners see two faces
-    rate[0, :] += cfg.h_forced / (c_vol * dx) * (cfg.ambient - t[0, :])
-    rate[-1, :] += cfg.h_natural / (c_vol * dx) * (cfg.ambient - t[-1, :])
-    rate[:, 0] += cfg.h_natural / (c_vol * dy) * (cfg.ambient - t[:, 0])
-    rate[:, -1] += cfg.h_natural / (c_vol * dy) * (cfg.ambient - t[:, -1])
+    rate[0, :] += cfg.h_forced / (c_vol * NODE) * (cfg.ambient - t[0, :])
+    rate[-1, :] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[-1, :])
+    rate[:, 0] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, 0])
+    rate[:, -1] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, -1])
 
     new_t = t + dt * (rate + sources / c_vol)
     if not np.isfinite(new_t).all():
@@ -283,14 +284,13 @@ class PackSimulator:
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
-        self.layout = build_layout()
         self.cfg = cfg
         self.steps_per_frame = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
         self.eff_dt = cfg.sample_interval / self.steps_per_frame
         self.n_frames = int(round(cfg.duration / cfg.sample_interval))
 
         self.rng = np.random.default_rng(cfg.rng_seed)
-        self.field = np.full((self.layout.nx, self.layout.ny), cfg.ambient)
+        self.field = np.full((NX, NY), cfg.ambient)
         self.elec = self.initial_electrical_state(cfg.initial_soc)
         # the C-rate is taken against one cell's capacity
         self.pack_current = cfg.discharge_rate * CAPACITY_AH
@@ -306,19 +306,18 @@ class PackSimulator:
                                group_voltage=np.full(N_GROUPS, v))
 
     def cell_mean_temps(self) -> np.ndarray:
-        lay = self.layout
-        flat = self.field.ravel()[lay.footprint_nodes]
-        return np.add.reduceat(flat, lay.footprint_offsets) / lay.footprint_counts
+        flat = self.field.ravel()[LAYOUT.footprint_nodes]
+        return (np.add.reduceat(flat, LAYOUT.footprint_offsets)
+                / LAYOUT.footprint_counts)
 
     def _substep(self, t0: float):
         elec = step_electrical(self.elec, self.pack_current, self.cfg.fault,
                                t0, self.eff_dt)
         watts = heat_generation(elec)
-        src = deposit_sources(watts, self.layout)
+        src = deposit_sources(watts)
         # circuit, heat books and thermal step share one dt, so the books balance
         self.heat_injected_j += watts.sum() * self.eff_dt
-        self.field = step_thermal(self.field, src, self.eff_dt, self.cfg,
-                                  self.layout)
+        self.field = step_thermal(self.field, src, self.eff_dt, self.cfg)
         self.elec = elec
 
     def run(self) -> list[TelemetryFrame]:
@@ -329,8 +328,14 @@ class PackSimulator:
             base = k * cfg.sample_interval
             try:
                 for s in range(self.steps_per_frame):
-                    self._substep(base + s * self.eff_dt)
+                    t0 = base + s * self.eff_dt
+                    self._substep(t0)
             except Depleted:
+                if not frames:
+                    raise SimulationError(
+                        f"a cell ran out of charge at t = "
+                        f"{t0 + self.eff_dt:.12g} s, before the first "
+                        "frame") from None
                 self.status = "depleted"
                 break
             t_frame = (k + 1) * cfg.sample_interval

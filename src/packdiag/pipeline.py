@@ -302,14 +302,14 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
 
     Training frames are those with t <= train_len that already have defined
     stream values, gathered across every given recording. Each recording
-    needs one, and each normalizer must come out finite and positive
+    needs one, and the normalizers must pass DetectorParams.validate
     (ConfigError otherwise). Returns a new parameter set; the inputs are
     not modified.
     """
     params.validate()
     if not streams_list:
         raise ConfigError("need at least one stream set to calibrate")
-    parts = {"h_d": [], "h_s": [], "h_t": []}
+    rows = []
     for streams in streams_list:
         if params.train_len > streams.times[-1]:
             raise ConfigError("train_len exceeds the recording length")
@@ -317,16 +317,12 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
         if not train.any():
             raise ConfigError("training prefix has no usable frames; "
                               "increase train_len or shorten the window")
-        for name in parts:
-            parts[name].append(getattr(streams, name)[train])
-    h_d, h_s, h_t = (np.concatenate(parts[n]) for n in ("h_d", "h_s", "h_t"))
-    max_hd = float(np.nanmax(h_d))
-    max_hs = float(np.nanmax(h_s))
-    max_ht = float(np.nanmax(h_t))
-    for name, val in (("max_hd", max_hd), ("max_hs", max_hs), ("max_ht", max_ht)):
-        if not np.isfinite(val) or val <= 0.0:
-            raise ConfigError(f"training produced a degenerate normalizer {name}={val}")
+        rows.append(np.stack([streams.h_d, streams.h_s, streams.h_t])[:, train])
+    # (3, n): the streams share one warm-up, so no training row holds a NaN
+    h_d, h_s, h_t = train_rows = np.concatenate(rows, axis=1)
+    max_hd, max_hs, max_ht = (float(m) for m in train_rows.max(axis=1))
     cal = dataclasses.replace(params, max_hd=max_hd, max_hs=max_hs, max_ht=max_ht)
+    cal.validate()
     h_train = multiscale_statistic(h_d, h_s, h_t, cal)
     model = fit_kde(h_train)
     h_r = threshold_from_kde(model, params.beta)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pack import N_CELLS, build_layout
+from .pack import LAYOUT, N_CELLS
 
 
 def _quadratic_surfaces() -> np.ndarray:
     """The surfaces 1, x, y, x^2, xy, y^2 over the cell centres, as columns."""
     # standardized positions span the same surfaces and keep the fit well
     # conditioned
-    coords = build_layout().cell_centers
+    coords = LAYOUT.cell_centers
     x, y = ((coords - coords.mean(axis=0)) / coords.std(axis=0)).T
     return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
 

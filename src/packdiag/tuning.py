@@ -156,14 +156,6 @@ class FitnessEvaluator:
             self._streams[key] = entropy_streams(self.scenarios[idx], window)
         return self._streams[key]
 
-    def _detect_streams(self, streams: EntropyStreams, window: int,
-                        alpha) -> DetectionOutcome:
-        params = dataclasses.replace(self.base, window=int(window),
-                                     alpha=tuple(float(a) for a in alpha))
-        cal = calibrate_from_streams(streams, params)
-        h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, cal)
-        return detect(streams.times, h, cal)
-
     def evaluate(self, window: int, alpha) -> EvaluationResult:
         """Pooled metrics of one candidate across every recording.
 
@@ -177,11 +169,16 @@ class FitnessEvaluator:
         if key in self._memo:
             return self._memo[key]
 
+        params = dataclasses.replace(self.base, window=w, alpha=key[1])
         counts = []
         delays = []
         try:
             for idx, tele in enumerate(self.scenarios):
-                outcome = self._detect_streams(self._stream(idx, w), w, key[1])
+                streams = self._stream(idx, w)
+                cal = calibrate_from_streams(streams, params)
+                h = multiscale_statistic(streams.h_d, streams.h_s,
+                                         streams.h_t, cal)
+                outcome = detect(streams.times, h, cal)
                 counts.append(frame_counts(outcome, tele.labels))
                 if (tele.labels == 1).any():
                     res = compute_metrics(outcome, tele.labels, self.metrics)

@@ -24,6 +24,7 @@ from packdiag.pack import (
     HEIGHT,
     N_CELLS,
     N_GROUPS,
+    NODE,
     ROWS,
     VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
@@ -260,7 +261,7 @@ def test_simulator_physics(tmp_path):
     sim = PackSimulator(cfg)
     t_init = sim.field.copy()
     sim.run()
-    node_volume = sim.layout.dx * sim.layout.dy * HEIGHT
+    node_volume = NODE * NODE * HEIGHT
     gained = float(((sim.field - t_init)
                     * VOLUMETRIC_HEAT_CAPACITY).sum() * node_volume)
     energy_err = abs(gained / sim.heat_injected_j - 1.0)

@@ -98,6 +98,29 @@ class TestSimulateCommand:
         assert "810 frames: 810 normal, 0 abnormal" in captured.out
         assert "stopped at 810 s, 810 of 900 frames" in captured.err
 
+    def test_run_empty_before_first_frame_is_simulation_failure(
+            self, tmp_path, capsys):
+        cfg_path = tmp_path / "empty.scenario"
+        cfg_path.write_text("initial_soc = 0.00001\n")
+        assert main(["simulate", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert ("a cell ran out of charge at t = 0.5 s, before the first "
+                "frame") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["onset = nan", "r_short = inf",
+                                      "duration = inf", "dt = nan"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, line):
+        # each ran, mislabelled or crashed before finite values were required
+        key = line.split()[0]
+        lines = {"duration": "duration = 50.0", "fault_cell": "fault_cell = 4",
+                 "r_short": "r_short = 10.0", "onset": "onset = 10.0",
+                 key: line}
+        cfg_path = tmp_path / "bad.scenario"
+        cfg_path.write_text("\n".join(lines.values()) + "\n")
+        assert main(["simulate", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_zero_duration_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.scenario"
         cfg_path.write_text("duration = 0.0\n")
@@ -240,6 +263,20 @@ class TestDetectCommand:
                     "--out", str(tmp_path / "t.csv"), "--no-refit"])
         assert ret == 2
         assert "max_hd must be finite" in capsys.readouterr().err
+
+    def test_no_refit_rejects_nan_weight(self, work, tmp_path, capsys):
+        # with alpha1 = nan every H is NaN, so detect would report no alarm
+        fitted = tmp_path / "fitted.params"
+        assert main(["fit", "--normal", str(work / "normal.csv"),
+                     "--train-len", "60", "--out", str(fitted)]) == 0
+        lines = [("alpha1 = nan" if line.startswith("alpha1") else line)
+                 for line in fitted.read_text().splitlines()]
+        fitted.write_text("\n".join(lines) + "\n")
+        ret = main(["detect", str(work / "fault.csv"),
+                    "--params", str(fitted),
+                    "--out", str(tmp_path / "t.csv"), "--no-refit"])
+        assert ret == 2
+        assert "alpha entries must lie in [0, 1]" in capsys.readouterr().err
 
     def test_malformed_row_names_line_and_exits_4(self, work, tmp_path,
                                                   capsys):
@@ -398,6 +435,19 @@ class TestBenchmarkCommand:
         assert report.read_text().splitlines()[1] == "sc01,,,,,4,no,FAILED"
         err = capsys.readouterr().err
         assert "sc01 FAILED: unusable scenario labeling" in err
+
+    def test_failed_row_names_an_empty_run(self, tmp_path, capsys):
+        root = tmp_path / "empty"
+        root.mkdir()
+        write_scenario(root / "sc01.scenario",
+                       SimConfig(duration=100.0, initial_soc=0.00001,
+                                 fault=FaultSpec(fault_cell=4, r_short=10.0,
+                                                 onset=50.0)))
+        report = tmp_path / "report.csv"
+        assert main(["benchmark", str(root), "--out", str(report)]) == 5
+        assert report.read_text().splitlines()[1] == "sc01,,,,,4,no,FAILED"
+        assert ("sc01 FAILED: a cell ran out of charge at t = 0.5 s, before "
+                "the first frame") in capsys.readouterr().err
 
     def test_missing_directory_is_config_error(self, work, tmp_path):
         ret = main(["benchmark", str(tmp_path / "nowhere"),

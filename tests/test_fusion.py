@@ -37,6 +37,16 @@ class TestParams:
         with pytest.raises(ConfigError):
             p.validate()
 
+    @pytest.mark.parametrize("calibrated", [False, True],
+                             ids=["uncalibrated", "calibrated"])
+    def test_nan_weight_rejected(self, calibrated):
+        # NaN fails no `< 0` or `> 1` test, and NaN's sum is never off by
+        # more than a tolerance
+        p = DetectorParams(alpha=(math.nan, 0.5, 0.5), max_hd=1.0,
+                           max_hs=1.0, max_ht=1.0, h_r=0.5)
+        with pytest.raises(ConfigError, match=r"alpha entries must lie in \[0, 1\]"):
+            p.validate(calibrated)
+
     def test_window_at_least_one(self):
         with pytest.raises(ConfigError):
             DetectorParams(window=0).validate()

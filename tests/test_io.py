@@ -6,6 +6,7 @@ import pytest
 from packdiag.errors import ConfigError, DataFormatError
 from packdiag.fusion import DetectorParams
 from packdiag.io import (
+    _SCENARIO_FLOATS,
     DATASET_HEADER,
     read_dataset,
     read_params,
@@ -237,6 +238,14 @@ class TestParamsFile:
         with pytest.raises(ConfigError):
             read_params(path)
 
+    def test_nan_weight_rejected_on_read(self, tmp_path):
+        path = tmp_path / "a.params"
+        write_params(path, DetectorParams())
+        path.write_text(path.read_text().replace("alpha1 = 0.216",
+                                                 "alpha1 = nan"))
+        with pytest.raises(ConfigError, match="alpha"):
+            read_params(path)
+
     @pytest.mark.parametrize("line", ["max_hd = nan", "max_hd = inf",
                                       "h_r = nan"])
     def test_non_finite_calibration_rejected_on_read(self, tmp_path, line):
@@ -286,6 +295,17 @@ class TestScenarioFile:
         path = tmp_path / "c.scenario"
         path.write_text("duration = 55.0\nvoltage_cap = 4\n")
         with pytest.raises(ConfigError, match="voltage_cap"):
+            read_scenario(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", _SCENARIO_FLOATS + ("r_short", "onset"))
+    def test_non_finite_value_named(self, tmp_path, key, value):
+        # NaN passes every range rule, and inf overflows the frame count
+        entries = {"duration": "55.0", "fault_cell": "4", "r_short": "10.0",
+                   "onset": "30.0", key: value}
+        path = tmp_path / "c.scenario"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
             read_scenario(path)
 
     def test_partial_fault_block_rejected(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from packdiag.errors import ConfigError
 from packdiag.fusion import MIN_WINDOW, DetectorParams
 from packdiag.locate import ContributionMap, contribution_rows, contributions_at
-from packdiag.pack import FaultSpec, SimConfig, build_layout, simulate
+from packdiag.pack import LAYOUT, FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry, run_detector
 from packdiag.spacetime import compensate
 
@@ -59,7 +59,6 @@ class TestLocalize:
 
 class TestContributionRows:
     def test_export_shape_and_header(self):
-        layout = build_layout()
         c = np.linspace(0.5, 1.0, 24)
         cmap = ContributionMap(contributions=c, t_start=1.0, t_f=27.0,
                                cell_serial=24)
@@ -69,8 +68,8 @@ class TestContributionRows:
         fields = rows[4].split(",")
         assert fields[0] == "T04"
         assert fields[1] == "4"
-        assert float(fields[2]) == pytest.approx(layout.cell_centers[3, 0], abs=1e-9)
-        assert float(fields[3]) == pytest.approx(layout.cell_centers[3, 1], abs=1e-9)
+        assert float(fields[2]) == pytest.approx(LAYOUT.cell_centers[3, 0], abs=1e-9)
+        assert float(fields[3]) == pytest.approx(LAYOUT.cell_centers[3, 1], abs=1e-9)
         assert float(fields[4]) == pytest.approx(c[3], abs=1e-9)
 
 

@@ -8,15 +8,18 @@ from packdiag.pack import (
     CAPACITY_AH,
     HEIGHT,
     INTERNAL_RESISTANCE,
+    LAYOUT,
     N_CELLS,
     N_GROUPS,
+    NODE,
+    NX,
+    NY,
     ROWS,
     STABLE_DT,
     VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
     PackSimulator,
     SimConfig,
-    build_layout,
     deposit_sources,
     heat_generation,
     ocv_of_soc,
@@ -29,13 +32,8 @@ from packdiag.pack import (
 SERIES_GROUPS = np.arange(N_CELLS).reshape(N_GROUPS, ROWS)
 
 
-@pytest.fixture(scope="module")
-def layout():
-    return build_layout()
-
-
-def _footprints(layout):
-    return np.split(layout.footprint_nodes, layout.footprint_offsets[1:])
+def _footprints():
+    return np.split(LAYOUT.footprint_nodes, LAYOUT.footprint_offsets[1:])
 
 
 def _looped_step_electrical(state, pack_current, fault, t, dt):
@@ -73,13 +71,13 @@ def _looped_heat(branch, drain, group_v, fault, t):
     return watts
 
 
-def _looped_deposit(cell_watts, layout):
+def _looped_deposit(cell_watts):
     # reference: fill one footprint at a time
-    src = np.zeros(layout.nx * layout.ny)
-    node_vol = layout.dx * layout.dy * HEIGHT
-    for c, fp in enumerate(_footprints(layout)):
+    src = np.zeros(NX * NY)
+    node_vol = NODE * NODE * HEIGHT
+    for c, fp in enumerate(_footprints()):
         src[fp] = cell_watts[c] / (len(fp) * node_vol)
-    return src.reshape(layout.nx, layout.ny)
+    return src.reshape(NX, NY)
 
 
 def _ocv_power_sum(soc):
@@ -115,48 +113,47 @@ class TestCellModel:
 
 
 class TestLayout:
-    def test_first_cell_center(self, layout):
-        assert abs(layout.cell_centers[0, 0] - 0.0115) < 1e-12
-        assert abs(layout.cell_centers[0, 1] - 0.0115) < 1e-12
+    def test_first_cell_center(self):
+        assert abs(LAYOUT.cell_centers[0, 0] - 0.0115) < 1e-12
+        assert abs(LAYOUT.cell_centers[0, 1] - 0.0115) < 1e-12
 
-    def test_extent(self, layout):
+    def test_extent(self):
         # the thermal grid spans the whole pack
-        assert abs(layout.nx * layout.dx - 6 * 0.023) < 1e-12
-        assert abs(layout.ny * layout.dy - 4 * 0.023) < 1e-12
+        assert abs(NX * NODE - 6 * 0.023) < 1e-12
+        assert abs(NY * NODE - 4 * 0.023) < 1e-12
 
-    def test_grid_spacing(self, layout):
-        assert abs(layout.dx - 0.023 / 4) < 1e-12
-        assert abs(layout.dy - 0.023 / 4) < 1e-12
-        assert layout.nx == 24 and layout.ny == 16
+    def test_grid_spacing(self):
+        assert abs(NODE - 0.023 / 4) < 1e-12
+        assert NX == 24 and NY == 16
 
-    def test_serials_column_major(self, layout):
+    def test_serials_column_major(self):
         # serial 5 starts the second column
-        c5 = layout.cell_centers[4]
+        c5 = LAYOUT.cell_centers[4]
         assert abs(c5[0] - (0.023 + 0.0115)) < 1e-12
         assert abs(c5[1] - 0.0115) < 1e-12
 
-    def test_groups_partition(self, layout):
+    def test_groups_partition(self):
         # the simulator's (N_GROUPS, ROWS) reshape makes each column one group
         assert N_GROUPS == 6 and ROWS == 4
         for g, grp in enumerate(SERIES_GROUPS):
-            assert np.allclose(layout.cell_centers[grp, 0], (g + 0.5) * 0.023,
+            assert np.allclose(LAYOUT.cell_centers[grp, 0], (g + 0.5) * 0.023,
                                rtol=0, atol=1e-12)
         # column-wise: first group is serials 1..4
         assert SERIES_GROUPS[0].tolist() == [0, 1, 2, 3]
 
-    def test_footprints_nonempty_disjoint(self, layout):
-        all_nodes = layout.footprint_nodes
+    def test_footprints_nonempty_disjoint(self):
+        all_nodes = LAYOUT.footprint_nodes
         assert len(all_nodes) == len(set(all_nodes.tolist()))
-        for fp in _footprints(layout):
+        for fp in _footprints():
             assert len(fp) >= 1
 
-    def test_footprint_nodes_inside_circle(self, layout):
-        xs = (np.arange(layout.nx) + 0.5) * layout.dx
-        ys = (np.arange(layout.ny) + 0.5) * layout.dy
+    def test_footprint_nodes_inside_circle(self):
+        xs = (np.arange(NX) + 0.5) * NODE
+        ys = (np.arange(NY) + 0.5) * NODE
         r = 0.021 / 2
-        for c, fp in enumerate(_footprints(layout)):
-            i, j = np.unravel_index(fp, (layout.nx, layout.ny))
-            d = np.hypot(xs[i] - layout.cell_centers[c, 0], ys[j] - layout.cell_centers[c, 1])
+        for c, fp in enumerate(_footprints()):
+            i, j = np.unravel_index(fp, (NX, NY))
+            d = np.hypot(xs[i] - LAYOUT.cell_centers[c, 0], ys[j] - LAYOUT.cell_centers[c, 1])
             assert (d <= r + 1e-12).all()
 
 
@@ -289,59 +286,59 @@ class TestThermal:
         want = (0.023 / 4) ** 2 / (2 * (1e-5 + 1e-5))
         assert abs(STABLE_DT - want) < 1e-12
 
-    def test_uniform_field_stays_put(self, layout):
+    def test_uniform_field_stays_put(self):
         cfg = self._config(ambient=293.15)
-        field = np.full((layout.nx, layout.ny), 293.15)
-        src = np.zeros((layout.nx, layout.ny))
-        nxt = step_thermal(field, src, cfg.dt, cfg, layout)
+        field = np.full((NX, NY), 293.15)
+        src = np.zeros((NX, NY))
+        nxt = step_thermal(field, src, cfg.dt, cfg)
         assert np.allclose(nxt, 293.15, atol=1e-12)
 
-    def test_insulated_mean_conserved(self, layout):
+    def test_insulated_mean_conserved(self):
         cfg = self._config(h_forced=0.0, h_natural=0.0)
         rng = np.random.default_rng(5)
-        t0 = 293.15 + rng.uniform(0, 10, (layout.nx, layout.ny))
+        t0 = 293.15 + rng.uniform(0, 10, (NX, NY))
         field = t0.copy()
         src = np.zeros_like(t0)
         for _ in range(50):
-            field = step_thermal(field, src, cfg.dt, cfg, layout)
+            field = step_thermal(field, src, cfg.dt, cfg)
         assert abs(field.mean() / t0.mean() - 1.0) < 1e-12
 
-    def test_hot_node_diffuses(self, layout):
+    def test_hot_node_diffuses(self):
         cfg = self._config(h_forced=0.0, h_natural=0.0)
-        t0 = np.full((layout.nx, layout.ny), 293.15)
+        t0 = np.full((NX, NY), 293.15)
         t0[10, 8] += 5.0
-        field = step_thermal(t0.copy(), np.zeros_like(t0), cfg.dt, cfg, layout)
+        field = step_thermal(t0.copy(), np.zeros_like(t0), cfg.dt, cfg)
         assert field[10, 8] < t0[10, 8]
         assert field[9, 8] > 293.15
         assert field[10, 7] > 293.15
 
-    def test_convection_pulls_toward_ambient(self, layout):
+    def test_convection_pulls_toward_ambient(self):
         cfg = self._config(ambient=293.15)
-        t0 = np.full((layout.nx, layout.ny), 303.15)
+        t0 = np.full((NX, NY), 303.15)
         field = t0
         for _ in range(200):
-            field = step_thermal(field, np.zeros_like(t0), cfg.dt, cfg, layout)
+            field = step_thermal(field, np.zeros_like(t0), cfg.dt, cfg)
         assert (field < 303.15).all()
         assert (field >= 293.15 - 1e-9).all()
         # forced-air edge cools fastest
         assert field[0, 8] < field[-1, 8]
 
-    def test_source_heats_footprint(self, layout):
+    def test_source_heats_footprint(self):
         cfg = self._config(h_forced=0.0, h_natural=0.0)
-        t0 = np.full((layout.nx, layout.ny), 293.15)
+        t0 = np.full((NX, NY), 293.15)
         src = np.zeros_like(t0)
-        fp = _footprints(layout)[0]
+        fp = _footprints()[0]
         src.ravel()[fp] = 1e4
-        field = step_thermal(t0, src, cfg.dt, cfg, layout)
-        i, j = np.unravel_index(fp[0], (layout.nx, layout.ny))
+        field = step_thermal(t0, src, cfg.dt, cfg)
+        i, j = np.unravel_index(fp[0], (NX, NY))
         assert abs(field[i, j] - (293.15 + 0.5 * 1e4 / 2e6)) < 1e-12
 
-    def test_deposit_matches_per_footprint_loop(self, layout):
+    def test_deposit_matches_per_footprint_loop(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
             watts = rng.uniform(0.0, 2.0, N_CELLS)
-            assert np.array_equal(deposit_sources(watts, layout),
-                                  _looped_deposit(watts, layout))
+            assert np.array_equal(deposit_sources(watts),
+                                  _looped_deposit(watts))
 
 
 class TestSimulate:
@@ -402,8 +399,7 @@ class TestSimulate:
         sim = PackSimulator(cfg)
         t_init = sim.field.copy()
         sim.run()
-        lay = sim.layout
-        node_vol = lay.dx * lay.dy * HEIGHT
+        node_vol = NODE * NODE * HEIGHT
         gained = ((sim.field - t_init) * VOLUMETRIC_HEAT_CAPACITY).sum() * node_vol
         assert sim.heat_injected_j > 0
         assert abs(gained / sim.heat_injected_j - 1.0) < 0.005

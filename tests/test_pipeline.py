@@ -222,6 +222,15 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             calibrate_from_streams(streams, params)
 
+    def test_flat_training_is_a_degenerate_normalizer(self):
+        # a pack at rest with noise-free sensors leaves every stream at zero
+        tele = Telemetry.from_frames(simulate(SimConfig(
+            duration=700.0, discharge_rate=0.0, temp_noise_std=0.0,
+            volt_noise_std=0.0)))
+        streams = entropy_streams(tele, window=27)
+        with pytest.raises(ConfigError, match="max_hd must be positive"):
+            calibrate_from_streams(streams, DetectorParams())
+
 
 class TestRunDetector:
     def test_fault_detected_after_onset(self, fault_tele):

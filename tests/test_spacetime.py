@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from packdiag.pack import build_layout
+from packdiag.pack import LAYOUT
 from packdiag.spacetime import _SMOOTH_PROJECTOR, COMPLEMENT_BASIS, compensate
 from paper_oracles import decompose_window, exhaustive_fuzzy, fuzzy_entropy
 
@@ -44,7 +44,7 @@ def surface_residual_oracle(temps, coords):
 class TestCompensate:
     def test_matches_least_squares_oracle(self):
         rng = np.random.default_rng(10)
-        coords = build_layout().cell_centers
+        coords = LAYOUT.cell_centers
         # near zero, so the oracle's own fit adds no offset rounding; the
         # offset is covered by test_unit_zero_and_frame_sum
         temps = rng.normal(0.0, 0.5, (40, 24))
@@ -54,7 +54,7 @@ class TestCompensate:
 
     def test_smooth_surfaces_vanish(self):
         rng = np.random.default_rng(11)
-        coords = build_layout().cell_centers
+        coords = LAYOUT.cell_centers
         x, y = coords.T
         c = rng.normal(size=(5, 6))
         temps = (290.0 + c[:, :1] + c[:, 1:2] * x + c[:, 2:3] * y
@@ -62,7 +62,7 @@ class TestCompensate:
         assert np.abs(compensate(temps)).max() < 1e-12
 
     def test_hot_spot_stands_out_where_it_is(self):
-        coords = build_layout().cell_centers
+        coords = LAYOUT.cell_centers
         x = coords[:, 0]
         for cell in (0, 3, 10, 22):
             temps = 300.0 + 40.0 * x[None, :]   # a cooling gradient
@@ -99,7 +99,7 @@ class TestComplementBasis:
     def test_no_surface_leaks_in(self):
         # every quadratic surface over the cell positions, in the raw
         # coordinates, has no component along the basis
-        coords = build_layout().cell_centers
+        coords = LAYOUT.cell_centers
         x, y = coords.T
         q = COMPLEMENT_BASIS
         for surface in (np.ones_like(x), x, y, x * x, x * y, y * y):
