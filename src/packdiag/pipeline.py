@@ -317,7 +317,9 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
         if not train.any():
             raise ConfigError("training prefix has no usable frames; "
                               "increase train_len or shorten the window")
-        rows.append(np.stack([streams.h_d, streams.h_s, streams.h_t])[:, train])
+        # indexing each stream is faster than indexing their (3, n) stack
+        rows.append(np.stack([streams.h_d[train], streams.h_s[train],
+                              streams.h_t[train]]))
     # (3, n): the streams share one warm-up, so no training row holds a NaN
     h_d, h_s, h_t = train_rows = np.concatenate(rows, axis=1)
     max_hd, max_hs, max_ht = (float(m) for m in train_rows.max(axis=1))
