@@ -82,7 +82,7 @@ def _run_one(name: str, cfg: SimConfig,
 
 
 def run_benchmark(scenarios: list[tuple[str, SimConfig]],
-                  params: DetectorParams | None = None,
+                  params: DetectorParams = DetectorParams(),
                   master_seed: int | None = None) -> BenchmarkReport:
     """Run every scenario with a fresh per-recording calibration.
 
@@ -90,8 +90,6 @@ def run_benchmark(scenarios: list[tuple[str, SimConfig]],
     configs' own seeds (seed + index), so repeated runs are reproducible
     either way.
     """
-    if params is None:
-        params = DetectorParams()
     rows = []
     for idx, (name, cfg) in enumerate(scenarios):
         if master_seed is not None:

@@ -26,11 +26,17 @@ MIN_WINDOW = M + 2
 # with CDF at or above it at most this far apart, and returns the upper one
 THRESHOLD_TOL = 1e-10
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the values calibration fills in: the three normalizers and the threshold
+CALIBRATION_KEYS = ("max_hd", "max_hs", "max_ht", "h_r")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorParams:
-    """Window, channel weights, confidence, and calibration artifacts."""
+    """Window, channel weights, confidence, and calibration artifacts.
+
+    Checked on construction, dataclasses.replace's included (ConfigError
+    otherwise). The calibration values may be absent.
+    """
 
     window: int = 27
     alpha: tuple = DEFAULT_ALPHA
@@ -41,7 +47,7 @@ class DetectorParams:
     max_ht: float | None = None
     h_r: float | None = None
 
-    def validate(self, calibrated: bool = False):
+    def __post_init__(self):
         if (not isinstance(self.window, (int, np.integer))
                 or self.window < MIN_WINDOW):
             raise ConfigError(f"window must be an integer of at least {MIN_WINDOW}")
@@ -55,16 +61,16 @@ class DetectorParams:
             raise ConfigError("alpha entries must sum to 1")
         if not 0.0 < self.beta < 1.0:
             raise ConfigError("beta must lie strictly between 0 and 1")
-        # a NaN normalizer or threshold would make every H NaN or no H
-        # alarm, so any value present must be finite, calibrated or not
-        for name in ("max_hd", "max_hs", "max_ht", "h_r"):
+        if not self.train_len > 0:
+            raise ConfigError(f"train_len must be positive, got {self.train_len}")
+        # a NaN normalizer or threshold would make every H NaN or no H alarm
+        for name in CALIBRATION_KEYS:
             v = getattr(self, name)
             if v is None:
-                if calibrated:
-                    raise ConfigError(f"calibrated params need {name}")
-            elif not math.isfinite(v):
+                continue
+            if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-            elif name != "h_r" and v <= 0:
+            if name != "h_r" and v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
 
 
@@ -164,9 +170,9 @@ def detect(times: np.ndarray, h_stream: np.ndarray,
            params: DetectorParams) -> DetectionOutcome:
     """Alarm wherever the statistic strictly exceeds the threshold.
 
-    Warm-up entries arrive as NaN and can never alarm.
+    Warm-up entries arrive as NaN and can never alarm. params must be
+    calibrated.
     """
-    params.validate(calibrated=True)
     times = np.asarray(times, dtype=float)
     h = np.asarray(h_stream, dtype=float)
     if times.shape != h.shape:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .fusion import DetectorParams
+from .fusion import CALIBRATION_KEYS, DetectorParams
 from .pack import N_CELLS, N_GROUPS, FaultSpec, SimConfig
 from .pipeline import DetectorReport, Telemetry, first_bad_frame
 
@@ -150,19 +150,18 @@ def _reject_unknown(entries: dict[str, str], known, what: str):
         raise ConfigError(f"unknown {what} key '{unknown[0]}'")
 
 
-_PARAM_KEYS = ("window", "alpha1", "alpha2", "alpha3", "beta", "train_len",
-               "max_hd", "max_hs", "max_ht", "h_r")
+_PARAM_KEYS = ("window", "alpha1", "alpha2", "alpha3", "beta",
+               "train_len") + CALIBRATION_KEYS
 
 
 def write_params(path, params: DetectorParams):
     """Write detector parameters; calibration keys only when present."""
-    params.validate()
     lines = [f"window = {int(params.window)}"]
     for i, a in enumerate(params.alpha, start=1):
         lines.append(f"alpha{i} = {_exact(a)}")
     lines.append(f"beta = {_exact(params.beta)}")
     lines.append(f"train_len = {int(params.train_len)}")
-    for key in ("max_hd", "max_hs", "max_ht", "h_r"):
+    for key in CALIBRATION_KEYS:
         value = getattr(params, key)
         if value is not None:
             lines.append(f"{key} = {_exact(value)}")
@@ -176,18 +175,13 @@ def read_params(path) -> DetectorParams:
     alpha = tuple(
         _converted(entries, f"alpha{i}", float, defaults.alpha[i - 1])
         for i in (1, 2, 3))
-    params = DetectorParams(
+    return DetectorParams(
         window=_converted(entries, "window", int, defaults.window),
         alpha=alpha,
         beta=_converted(entries, "beta", float, defaults.beta),
         train_len=_converted(entries, "train_len", int, defaults.train_len),
-        max_hd=_converted(entries, "max_hd", float, None),
-        max_hs=_converted(entries, "max_hs", float, None),
-        max_ht=_converted(entries, "max_ht", float, None),
-        h_r=_converted(entries, "h_r", float, None),
-    )
-    params.validate()
-    return params
+        **{key: _converted(entries, key, float, None)
+           for key in CALIBRATION_KEYS})
 
 
 _SCENARIO_FLOATS = ("dt", "duration", "ambient", "h_forced", "h_natural",
@@ -199,7 +193,6 @@ _SCENARIO_KEYS = _SCENARIO_FLOATS + ("rng_seed",) + _FAULT_KEYS
 
 def write_scenario(path, cfg: SimConfig):
     """Write a run config, the fault block last when there is one."""
-    cfg.validate()
     lines = [f"{key} = {_exact(getattr(cfg, key))}" for key in _SCENARIO_FLOATS]
     lines.append(f"rng_seed = {int(cfg.rng_seed)}")
     if cfg.fault is not None:
@@ -228,6 +221,4 @@ def read_scenario(path) -> SimConfig:
             r_short=_converted(entries, "r_short", float, None),
             onset=_converted(entries, "onset", float, None),
         )
-    cfg = SimConfig(fault=fault, **kwargs)
-    cfg.validate()
-    return cfg
+    return SimConfig(fault=fault, **kwargs)

@@ -69,7 +69,7 @@ class FaultSpec:
     r_short: float           # ohm
     onset: float             # seconds
 
-    def validate(self):
+    def __post_init__(self):
         _require_finite(self)
         if not 1 <= self.fault_cell <= N_CELLS:
             raise ConfigError(f"fault_cell {self.fault_cell} outside 1..{N_CELLS}")
@@ -79,9 +79,13 @@ class FaultSpec:
             raise ConfigError("onset must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Run settings for one simulation."""
+    """Run settings for one simulation.
+
+    Checked on construction, as FaultSpec is, dataclasses.replace's
+    included (ConfigError otherwise).
+    """
 
     dt: float = 0.5                 # integrator step, seconds
     duration: float = 2000.0        # seconds
@@ -96,7 +100,7 @@ class SimConfig:
     sample_interval: float = 1.0    # seconds between telemetry frames
     fault: FaultSpec | None = None
 
-    def validate(self):
+    def __post_init__(self):
         _require_finite(self)
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
@@ -117,8 +121,8 @@ class SimConfig:
             raise ConfigError("initial_soc must lie in (0, 1]")
         if self.discharge_rate < 0:
             raise ConfigError("discharge_rate must be non-negative")
-        if self.fault is not None:
-            self.fault.validate()
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass
@@ -283,7 +287,6 @@ class PackSimulator:
     """Owns the coupled electro-thermal state and produces telemetry frames."""
 
     def __init__(self, cfg: SimConfig):
-        cfg.validate()
         self.cfg = cfg
         self.steps_per_frame = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
         self.eff_dt = cfg.sample_interval / self.steps_per_frame

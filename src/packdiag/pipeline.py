@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fusion import (
+    CALIBRATION_KEYS,
     MIN_WINDOW,
     DetectionOutcome,
     DetectorParams,
@@ -302,11 +303,10 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
 
     Training frames are those with t <= train_len that already have defined
     stream values, gathered across every given recording. Each recording
-    needs one, and the normalizers must pass DetectorParams.validate
-    (ConfigError otherwise). Returns a new parameter set; the inputs are
-    not modified.
+    needs one, and DetectorParams rejects a normalizer that is not
+    positive (ConfigError otherwise). Returns a new parameter set; the
+    inputs are not modified.
     """
-    params.validate()
     if not streams_list:
         raise ConfigError("need at least one stream set to calibrate")
     rows = []
@@ -324,7 +324,6 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
     h_d, h_s, h_t = train_rows = np.concatenate(rows, axis=1)
     max_hd, max_hs, max_ht = (float(m) for m in train_rows.max(axis=1))
     cal = dataclasses.replace(params, max_hd=max_hd, max_hs=max_hs, max_ht=max_ht)
-    cal.validate()
     h_train = multiscale_statistic(h_d, h_s, h_t, cal)
     model = fit_kde(h_train)
     h_r = threshold_from_kde(model, params.beta)
@@ -359,7 +358,9 @@ def run_detector(tele: Telemetry, params: DetectorParams,
     if refit:
         params = calibrate_from_streams(streams, params)
     else:
-        params.validate(calibrated=True)
+        for name in CALIBRATION_KEYS:
+            if getattr(params, name) is None:
+                raise ConfigError(f"calibrated params need {name}")
     h = multiscale_statistic(streams.h_d, streams.h_s, streams.h_t, params)
     outcome = detect(streams.times, h, params)
     return DetectorReport(streams=streams, h_stream=h, params=params,

@@ -41,9 +41,9 @@ class MetricsConfig:
 
     t_r: float = 1000.0   # reference time, seconds
 
-    def validate(self):
+    def __post_init__(self):
         if self.t_r <= 0:
-            raise ValueError("reference time must be positive")
+            raise ConfigError("reference time must be positive")
 
 
 @dataclass
@@ -83,7 +83,6 @@ def compute_metrics(outcome: DetectionOutcome, labels: np.ndarray,
     timestamp to the first alarm after it; a run with no such alarm is
     penalized with the full recording length.
     """
-    cfg.validate()
     labels = np.asarray(labels)
     times = outcome.times
     if labels.shape != times.shape:
@@ -138,14 +137,14 @@ class FitnessEvaluator:
     """
 
     def __init__(self, scenarios: list[Telemetry],
-                 base: DetectorParams | None = None):
+                 base: DetectorParams = DetectorParams()):
         if not scenarios:
             raise ValueError("need at least one recording")
         if not any((t.labels == 1).any() for t in scenarios):
             raise ValueError("need at least one fault recording to score "
                              "detection rate and delay")
         self.scenarios = scenarios
-        self.base = base if base is not None else DetectorParams()
+        self.base = base
         self.metrics = MetricsConfig()
         self._streams: dict[tuple[int, int], EntropyStreams] = {}
         self._memo: dict[tuple, EvaluationResult] = {}
@@ -161,8 +160,9 @@ class FitnessEvaluator:
 
         Counts pool over frames; the relative delay averages over the fault
         recordings, each missing detection contributing its full-duration
-        penalty. A window that cannot be calibrated (it outgrows the
-        training prefix) scores +inf instead of raising.
+        penalty. A (window, alpha) that breaks a DetectorParams rule raises
+        ConfigError; a window that cannot be calibrated (it outgrows the
+        training prefix) scores +inf instead.
         """
         w = int(window)
         key = (w, tuple(float(a) for a in alpha))
@@ -183,7 +183,7 @@ class FitnessEvaluator:
                 if (tele.labels == 1).any():
                     res = compute_metrics(outcome, tele.labels, self.metrics)
                     delays.append(res.relative_delay)
-        except (ConfigError, ValueError):
+        except ValueError:
             result = _infeasible()
             self._memo[key] = result
             return result
@@ -236,14 +236,16 @@ class GaConfig:
     w_max: int = 200
     rng_seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.population <= ELITE + IMMIGRANTS:
-            raise ValueError(f"population must exceed the {ELITE} elites "
-                             f"plus {IMMIGRANTS} immigrants")
+            raise ConfigError(f"population must exceed the {ELITE} elites "
+                              f"plus {IMMIGRANTS} immigrants")
         if not MIN_WINDOW <= self.w_min <= self.w_max:
-            raise ValueError(f"window bounds must satisfy {MIN_WINDOW} <= w_min <= w_max")
+            raise ConfigError(f"window bounds must satisfy {MIN_WINDOW} <= w_min <= w_max")
         if self.generations < 1:
-            raise ValueError("need at least one generation")
+            raise ConfigError("need at least one generation")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def _clamp_window(w: float, ga: GaConfig) -> int:
@@ -252,7 +254,7 @@ def _clamp_window(w: float, ga: GaConfig) -> int:
 
 def mga_optimize(scenarios: list[Telemetry],
                  evaluator: FitnessEvaluator,
-                 ga: GaConfig | None = None,
+                 ga: GaConfig = GaConfig(),
                  log: list[str] | None = None) -> DetectorParams:
     """Tune (window, weights) by tournament GA with elitism and immigrants.
 
@@ -262,9 +264,6 @@ def mga_optimize(scenarios: list[Telemetry],
     with a warning. The optional log collects one line per generation:
     generation, best objective, mean objective, best window, best weights.
     """
-    if ga is None:
-        ga = GaConfig()
-    ga.validate()
     if not any((t.labels == 1).any() for t in scenarios):
         raise ValueError("need at least one fault recording")
     if not any(not (t.labels == 1).any() for t in scenarios):

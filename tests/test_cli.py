@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from packdiag.io import (
 )
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry
+from packdiag.tuning import FitnessEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,19 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, where):
+        # numpy's own message named neither the key nor the value
+        cfg_path = tmp_path / "run.scenario"
+        cfg_path.write_text("duration = 20.0\n"
+                            + ("rng_seed = -1\n" if where == "file" else ""))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg_path), "--out", str(out)] + flag) == 2
+        assert ("rng_seed must be non-negative, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_duration_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.scenario"
         cfg_path.write_text("duration = 0.0\n")
@@ -149,7 +164,7 @@ class TestFitCommand:
         assert params.window == 27
         assert params.alpha == (0.216, 0.573, 0.211)
         assert params.beta == 0.99
-        params.validate(calibrated=True)
+        assert None not in (params.max_hd, params.max_hs, params.max_ht)
         assert params.h_r is not None and params.h_r > 0
 
     def test_beta_passthrough(self, work, tmp_path):
@@ -187,8 +202,39 @@ class TestFitCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         fitted = read_params(a)
-        fitted.validate(calibrated=True)
+        assert None not in (fitted.max_hd, fitted.max_hs, fitted.max_ht,
+                            fitted.h_r)
         assert abs(sum(fitted.alpha) - 1.0) <= 1e-9
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--beta", "1.5", "beta must lie strictly between 0 and 1"),
+        ("--train-len", "0", "train_len must be positive, got 0"),
+        ("--seed", "-1", "rng_seed must be non-negative, got -1")],
+        ids=["beta", "train_len", "seed"])
+    def test_optimize_rejects_bad_value_before_the_search(
+            self, work, tmp_path, capsys, monkeypatch, flag, value, message):
+        # each used to be found only after every candidate had been scored
+        scored = []
+        evaluate = FitnessEvaluator.evaluate
+
+        def spy(self, window, alpha):
+            scored.append((window, alpha))
+            return evaluate(self, window, alpha)
+
+        monkeypatch.setattr(FitnessEvaluator, "evaluate", spy)
+        # the last of a repeated flag wins
+        argv = ["fit", "--normal", str(work / "normal.csv"),
+                "--fault", str(work / "fault.csv"), "--optimize",
+                "--train-len", "60", "--seed", "3", flag, value,
+                "--population", "6", "--generations", "2",
+                "--out", str(tmp_path / "x.params")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main(argv) == 2
+        assert scored == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.params").exists()
 
 
 class TestDetectCommand:
@@ -448,6 +494,16 @@ class TestBenchmarkCommand:
         assert report.read_text().splitlines()[1] == "sc01,,,,,4,no,FAILED"
         assert ("sc01 FAILED: a cell ran out of charge at t = 0.5 s, before "
                 "the first frame") in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, scenario_dir, tmp_path,
+                                           capsys):
+        # it used to be a FAILED row per scenario and exit 5
+        report = tmp_path / "report.csv"
+        assert main(["benchmark", str(scenario_dir), "--out", str(report),
+                     "--seed", "-1"]) == 2
+        assert ("rng_seed must be non-negative, got -1"
+                in capsys.readouterr().err)
+        assert not report.exists()
 
     def test_missing_directory_is_config_error(self, work, tmp_path):
         ret = main(["benchmark", str(tmp_path / "nowhere"),

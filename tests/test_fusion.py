@@ -19,52 +19,62 @@ from packdiag.fusion import (
 from paper_oracles import bisect_threshold, kde_pdf
 
 
+CALIBRATED = dict(max_hd=1.0, max_hs=1.0, max_ht=1.0, h_r=0.5)
+
+
+def _rejected(match=None, **fields):
+    """The fields are rejected on construction and through replace."""
+    with pytest.raises(ConfigError, match=match):
+        DetectorParams(**fields)
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(DetectorParams(), **fields)
+
+
 class TestParams:
     def test_defaults_valid(self):
         p = DetectorParams()
-        p.validate()
         assert p.window == 27
         assert abs(sum(p.alpha) - 1.0) < 1e-9
         assert p.beta == 0.99
 
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DetectorParams().window = 3
+
     def test_weights_must_sum_to_one(self):
-        p = DetectorParams(alpha=(0.5, 0.2, 0.2))
-        with pytest.raises(ConfigError):
-            p.validate()
+        _rejected(alpha=(0.5, 0.2, 0.2))
 
     def test_weights_in_unit_interval(self):
-        p = DetectorParams(alpha=(1.2, -0.1, -0.1))
-        with pytest.raises(ConfigError):
-            p.validate()
+        _rejected(alpha=(1.2, -0.1, -0.1))
 
     @pytest.mark.parametrize("calibrated", [False, True],
                              ids=["uncalibrated", "calibrated"])
     def test_nan_weight_rejected(self, calibrated):
         # NaN fails no `< 0` or `> 1` test, and NaN's sum is never off by
         # more than a tolerance
-        p = DetectorParams(alpha=(math.nan, 0.5, 0.5), max_hd=1.0,
-                           max_hs=1.0, max_ht=1.0, h_r=0.5)
-        with pytest.raises(ConfigError, match=r"alpha entries must lie in \[0, 1\]"):
-            p.validate(calibrated)
+        extra = CALIBRATED if calibrated else {}
+        _rejected(r"alpha entries must lie in \[0, 1\]",
+                  alpha=(math.nan, 0.5, 0.5), **extra)
 
     def test_window_at_least_one(self):
-        with pytest.raises(ConfigError):
-            DetectorParams(window=0).validate()
+        _rejected(window=0)
 
     def test_window_floor_is_the_temporal_streams(self):
         # order-2 fuzzy matching needs two delay vectors of dimension 3
-        with pytest.raises(ConfigError, match="at least 4"):
-            DetectorParams(window=3).validate()
-        DetectorParams(window=4).validate()
+        _rejected("at least 4", window=3)
+        DetectorParams(window=4)
 
     def test_beta_open_interval(self):
-        with pytest.raises(ConfigError):
-            DetectorParams(beta=1.0).validate()
+        _rejected(beta=1.0)
+
+    @pytest.mark.parametrize("train_len", [0, -5])
+    def test_train_len_positive(self, train_len):
+        # with no training prefix there is nothing to calibrate on
+        _rejected(f"train_len must be positive, got {train_len}",
+                  train_len=train_len)
 
     def test_calibrated_needs_positive_normalizers(self):
-        p = DetectorParams(max_hd=1.0, max_hs=0.0, max_ht=1.0, h_r=0.5)
-        with pytest.raises(ConfigError):
-            p.validate(calibrated=True)
+        _rejected(**dict(CALIBRATED, max_hs=0.0))
 
     @pytest.mark.parametrize("calibrated", [False, True],
                              ids=["uncalibrated", "calibrated"])
@@ -75,11 +85,10 @@ class TestParams:
     def test_present_calibration_values_checked(self, name, value, why,
                                                 calibrated):
         # NaN passes a `v <= 0` check, and a NaN normalizer makes every H
-        # NaN, so nothing could alarm
-        p = DetectorParams(max_hd=1.0, max_hs=1.0, max_ht=1.0, h_r=0.5)
-        p.validate(calibrated=True)
-        with pytest.raises(ConfigError, match=f"{name} must be {why}"):
-            dataclasses.replace(p, **{name: value}).validate(calibrated)
+        # NaN, so nothing could alarm; the rule holds whether or not the
+        # other calibration values are present
+        extra = CALIBRATED if calibrated else {}
+        _rejected(f"{name} must be {why}", **dict(extra, **{name: value}))
 
 
 class TestMultiscaleStatistic:

@@ -255,6 +255,12 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="must be finite"):
             read_params(path)
 
+    def test_non_positive_train_len_rejected_on_read(self, tmp_path):
+        path = tmp_path / "a.params"
+        path.write_text("train_len = -5\n")
+        with pytest.raises(ConfigError, match="train_len must be positive"):
+            read_params(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "a.params"
         path.write_text("window 27\n")

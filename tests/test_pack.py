@@ -1,5 +1,7 @@
 """Tests for the pack simulator: geometry, circuit, thermal stepping, end-to-end runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -343,18 +345,35 @@ class TestThermal:
 
 class TestSimulate:
     def test_rejects_unstable_dt(self):
-        cfg = SimConfig(dt=0.9, duration=10.0)
         with pytest.raises(ConfigError):
-            PackSimulator(cfg)
+            SimConfig(dt=0.9, duration=10.0)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SimConfig(duration=10.0), dt=0.9)
 
     def test_rejects_zero_duration(self):
         with pytest.raises(ConfigError):
-            PackSimulator(SimConfig(duration=0.0))
+            SimConfig(duration=0.0)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SimConfig(), duration=0.0)
 
     def test_rejects_bad_fault_cell(self):
-        cfg = SimConfig(duration=10.0, fault=FaultSpec(fault_cell=25, r_short=10.0, onset=5.0))
         with pytest.raises(ConfigError):
-            PackSimulator(cfg)
+            FaultSpec(fault_cell=25, r_short=10.0, onset=5.0)
+        fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(fault, fault_cell=25)
+
+    def test_rejects_negative_seed(self):
+        # numpy's own message names neither the key nor the value
+        with pytest.raises(ConfigError,
+                           match="rng_seed must be non-negative, got -1"):
+            SimConfig(rng_seed=-1)
+        with pytest.raises(ConfigError, match="rng_seed"):
+            dataclasses.replace(SimConfig(), rng_seed=-1)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SimConfig().duration = 1.0
 
     def test_frame_times_and_labels(self):
         cfg = SimConfig(

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from packdiag.errors import ConfigError
 from packdiag.fusion import DetectionOutcome, DetectorParams
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry, run_detector
@@ -105,8 +106,10 @@ class TestComputeMetrics:
             compute_metrics(out, all_abnormal, MetricsConfig())
 
     def test_reference_time_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MetricsConfig(t_r=0.0).validate()
+        with pytest.raises(ConfigError):
+            MetricsConfig(t_r=0.0)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(MetricsConfig(), t_r=0.0)
 
 
 class TestObjective:
@@ -206,6 +209,17 @@ class TestFitnessEvaluator:
         res = ev.evaluate(90, (0.3, 0.4, 0.3))
         assert math.isinf(objective(res))
 
+    def test_rule_breaking_candidate_raises(self, tiny_scenarios):
+        # only a calibration failure scores +inf; a candidate that no
+        # DetectorParams may hold is a caller's error
+        ev = FitnessEvaluator(tiny_scenarios,
+                              base=DetectorParams(train_len=60))
+        with pytest.raises(ConfigError, match="at least 4"):
+            ev.evaluate(3, (0.3, 0.4, 0.3))
+        with pytest.raises(ConfigError, match="sum to 1"):
+            ev.evaluate(15, (0.5, 0.4, 0.3))
+        assert not ev._memo
+
     def test_needs_a_fault_scenario(self, tiny_scenarios):
         with pytest.raises(ValueError):
             FitnessEvaluator([tiny_scenarios[2]],
@@ -214,18 +228,31 @@ class TestFitnessEvaluator:
 
 class TestGaConfig:
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            GaConfig(population=3).validate()
-        with pytest.raises(ValueError):
-            GaConfig(population=ELITE + IMMIGRANTS).validate()
-        GaConfig().validate()
+        with pytest.raises(ConfigError):
+            GaConfig(population=3)
+        with pytest.raises(ConfigError):
+            GaConfig(population=ELITE + IMMIGRANTS)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(GaConfig(), population=ELITE + IMMIGRANTS)
+        GaConfig(population=ELITE + IMMIGRANTS + 1)
 
     def test_window_floor_is_the_detectors(self):
         # a shorter window could never be scored, so the search may not
         # draw one
-        with pytest.raises(ValueError, match="4 <= w_min"):
-            GaConfig(w_min=3).validate()
-        GaConfig(w_min=4).validate()
+        with pytest.raises(ConfigError, match="4 <= w_min"):
+            GaConfig(w_min=3)
+        with pytest.raises(ConfigError, match="4 <= w_min"):
+            dataclasses.replace(GaConfig(), w_min=3)
+        GaConfig(w_min=4)
+
+    def test_negative_seed_named(self):
+        # numpy's own message names neither the key nor the value
+        with pytest.raises(ConfigError,
+                           match="rng_seed must be non-negative, got -1"):
+            GaConfig(rng_seed=-1)
+        with pytest.raises(ConfigError, match="rng_seed"):
+            dataclasses.replace(GaConfig(), rng_seed=-1)
+        GaConfig(rng_seed=0)
 
 
 @pytest.fixture(scope="module")
