@@ -4,6 +4,8 @@ Runs the packdiag command line of one checkout in a temporary directory and
 prints one `digest  name` line per output, sorted by name:
 
 - the `simulate` CSV of each shipped scenario (`sc01.csv` ...);
+- the `simulate` CSV of a run that a cell runs dry in at 810 of its 900
+  frames (`depleted.csv`), so the early stop is compared too;
 - the `benchmark scenarios/` report (`report.csv`);
 - the `detect` traces of each of those CSVs at w = 27 and w = 200
   (`sc01.w27.trace.csv` ...);
@@ -43,6 +45,9 @@ TUNE_SCENARIOS = {
                     "fault_cell = 23\nr_short = 10.0\nonset = 700.0\n",
     "tune_normal": "duration = 1200.0\nrng_seed = 203\n",
 }
+
+# at 16 C a cell runs dry at 810 s
+DEPLETED_SCENARIO = "duration = 900.0\ndischarge_rate = 16.0\nrng_seed = 3\n"
 
 
 def run(main, *argv: str):
@@ -85,6 +90,12 @@ def produce(checkout: Path, out: Path) -> list[Path]:
                 run(main, "localize", str(csv), "--params", params,
                     "--tf", t_f, "--out", str(contrib))
                 made.append(contrib)
+
+    depleted = out / "depleted.scenario"
+    depleted.write_text(DEPLETED_SCENARIO, encoding="utf-8")
+    dry = out / "depleted.csv"
+    run(main, "simulate", str(depleted), "--out", str(dry))
+    made.append(dry)
 
     report = out / "report.csv"
     run(main, "benchmark", str(checkout / "scenarios"), "--out", str(report))

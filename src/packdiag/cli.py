@@ -27,7 +27,7 @@ from .io import (
     write_trace,
 )
 from .locate import contribution_rows, contributions_at
-from .pack import PackSimulator
+from .pack import simulate
 from .pipeline import Telemetry, calibrate_pooled, entropy_streams, run_detector
 from .tuning import FitnessEvaluator, GaConfig, mga_optimize
 
@@ -36,15 +36,14 @@ def cmd_simulate(args) -> int:
     cfg = read_scenario(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    sim = PackSimulator(cfg)
-    tele = Telemetry.from_frames(sim.run())
+    tele = Telemetry.from_frames(simulate(cfg))
     write_dataset(args.out, tele)
     n_abn = int((tele.labels == 1).sum())
     print(f"{tele.n_frames} frames: {tele.n_frames - n_abn} normal, "
           f"{n_abn} abnormal")
-    if sim.status == "depleted":
+    if tele.n_frames < cfg.n_frames:
         print(f"warning: a cell ran out of charge; the run stopped at "
-              f"{tele.times[-1]:.12g} s, {tele.n_frames} of {sim.n_frames} "
+              f"{tele.times[-1]:.12g} s, {tele.n_frames} of {cfg.n_frames} "
               "frames", file=sys.stderr)
     print(f"wrote {args.out}")
     return 0

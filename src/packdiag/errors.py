@@ -1,4 +1,7 @@
-"""Shared exception types, mapped to CLI exit codes by the command layer."""
+"""Shared exception types, mapped to CLI exit codes by the command layer,
+and the one rule the configs' integer fields share."""
+
+from numbers import Integral
 
 
 class ConfigError(ValueError):
@@ -11,3 +14,11 @@ class SimulationError(RuntimeError):
 
 class DataFormatError(ValueError):
     """Malformed dataset, params, or trace file."""
+
+
+def require_integers(cfg, *names):
+    """Reject each named field of cfg that is a bool or not an int or NumPy integer."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 
 DEFAULT_ALPHA = (0.216, 0.573, 0.211)
 # the temporal stream's embedding dimension; its fuzzy entropy pairs up
@@ -48,8 +48,8 @@ class DetectorParams:
     h_r: float | None = None
 
     def __post_init__(self):
-        if (not isinstance(self.window, (int, np.integer))
-                or self.window < MIN_WINDOW):
+        require_integers(self, "window", "train_len")
+        if self.window < MIN_WINDOW:
             raise ConfigError(f"window must be an integer of at least {MIN_WINDOW}")
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != (3,):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, require_integers
 
 # open-circuit voltage vs state of charge, degree-6 fit (volts), highest power first
 OCV_COEFFS = np.array([-34.39, 127.38, -182.10, 127.24, -45.57, 8.40, 3.19])
@@ -71,6 +71,7 @@ class FaultSpec:
 
     def __post_init__(self):
         _require_finite(self)
+        require_integers(self, "fault_cell")
         if not 1 <= self.fault_cell <= N_CELLS:
             raise ConfigError(f"fault_cell {self.fault_cell} outside 1..{N_CELLS}")
         if self.r_short <= 0:
@@ -102,6 +103,7 @@ class SimConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        require_integers(self, "rng_seed")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.dt > STABLE_DT + 1e-12:
@@ -111,7 +113,7 @@ class SimConfig:
             raise ConfigError("duration must cover at least one step")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
-        if round(self.duration / self.sample_interval) < 1:
+        if self.n_frames < 1:
             raise ConfigError("duration shorter than one sample interval")
         if self.ambient <= 0:
             raise ConfigError("ambient must be positive kelvin")
@@ -123,6 +125,11 @@ class SimConfig:
             raise ConfigError("discharge_rate must be non-negative")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be non-negative, got {self.rng_seed}")
+
+    @property
+    def n_frames(self) -> int:
+        """Telemetry frames of a run that no cell runs dry in."""
+        return int(round(self.duration / self.sample_interval))
 
 
 @dataclass
@@ -283,77 +290,57 @@ def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float,
     return new_t
 
 
-class PackSimulator:
-    """Owns the coupled electro-thermal state and produces telemetry frames."""
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.steps_per_frame = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
-        self.eff_dt = cfg.sample_interval / self.steps_per_frame
-        self.n_frames = int(round(cfg.duration / cfg.sample_interval))
-
-        self.rng = np.random.default_rng(cfg.rng_seed)
-        self.field = np.full((NX, NY), cfg.ambient)
-        self.elec = self.initial_electrical_state(cfg.initial_soc)
-        # the C-rate is taken against one cell's capacity
-        self.pack_current = cfg.discharge_rate * CAPACITY_AH
-        self.status = "ok"
-        self.heat_injected_j = 0.0
-
-    @staticmethod
-    def initial_electrical_state(initial_soc: float) -> ElectricalState:
-        soc = np.full(N_CELLS, float(initial_soc))
-        v = float(ocv_of_soc(initial_soc))
-        return ElectricalState(soc=soc, branch_current=np.zeros(N_CELLS),
-                               drain_current=np.zeros(N_CELLS),
-                               group_voltage=np.full(N_GROUPS, v))
-
-    def cell_mean_temps(self) -> np.ndarray:
-        flat = self.field.ravel()[LAYOUT.footprint_nodes]
-        return (np.add.reduceat(flat, LAYOUT.footprint_offsets)
-                / LAYOUT.footprint_counts)
-
-    def _substep(self, t0: float):
-        elec = step_electrical(self.elec, self.pack_current, self.cfg.fault,
-                               t0, self.eff_dt)
-        watts = heat_generation(elec)
-        src = deposit_sources(watts)
-        # circuit, heat books and thermal step share one dt, so the books balance
-        self.heat_injected_j += watts.sum() * self.eff_dt
-        self.field = step_thermal(self.field, src, self.eff_dt, self.cfg)
-        self.elec = elec
-
-    def run(self) -> list[TelemetryFrame]:
-        cfg = self.cfg
-        frames: list[TelemetryFrame] = []
-        fault = cfg.fault
-        for k in range(self.n_frames):
-            base = k * cfg.sample_interval
-            try:
-                for s in range(self.steps_per_frame):
-                    t0 = base + s * self.eff_dt
-                    self._substep(t0)
-            except Depleted:
-                if not frames:
-                    raise SimulationError(
-                        f"a cell ran out of charge at t = "
-                        f"{t0 + self.eff_dt:.12g} s, before the first "
-                        "frame") from None
-                self.status = "depleted"
-                break
-            t_frame = (k + 1) * cfg.sample_interval
-            temps = self.cell_mean_temps() + self.rng.normal(0.0, cfg.temp_noise_std,
-                                                             N_CELLS)
-            volts = self.elec.group_voltage + self.rng.normal(0.0, cfg.volt_noise_std,
-                                                              N_GROUPS)
-            current = self.pack_current + self.rng.normal(0.0, cfg.volt_noise_std)
-            label = int(fault is not None and t_frame > fault.onset)
-            frames.append(TelemetryFrame(t=t_frame, cell_temps=temps,
-                                         group_volts=volts, pack_current=current,
-                                         label=label))
-        return frames
+def initial_electrical_state(initial_soc: float) -> ElectricalState:
+    """Every cell at initial_soc with no current, each group at its OCV."""
+    soc = np.full(N_CELLS, float(initial_soc))
+    v = float(ocv_of_soc(initial_soc))
+    return ElectricalState(soc=soc, branch_current=np.zeros(N_CELLS),
+                           drain_current=np.zeros(N_CELLS),
+                           group_voltage=np.full(N_GROUPS, v))
 
 
 def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
-    """Run a full scenario and return its telemetry frames (1 Hz by default)."""
-    return PackSimulator(cfg).run()
+    """Run a scenario and return one telemetry frame per sample_interval.
+
+    Each frame is reached in equal substeps of at most cfg.dt. A substep
+    steps the circuit, turns its currents into heat, deposits that heat on
+    the footprints and steps the thermal field, all over the same dt. A run
+    in which a cell runs out of charge stops there and returns the frames
+    made so far, fewer than cfg.n_frames; if no frame was made, it raises
+    SimulationError.
+    """
+    steps = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
+    dt = cfg.sample_interval / steps
+    rng = np.random.default_rng(cfg.rng_seed)
+    field = np.full((NX, NY), cfg.ambient)
+    elec = initial_electrical_state(cfg.initial_soc)
+    # the C-rate is taken against one cell's capacity
+    pack_current = cfg.discharge_rate * CAPACITY_AH
+    fault = cfg.fault
+    frames: list[TelemetryFrame] = []
+    for k in range(cfg.n_frames):
+        base = k * cfg.sample_interval
+        try:
+            for s in range(steps):
+                t0 = base + s * dt
+                elec = step_electrical(elec, pack_current, fault, t0, dt)
+                src = deposit_sources(heat_generation(elec))
+                field = step_thermal(field, src, dt, cfg)
+        except Depleted:
+            if not frames:
+                raise SimulationError(
+                    f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
+                    "before the first frame") from None
+            break
+        t_frame = (k + 1) * cfg.sample_interval
+        flat = field.ravel()[LAYOUT.footprint_nodes]
+        temps = (np.add.reduceat(flat, LAYOUT.footprint_offsets) / LAYOUT.footprint_counts
+                 + rng.normal(0.0, cfg.temp_noise_std, N_CELLS))
+        volts = elec.group_voltage + rng.normal(0.0, cfg.volt_noise_std,
+                                                N_GROUPS)
+        current = pack_current + rng.normal(0.0, cfg.volt_noise_std)
+        label = int(fault is not None and t_frame > fault.onset)
+        frames.append(TelemetryFrame(t=t_frame, cell_temps=temps,
+                                     group_volts=volts, pack_current=current,
+                                     label=label))
+    return frames

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 from .fusion import (
     DEFAULT_ALPHA,
     MIN_WINDOW,
@@ -237,6 +237,8 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "population", "generations", "w_min", "w_max",
+                         "rng_seed")
         if self.population <= ELITE + IMMIGRANTS:
             raise ConfigError(f"population must exceed the {ELITE} elites "
                               f"plus {IMMIGRANTS} immigrants")

@@ -4,7 +4,9 @@ The detector computes each stream for all windows at once; these functions
 state the same quantities one window (or one score vector) at a time, in
 the plainest form, so tests can compare the vectorised paths against them.
 The threshold's kernel density is here too, with the plain bisection for
-the threshold that the detector's Newton search is checked against.
+the threshold that the detector's Newton search is checked against, and so
+is the simulator's heat ledger, which energy-closure tests balance the
+thermal field against.
 """
 
 import math
@@ -12,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from packdiag import pack
 from packdiag.fusion import THRESHOLD_TOL
 
 M = 2  # embedding dimension of the temporal stream
@@ -145,3 +148,44 @@ def bisect_threshold(model, beta: float) -> float:
         else:
             lo = mid
     return hi
+
+
+class Ledger(NamedTuple):
+    """A run's frames with the books the simulator itself does not keep."""
+
+    frames: list
+    heat_j: float                 # heat the cells generated, J
+    field: np.ndarray             # the thermal field after the last step, K
+    elec: "pack.ElectricalState"  # the circuit after the last step
+
+
+def ledgered_simulate(cfg, monkeypatch) -> Ledger:
+    """pack.simulate(cfg), with spies on the functions of its substep.
+
+    Each substep's cell heat, in watts, is booked over the dt its thermal
+    step advances, so the ledger counts heat before it is spread on the
+    grid; the last field and circuit state are kept.
+    """
+    seen = {"heat_j": 0.0}
+    step_electrical = pack.step_electrical
+    heat_generation = pack.heat_generation
+    step_thermal = pack.step_thermal
+
+    def electrical(*args):
+        seen["elec"] = step_electrical(*args)
+        return seen["elec"]
+
+    def generation(state):
+        seen["watts"] = heat_generation(state)
+        return seen["watts"]
+
+    def thermal(field, sources, dt, run_cfg):
+        seen["heat_j"] += seen["watts"].sum() * dt
+        seen["field"] = step_thermal(field, sources, dt, run_cfg)
+        return seen["field"]
+
+    monkeypatch.setattr(pack, "step_electrical", electrical)
+    monkeypatch.setattr(pack, "heat_generation", generation)
+    monkeypatch.setattr(pack, "step_thermal", thermal)
+    frames = pack.simulate(cfg)
+    return Ledger(frames, seen["heat_j"], seen["field"], seen["elec"])

@@ -28,7 +28,6 @@ from packdiag.pack import (
     ROWS,
     VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
-    PackSimulator,
     SimConfig,
     simulate,
 )
@@ -51,6 +50,7 @@ from paper_oracles import (
     exhaustive_fuzzy,
     fuzzy_entropy,
     kde_pdf,
+    ledgered_simulate,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -252,27 +252,27 @@ def test_optimizer_beats_random_search():
                     f"{elapsed:.0f}s <= 600s")
 
 
-def test_simulator_physics(tmp_path):
+def test_simulator_physics(tmp_path, monkeypatch):
     start = time.perf_counter()
 
     cfg = SimConfig(duration=120.0, h_forced=0.0, h_natural=0.0,
                     temp_noise_std=0.0, volt_noise_std=0.0,
                     fault=FaultSpec(fault_cell=4, r_short=10.0, onset=30.0))
-    sim = PackSimulator(cfg)
-    t_init = sim.field.copy()
-    sim.run()
+    run = ledgered_simulate(cfg, monkeypatch)
     node_volume = NODE * NODE * HEIGHT
-    gained = float(((sim.field - t_init)
+    gained = float(((run.field - cfg.ambient)
                     * VOLUMETRIC_HEAT_CAPACITY).sum() * node_volume)
-    energy_err = abs(gained / sim.heat_injected_j - 1.0)
-    assert sim.heat_injected_j > 0
+    energy_err = abs(gained / run.heat_j - 1.0)
+    assert run.heat_j > 0
     assert energy_err < 0.005
 
+    # noise-free, so each frame reads the pack current exactly
+    pack_current = run.frames[-1].pack_current
     worst_kcl = 0.0
     for grp in np.arange(N_CELLS).reshape(N_GROUPS, ROWS):
         worst_kcl = max(worst_kcl,
-                        abs(float(sim.elec.branch_current[grp].sum())
-                            - sim.pack_current))
+                        abs(float(run.elec.branch_current[grp].sum())
+                            - pack_current))
     assert worst_kcl <= 1e-9
 
     seeded = SimConfig(duration=30.0, rng_seed=77,

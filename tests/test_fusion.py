@@ -73,6 +73,15 @@ class TestParams:
         _rejected(f"train_len must be positive, got {train_len}",
                   train_len=train_len)
 
+    @pytest.mark.parametrize("name, value", [
+        ("train_len", 60.5), ("train_len", True), ("window", 27.0),
+        ("window", True)])
+    def test_integer_fields_must_be_integers(self, name, value):
+        # write_params would save a train_len of 60.5 as 60, and True
+        # would be a one-second prefix
+        _rejected(f"{name} must be an integer", **{name: value})
+        DetectorParams(window=np.int64(27), train_len=np.int64(600))
+
     def test_calibrated_needs_positive_normalizers(self):
         _rejected(**dict(CALIBRATED, max_hs=0.0))
 

@@ -20,15 +20,16 @@ from packdiag.pack import (
     STABLE_DT,
     VOLUMETRIC_HEAT_CAPACITY,
     FaultSpec,
-    PackSimulator,
     SimConfig,
     deposit_sources,
     heat_generation,
+    initial_electrical_state,
     ocv_of_soc,
     step_electrical,
     step_thermal,
     simulate,
 )
+from paper_oracles import ledgered_simulate
 
 # cell indices, one row per series group (a column of parallel cells)
 SERIES_GROUPS = np.arange(N_CELLS).reshape(N_GROUPS, ROWS)
@@ -161,7 +162,7 @@ class TestLayout:
 
 class TestElectrical:
     def test_symmetric_discharge(self):
-        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        state = initial_electrical_state(initial_soc=0.9)
         nxt = step_electrical(state, 9.6, None, 0.0, 1.0)
         ocv = ocv_of_soc(0.9)
         assert np.allclose(nxt.branch_current, 2.4, atol=1e-12)
@@ -170,7 +171,7 @@ class TestElectrical:
         assert np.allclose(nxt.soc, 0.9 - 2.4 / (3600 * 4.8), atol=1e-15)
 
     def test_zero_current_open_circuit(self):
-        state = PackSimulator.initial_electrical_state(initial_soc=0.7)
+        state = initial_electrical_state(initial_soc=0.7)
         nxt = step_electrical(state, 0.0, None, 0.0, 1.0)
         assert np.allclose(nxt.branch_current, 0.0, atol=1e-12)
         assert np.allclose(nxt.group_voltage, ocv_of_soc(0.7), atol=1e-12)
@@ -180,7 +181,7 @@ class TestElectrical:
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=0.0)
         rng = np.random.default_rng(3)
         soc = 0.9 + 0.02 * rng.uniform(-1, 1, 24)
-        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        state = initial_electrical_state(initial_soc=0.9)
         state.soc[:] = soc
         nxt = step_electrical(state, 9.6, fault, 5.0, 1.0)
 
@@ -205,7 +206,7 @@ class TestElectrical:
 
     def test_branch_currents_sum_to_pack_current(self):
         fault = FaultSpec(fault_cell=11, r_short=5.0, onset=0.0)
-        state = PackSimulator.initial_electrical_state(initial_soc=0.95)
+        state = initial_electrical_state(initial_soc=0.95)
         rng = np.random.default_rng(11)
         state.soc[:] = 0.9 + 0.05 * rng.uniform(-1, 1, 24)
         for k in range(200):
@@ -215,14 +216,14 @@ class TestElectrical:
 
     def test_fault_inactive_before_onset(self):
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=100.0)
-        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        state = initial_electrical_state(initial_soc=0.9)
         nxt = step_electrical(state, 9.6, fault, 99.0, 1.0)
         assert nxt.drain_current.sum() == 0.0
         nxt2 = step_electrical(nxt, 9.6, fault, 100.0, 1.0)
         assert nxt2.drain_current[3] > 0.0
 
     def test_heat_generation_joule(self):
-        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        state = initial_electrical_state(initial_soc=0.9)
         state.branch_current[:] = 2.4
         watts = heat_generation(state)
         assert np.allclose(watts, 2.4**2 * 0.03, atol=1e-12)
@@ -236,7 +237,7 @@ class TestElectrical:
             fault = FaultSpec(fault_cell=cell, r_short=float(rng.uniform(2.0, 20.0)),
                               onset=50.0)
             for t in (49.5, 50.0, 80.0):
-                state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+                state = initial_electrical_state(initial_soc=0.9)
                 state.soc[:] = rng.uniform(0.2, 1.0, N_CELLS)
                 nxt = step_electrical(state, 9.6, fault, t, 0.5)
                 soc, branch, drain, group_v = _looped_step_electrical(
@@ -253,28 +254,29 @@ class TestElectrical:
     def test_singular_network_raises(self):
         # 1 / 1e-320 overflows to inf, so the parallel conductance is not finite
         fault = FaultSpec(fault_cell=4, r_short=1e-320, onset=0.0)
-        state = PackSimulator.initial_electrical_state(initial_soc=0.9)
+        state = initial_electrical_state(initial_soc=0.9)
         for solve in (step_electrical, _looped_step_electrical):
             with pytest.raises(SimulationError):
                 solve(state, 9.6, fault, 0.0, 0.5)
 
     def test_pack_current_from_rate(self):
-        def current(rate):
-            return PackSimulator(SimConfig(duration=10.0,
-                                           discharge_rate=rate)).pack_current
+        def currents(rate):
+            cfg = SimConfig(duration=10.0, discharge_rate=rate,
+                            volt_noise_std=0.0)
+            return np.array([f.pack_current for f in simulate(cfg)])
 
-        assert abs(current(2.0) - 9.6) < 1e-12
-        assert abs(current(1.0) - 4.8) < 1e-12
+        assert (abs(currents(2.0) - 9.6) < 1e-12).all()
+        assert (abs(currents(1.0) - 4.8) < 1e-12).all()
 
     def test_fault_keeps_the_runs_c_rate(self):
         # a short changes the cells, not the load the pack is asked for
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
         for spec in (fault, None):
             cfg = SimConfig(duration=10.0, discharge_rate=1.0, fault=spec)
-            sim = PackSimulator(cfg)
-            assert abs(sim.pack_current - 4.8) < 1e-12
-            frames = sim.run()
-            drawn = np.mean([f.pack_current for f in frames])
+            quiet = dataclasses.replace(cfg, volt_noise_std=0.0)
+            for f in simulate(quiet):
+                assert abs(f.pack_current - 4.8) < 1e-12
+            drawn = np.mean([f.pack_current for f in simulate(cfg)])
             assert abs(drawn - 4.8) < 5 * cfg.volt_noise_std
 
 
@@ -363,6 +365,38 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             dataclasses.replace(fault, fault_cell=25)
 
+    @pytest.mark.parametrize("value", [4.5, True, "4"])
+    def test_fault_cell_must_be_an_integer(self, value):
+        # 4.5 would index the cell array, and True would name cell 1
+        with pytest.raises(ConfigError, match="fault_cell must be an integer"):
+            FaultSpec(fault_cell=value, r_short=10.0, onset=5.0)
+        fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
+        with pytest.raises(ConfigError, match="fault_cell must be an integer"):
+            dataclasses.replace(fault, fault_cell=value)
+        FaultSpec(fault_cell=np.int64(4), r_short=10.0, onset=5.0)
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_rng_seed_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="rng_seed must be an integer"):
+            SimConfig(rng_seed=value)
+        with pytest.raises(ConfigError, match="rng_seed must be an integer"):
+            dataclasses.replace(SimConfig(), rng_seed=value)
+        SimConfig(rng_seed=np.int64(1))
+
+    @pytest.mark.parametrize("duration, sample_interval, frames",
+                             [(30.0, 1.0, 30), (25.0, 2.5, 10),
+                              (12.0, 0.4, 30)])
+    def test_n_frames_is_an_undepleted_runs_length(self, duration,
+                                                   sample_interval, frames):
+        cfg = SimConfig(duration=duration, sample_interval=sample_interval)
+        assert cfg.n_frames == frames
+        assert len(simulate(cfg)) == cfg.n_frames
+
+    def test_rejects_duration_under_one_sample_interval(self):
+        with pytest.raises(ConfigError,
+                           match="duration shorter than one sample interval"):
+            SimConfig(duration=0.5, sample_interval=2.0)
+
     def test_rejects_negative_seed(self):
         # numpy's own message names neither the key nor the value
         with pytest.raises(ConfigError,
@@ -405,7 +439,7 @@ class TestSimulate:
         b = simulate(cfg2)
         assert not np.array_equal(a[0].cell_temps, b[0].cell_temps)
 
-    def test_energy_accounting_insulated(self):
+    def test_energy_accounting_insulated(self, monkeypatch):
         # no convection, no noise: field energy gain equals injected heat
         cfg = SimConfig(
             duration=120.0,
@@ -415,21 +449,17 @@ class TestSimulate:
             volt_noise_std=0.0,
             fault=FaultSpec(fault_cell=4, r_short=10.0, onset=30.0),
         )
-        sim = PackSimulator(cfg)
-        t_init = sim.field.copy()
-        sim.run()
+        run = ledgered_simulate(cfg, monkeypatch)
         node_vol = NODE * NODE * HEIGHT
-        gained = ((sim.field - t_init) * VOLUMETRIC_HEAT_CAPACITY).sum() * node_vol
-        assert sim.heat_injected_j > 0
-        assert abs(gained / sim.heat_injected_j - 1.0) < 0.005
+        gained = ((run.field - cfg.ambient) * VOLUMETRIC_HEAT_CAPACITY).sum() * node_vol
+        assert run.heat_j > 0
+        assert abs(gained / run.heat_j - 1.0) < 0.005
 
     def test_depleted_run_truncates(self):
         # 2C drains a branch at about 1.4e-4 soc/s, so 5% of charge lasts ~360 s
         cfg = SimConfig(duration=500.0, rng_seed=0, initial_soc=0.05)
-        sim = PackSimulator(cfg)
-        frames = sim.run()
-        assert sim.status == "depleted"
-        assert 0 < len(frames) < 500
+        frames = simulate(cfg)
+        assert 0 < len(frames) < cfg.n_frames
 
     def test_halving_short_resistance_heats_more(self):
         def peak(r_short):

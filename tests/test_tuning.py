@@ -245,6 +245,17 @@ class TestGaConfig:
             dataclasses.replace(GaConfig(), w_min=3)
         GaConfig(w_min=4)
 
+    @pytest.mark.parametrize("name, value", [
+        ("population", 30.5), ("generations", 2.5), ("w_min", 5.5),
+        ("w_max", 40.5), ("rng_seed", 1.5), ("population", True),
+        ("rng_seed", True)])
+    def test_integer_fields_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            GaConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            dataclasses.replace(GaConfig(), **{name: value})
+        GaConfig(population=np.int64(30), rng_seed=np.int64(1))
+
     def test_negative_seed_named(self):
         # numpy's own message names neither the key nor the value
         with pytest.raises(ConfigError,
