@@ -156,11 +156,11 @@ _PARAM_KEYS = ("window", "alpha1", "alpha2", "alpha3", "beta",
 
 def write_params(path, params: DetectorParams):
     """Write detector parameters; calibration keys only when present."""
-    lines = [f"window = {int(params.window)}"]
+    lines = [f"window = {params.window}"]
     for i, a in enumerate(params.alpha, start=1):
         lines.append(f"alpha{i} = {_exact(a)}")
     lines.append(f"beta = {_exact(params.beta)}")
-    lines.append(f"train_len = {int(params.train_len)}")
+    lines.append(f"train_len = {params.train_len}")
     for key in CALIBRATION_KEYS:
         value = getattr(params, key)
         if value is not None:
@@ -194,9 +194,9 @@ _SCENARIO_KEYS = _SCENARIO_FLOATS + ("rng_seed",) + _FAULT_KEYS
 def write_scenario(path, cfg: SimConfig):
     """Write a run config, the fault block last when there is one."""
     lines = [f"{key} = {_exact(getattr(cfg, key))}" for key in _SCENARIO_FLOATS]
-    lines.append(f"rng_seed = {int(cfg.rng_seed)}")
+    lines.append(f"rng_seed = {cfg.rng_seed}")
     if cfg.fault is not None:
-        lines.append(f"fault_cell = {int(cfg.fault.fault_cell)}")
+        lines.append(f"fault_cell = {cfg.fault.fault_cell}")
         lines.append(f"r_short = {_exact(cfg.fault.r_short)}")
         lines.append(f"onset = {_exact(cfg.fault.onset)}")
     write_lines(path, lines)

@@ -156,7 +156,7 @@ class Ledger(NamedTuple):
     frames: list
     heat_j: float                 # heat the cells generated, J
     field: np.ndarray             # the thermal field after the last step, K
-    elec: "pack.ElectricalState"  # the circuit after the last step
+    elec: pack.ElectricalState    # the circuit after the last step
 
 
 def ledgered_simulate(cfg, monkeypatch) -> Ledger:
