@@ -34,7 +34,7 @@ def main():
     print("simulating 2 faulted + 1 healthy training recordings...")
     scenarios = [Telemetry.from_frames(simulate(c)) for c in configs]
 
-    base = DetectorParams(train_len=120.0)
+    base = DetectorParams(train_len=120)
     evaluator = FitnessEvaluator(scenarios, base=base)
     stock = objective(evaluator.evaluate(base.window, base.alpha))
     print(f"stock settings: window={base.window}, "

@@ -50,7 +50,7 @@ class DetectorParams:
     def __post_init__(self):
         require_integers(self, "window", "train_len")
         if self.window < MIN_WINDOW:
-            raise ConfigError(f"window must be an integer of at least {MIN_WINDOW}")
+            raise ConfigError(f"window must be at least {MIN_WINDOW}")
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != (3,):
             raise ConfigError("alpha must have three entries")

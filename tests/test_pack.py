@@ -260,22 +260,18 @@ class TestElectrical:
                 solve(state, 9.6, fault, 0.0, 0.5)
 
     def test_pack_current_from_rate(self):
-        def currents(rate):
-            cfg = SimConfig(duration=10.0, discharge_rate=rate,
+        # a short changes the cells, not the load the pack is asked for
+        fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
+        for rate, spec in ((2.0, None), (1.0, None), (1.0, fault)):
+            cfg = SimConfig(duration=10.0, discharge_rate=rate, fault=spec,
                             volt_noise_std=0.0)
-            return np.array([f.pack_current for f in simulate(cfg)])
-
-        assert (abs(currents(2.0) - 9.6) < 1e-12).all()
-        assert (abs(currents(1.0) - 4.8) < 1e-12).all()
+            currents = np.array([f.pack_current for f in simulate(cfg)])
+            assert (abs(currents - rate * 4.8) < 1e-12).all()
 
     def test_fault_keeps_the_runs_c_rate(self):
-        # a short changes the cells, not the load the pack is asked for
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=5.0)
         for spec in (fault, None):
             cfg = SimConfig(duration=10.0, discharge_rate=1.0, fault=spec)
-            quiet = dataclasses.replace(cfg, volt_noise_std=0.0)
-            for f in simulate(quiet):
-                assert abs(f.pack_current - 4.8) < 1e-12
             drawn = np.mean([f.pack_current for f in simulate(cfg)])
             assert abs(drawn - 4.8) < 5 * cfg.volt_noise_std
 
