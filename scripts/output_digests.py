@@ -51,11 +51,15 @@ DEPLETED_SCENARIO = "duration = 900.0\ndischarge_rate = 16.0\nrng_seed = 3\n"
 
 
 def run(main, *argv: str):
-    """One packdiag command with its console output swallowed."""
-    with contextlib.redirect_stdout(io.StringIO()):
+    """One packdiag command with its console output swallowed; a failed one
+    exits with what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
         code = main(list(argv))
     if code != 0:
-        sys.exit(f"packdiag {' '.join(argv)} exited {code}")
+        sys.exit(f"packdiag {' '.join(argv)} exited {code}: "
+                 f"{err.getvalue().strip()}")
 
 
 def first_alarm(trace: str) -> str | None:

@@ -2,18 +2,22 @@
 
 All files are UTF-8 with LF line endings. Datasets are comma-separated with
 a mandatory header; params and scenario files are flat `key = value` text
-with `#` comments. Writers emit keys in one canonical order with exact
-float formatting, so write -> read -> write reproduces the bytes.
+with `#` comments, whose keys are the fields of the config they hold:
+DetectorParams, or SimConfig with its FaultSpec last. Writers emit the keys
+in field order with exact float formatting, so write -> read -> write
+reproduces the bytes.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .fusion import CALIBRATION_KEYS, DetectorParams
+from .fusion import DEFAULT_ALPHA, DetectorParams
 from .pack import N_CELLS, N_GROUPS, FaultSpec, SimConfig
 from .pipeline import DetectorReport, Telemetry, first_bad_frame
 
@@ -117,8 +121,36 @@ def write_trace(path, report: DetectorReport):
     write_lines(path, lines)
 
 
-def _parse_kv(path, what: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+_ALPHA_KEYS = ("alpha1", "alpha2", "alpha3")
+
+
+def _file_format(cls, leave_out: str = "") -> dict[str, type]:
+    """Each field's key, in field order, and the int or float its value is
+    read as; the weights alpha are keyed one per entry, alpha1..alpha3."""
+    hints = get_type_hints(cls)
+    keys: dict[str, type] = {}
+    for field in fields(cls):
+        if field.name == "alpha":
+            keys.update(dict.fromkeys(_ALPHA_KEYS, float))
+        elif field.name != leave_out:
+            keys[field.name] = int if hints[field.name] is int else float
+    return keys
+
+
+_PARAMS = _file_format(DetectorParams)
+_SCENARIO = _file_format(SimConfig, leave_out="fault")
+_FAULT = _file_format(FaultSpec)
+
+
+def _kv_lines(keys: dict[str, type], values: dict) -> list[str]:
+    """A `key = value` line per key in order, skipping absent (None) values."""
+    return [f"{key} = {values[key] if kind is int else _exact(values[key])}"
+            for key, kind in keys.items() if values[key] is not None]
+
+
+def _read_kv(path, keys: dict[str, type], what: str) -> dict:
+    """The file's entries, each converted by its key's type, in file order."""
+    values = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -129,96 +161,46 @@ def _parse_kv(path, what: str) -> dict[str, str]:
         if not sep or not key or not value:
             raise ConfigError(f"{what} line {lineno}: expected 'key = value',"
                               f" got {line!r}")
-        if key in entries:
+        if key in values:
             raise ConfigError(f"{what} line {lineno}: duplicate key '{key}'")
-        entries[key] = value
-    return entries
-
-
-def _converted(entries: dict[str, str], key: str, conv, default):
-    if key not in entries:
-        return default
-    try:
-        return conv(entries[key])
-    except ValueError:
-        raise ConfigError(f"bad value for '{key}': {entries[key]!r}") from None
-
-
-def _reject_unknown(entries: dict[str, str], known, what: str):
-    unknown = sorted(set(entries) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown {what} key '{unknown[0]}'")
-
-
-_PARAM_KEYS = ("window", "alpha1", "alpha2", "alpha3", "beta",
-               "train_len") + CALIBRATION_KEYS
+        if key not in keys:
+            raise ConfigError(f"unknown {what} key '{key}'")
+        try:
+            values[key] = keys[key](value)
+        except ValueError:
+            raise ConfigError(f"bad value for '{key}': {value!r}") from None
+    return values
 
 
 def write_params(path, params: DetectorParams):
     """Write detector parameters; calibration keys only when present."""
-    lines = [f"window = {params.window}"]
-    for i, a in enumerate(params.alpha, start=1):
-        lines.append(f"alpha{i} = {_exact(a)}")
-    lines.append(f"beta = {_exact(params.beta)}")
-    lines.append(f"train_len = {params.train_len}")
-    for key in CALIBRATION_KEYS:
-        value = getattr(params, key)
-        if value is not None:
-            lines.append(f"{key} = {_exact(value)}")
-    write_lines(path, lines)
+    write_lines(path, _kv_lines(
+        _PARAMS, vars(params) | dict(zip(_ALPHA_KEYS, params.alpha))))
 
 
 def read_params(path) -> DetectorParams:
-    entries = _parse_kv(path, "params")
-    _reject_unknown(entries, _PARAM_KEYS, "params")
-    defaults = DetectorParams()
-    alpha = tuple(
-        _converted(entries, f"alpha{i}", float, defaults.alpha[i - 1])
-        for i in (1, 2, 3))
-    return DetectorParams(
-        window=_converted(entries, "window", int, defaults.window),
-        alpha=alpha,
-        beta=_converted(entries, "beta", float, defaults.beta),
-        train_len=_converted(entries, "train_len", int, defaults.train_len),
-        **{key: _converted(entries, key, float, None)
-           for key in CALIBRATION_KEYS})
-
-
-_SCENARIO_FLOATS = ("dt", "duration", "ambient", "h_forced", "h_natural",
-                    "temp_noise_std", "volt_noise_std", "discharge_rate",
-                    "initial_soc", "sample_interval")
-_FAULT_KEYS = ("fault_cell", "r_short", "onset")
-_SCENARIO_KEYS = _SCENARIO_FLOATS + ("rng_seed",) + _FAULT_KEYS
+    values = _read_kv(path, _PARAMS, "params")
+    # a weight the file leaves out keeps its stock value
+    values["alpha"] = tuple(values.pop(key, stock)
+                            for key, stock in zip(_ALPHA_KEYS, DEFAULT_ALPHA))
+    return DetectorParams(**values)
 
 
 def write_scenario(path, cfg: SimConfig):
     """Write a run config, the fault block last when there is one."""
-    lines = [f"{key} = {_exact(getattr(cfg, key))}" for key in _SCENARIO_FLOATS]
-    lines.append(f"rng_seed = {cfg.rng_seed}")
+    lines = _kv_lines(_SCENARIO, vars(cfg))
     if cfg.fault is not None:
-        lines.append(f"fault_cell = {cfg.fault.fault_cell}")
-        lines.append(f"r_short = {_exact(cfg.fault.r_short)}")
-        lines.append(f"onset = {_exact(cfg.fault.onset)}")
+        lines += _kv_lines(_FAULT, vars(cfg.fault))
     write_lines(path, lines)
 
 
 def read_scenario(path) -> SimConfig:
-    entries = _parse_kv(path, "scenario")
-    _reject_unknown(entries, _SCENARIO_KEYS, "scenario")
-    defaults = SimConfig()
-    kwargs = {key: _converted(entries, key, float, getattr(defaults, key))
-              for key in _SCENARIO_FLOATS}
-    kwargs["rng_seed"] = _converted(entries, "rng_seed", int,
-                                    defaults.rng_seed)
-    fault = None
-    if any(key in entries for key in _FAULT_KEYS):
-        missing = [k for k in _FAULT_KEYS if k not in entries]
+    values = _read_kv(path, _SCENARIO | _FAULT, "scenario")
+    fault = {key: values.pop(key) for key in _FAULT if key in values}
+    if fault:
+        missing = [key for key in _FAULT if key not in fault]
         if missing:
             raise ConfigError("fault block needs fault_cell, r_short and "
                               f"onset; missing '{missing[0]}'")
-        fault = FaultSpec(
-            fault_cell=_converted(entries, "fault_cell", int, None),
-            r_short=_converted(entries, "r_short", float, None),
-            onset=_converted(entries, "onset", float, None),
-        )
-    return SimConfig(fault=fault, **kwargs)
+        values["fault"] = FaultSpec(**fault)
+    return SimConfig(**values)

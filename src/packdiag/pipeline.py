@@ -167,8 +167,7 @@ LN2 = math.log(2.0)
 CHUNK_BYTES = 4e6
 
 
-def _rank1_temporal(field: np.ndarray, w: int,
-                    chunk: int | None = None) -> np.ndarray:
+def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
     """Single-mode temporal stream over every sliding window at once.
 
     Per window: the leading singular value of the (n_channels, w) field
@@ -187,7 +186,7 @@ def _rank1_temporal(field: np.ndarray, w: int,
     matrix and its top eigenvector ((n_channels + 1) n_channels floats) or
     the leading row (w) with, at dimension M + 1, the scaled, lag-ordered
     delay-vector components and their means ((M + 2) count, count = w - M)
-    and three lag buffers (3 count); the default chunk holds the larger to
+    and three lag buffers (3 count); a chunk holds the larger to
     CHUNK_BYTES. The output and numpy's fixed-size iteration buffers come
     on top.
     """
@@ -195,11 +194,8 @@ def _rank1_temporal(field: np.ndarray, w: int,
     n_win = n - w + 1
     count = w - M
 
-    if chunk is None:
-        window_bytes = 8 * max(n_channels * (n_channels + 1),
-                               w + (M + 5) * count)
-        chunk = max(1, int(CHUNK_BYTES / window_bytes))
-    chunk = min(chunk, n_win)
+    window_bytes = 8 * max(n_channels * (n_channels + 1), w + (M + 5) * count)
+    chunk = min(max(1, int(CHUNK_BYTES / window_bytes)), n_win)
 
     h_t = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(field, w, axis=0)

@@ -1,12 +1,13 @@
 """Tests for dataset, params, and scenario file round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from packdiag.errors import ConfigError, DataFormatError
 from packdiag.fusion import DetectorParams
 from packdiag.io import (
-    _SCENARIO_FLOATS,
     DATASET_HEADER,
     read_dataset,
     read_params,
@@ -17,6 +18,8 @@ from packdiag.io import (
 )
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,12 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="gamma"):
             read_params(path)
 
+    def test_first_fault_in_file_order_is_named(self, tmp_path):
+        path = tmp_path / "a.params"
+        path.write_text("zeta = 1\nwindow = soon\ngamma = 1\n")
+        with pytest.raises(ConfigError, match="unknown params key 'zeta'"):
+            read_params(path)
+
     def test_bad_value_names_key(self, tmp_path):
         path = tmp_path / "a.params"
         write_params(path, DetectorParams())
@@ -304,7 +313,10 @@ class TestScenarioFile:
             read_scenario(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", _SCENARIO_FLOATS + ("r_short", "onset"))
+    @pytest.mark.parametrize("key", [
+        "dt", "duration", "ambient", "h_forced", "h_natural",
+        "temp_noise_std", "volt_noise_std", "discharge_rate", "initial_soc",
+        "sample_interval", "r_short", "onset"])
     def test_non_finite_value_named(self, tmp_path, key, value):
         # NaN passes every range rule, and inf overflows the frame count
         entries = {"duration": "55.0", "fault_cell": "4", "r_short": "10.0",
@@ -328,3 +340,12 @@ class TestScenarioFile:
         write_scenario(p1, cfg)
         write_scenario(p2, read_scenario(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_shipped_files_rewritten_byte_for_byte(self, tmp_path):
+        # the writer's key order is SimConfig's field order, fault last
+        shipped = sorted(SCENARIOS.glob("*.scenario"))
+        assert len(shipped) == 9
+        for path in shipped:
+            copy = tmp_path / path.name
+            write_scenario(copy, read_scenario(path))
+            assert copy.read_bytes() == path.read_bytes(), path.name

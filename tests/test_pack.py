@@ -381,17 +381,26 @@ class TestSimulate:
 
     @pytest.mark.parametrize("duration, sample_interval, frames",
                              [(30.0, 1.0, 30), (25.0, 2.5, 10),
-                              (12.0, 0.4, 30)])
+                              (12.0, 0.4, 30), (7.0, 2.0, 3), (0.3, 0.1, 3),
+                              (0.6, 0.5, 1)])
     def test_n_frames_is_an_undepleted_runs_length(self, duration,
                                                    sample_interval, frames):
-        cfg = SimConfig(duration=duration, sample_interval=sample_interval)
+        # one frame at each multiple of the interval up to the duration,
+        # also when the quotient falls just short of a whole number
+        # (0.3 / 0.1) or the duration is shorter than dt, which is near the
+        # stability bound here
+        cfg = SimConfig(dt=0.8, duration=duration,
+                        sample_interval=sample_interval)
         assert cfg.n_frames == frames
-        assert len(simulate(cfg)) == cfg.n_frames
+        run = simulate(cfg)
+        assert len(run) == cfg.n_frames
+        assert run[-1].t <= duration * (1 + 1e-9)
 
     def test_rejects_duration_under_one_sample_interval(self):
-        with pytest.raises(ConfigError,
-                           match="duration shorter than one sample interval"):
-            SimConfig(duration=0.5, sample_interval=2.0)
+        for duration, sample_interval in ((0.5, 2.0), (0.6, 1.0)):
+            with pytest.raises(ConfigError, match="duration shorter than "
+                               "one sample interval"):
+                SimConfig(duration=duration, sample_interval=sample_interval)
 
     def test_rejects_negative_seed(self):
         # numpy's own message names neither the key nor the value

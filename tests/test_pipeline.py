@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from packdiag import pipeline
 from packdiag.errors import ConfigError
 from packdiag.fusion import DetectorParams, multiscale_statistic
 from packdiag.lumped import lumped_entropy_series
@@ -142,13 +143,29 @@ class TestEntropyStreams:
         h_t_ref = looped_temporal(excess, window)
         np.testing.assert_allclose(h_t_fast, h_t_ref, rtol=1e-9, atol=1e-10)
 
-    def test_batched_path_chunking_invariant(self, normal_tele):
-        # tiny chunks must stitch together to the same streams, bit for bit
+    def test_batched_path_chunking_invariant(self, normal_tele,
+                                             monkeypatch):
+        # tiny chunks must stitch together to the same streams, bit for bit;
+        # a window of the 24-channel excess takes 4,800 bytes at w = 20 and
+        # 12,688 at w = 200, so each budget below fits `chunk` windows
         excess = compensate(normal_tele.temps)
-        for window, chunks in ((20, (7,)), (200, (1, 7))):
+        sizes = []
+        unpatched = pipeline._leading_modes
+
+        def leading_modes(block):
+            sizes.append(block.shape[0])
+            return unpatched(block)
+
+        for window, window_bytes, chunks in ((20, 4800, (7,)),
+                                             (200, 12688, (1, 7))):
             whole = _rank1_temporal(excess, window)
             for chunk in chunks:
-                pieces = _rank1_temporal(excess, window, chunk=chunk)
+                with monkeypatch.context() as m:
+                    m.setattr(pipeline, "CHUNK_BYTES", chunk * window_bytes)
+                    m.setattr(pipeline, "_leading_modes", leading_modes)
+                    sizes.clear()
+                    pieces = _rank1_temporal(excess, window)
+                assert sizes[0] == chunk, (window, chunk)
                 assert np.array_equal(whole, pieces, equal_nan=True), \
                     (window, chunk)
 
