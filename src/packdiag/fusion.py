@@ -74,111 +74,171 @@ class DetectorParams:
                 raise ConfigError(f"{name} must be positive, got {v}")
 
 
-def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams):
-    """Weighted sum of the channels, each divided by its training maximum."""
-    a1, a2, a3 = params.alpha
+def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams, alpha=None):
+    """Weighted sum of the channels, each divided by its training maximum.
+
+    alpha, when given, replaces params.alpha; a (k, 3) stack of weight
+    vectors gives the statistic a leading axis of k candidates.
+    """
+    a1, a2, a3 = (params.alpha if alpha is None
+                  else np.asarray(alpha, dtype=float).T[..., None])
     return (a1 * (h_d / params.max_hd) + a2 * (h_s / params.max_hs)
             + a3 * (h_t / params.max_ht))
 
 
 @dataclass
 class KdeModel:
-    """Gaussian kernel mixture over the training statistic."""
+    """Gaussian kernel mixture over the training statistic: one mixture, or
+    a (k, L) stack of them with a (k,) bandwidth, one per candidate."""
 
     samples: np.ndarray
-    bandwidth: float
+    bandwidth: float | np.ndarray
 
     def cdf(self, x):
-        u = (np.asarray(x, dtype=float)[..., None] - self.samples) / self.bandwidth
+        """Mixture CDF at x; with a stack, x holds one point per mixture."""
+        u = ((np.asarray(x, dtype=float)[..., None] - self.samples)
+             / np.asarray(self.bandwidth)[..., None])
         return ndtr(u).mean(axis=-1)
 
 
-def fit_kde(samples: np.ndarray) -> KdeModel:
+def fit_kde(samples) -> KdeModel:
     """Kernel density of the training statistic, bandwidth 1.06 s L^(-1/5).
 
-    s is the sample (ddof=1) standard deviation over the L training values.
+    samples holds L training values, or a (k, L) stack of them, one row per
+    candidate. s is a row's sample (ddof=1) standard deviation. A row with
+    a value that is not finite, or with no spread, has no density: in a
+    stack its bandwidth is NaN, and a single row raises ValueError.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
+    samples = np.array(samples, dtype=float)
+    if samples.ndim not in (1, 2) or samples.shape[-1] < 2:
         raise ValueError("need at least two training values")
-    if not np.isfinite(samples).all():
-        raise ValueError("training values must be finite")
-    sigma = samples.std(ddof=1)
-    if sigma <= 0:
-        raise ValueError("training statistic has zero spread")
-    bandwidth = 1.06 * sigma * samples.size ** (-0.2)
-    return KdeModel(samples=samples.copy(), bandwidth=bandwidth)
+    finite = np.isfinite(samples).all(axis=-1)
+    with np.errstate(invalid="ignore"):
+        sigma = samples.std(ddof=1, axis=-1)
+        bandwidth = np.where(finite & (sigma > 0),
+                             1.06 * sigma * samples.shape[-1] ** (-0.2), np.nan)
+    if samples.ndim == 1:
+        if not finite:
+            raise ValueError("training values must be finite")
+        if not sigma > 0:
+            raise ValueError("training statistic has zero spread")
+        bandwidth = float(bandwidth)
+    return KdeModel(samples=samples, bandwidth=bandwidth)
 
 
-def threshold_from_kde(model: KdeModel, beta: float) -> float:
+def threshold_from_kde(model: KdeModel, beta: float):
     """Smallest value whose mixture CDF reaches beta, by safeguarded Newton.
 
-    The search starts at the empirical beta-quantile of the samples. The
+    A stacked model is searched row by row in one vectorised pass, and gets
+    one threshold per row; a row with a NaN bandwidth gets NaN. Per row,
+    the search starts at the empirical beta-quantile of the samples. The
     CDF's slope is the mixture density: the mean Gaussian kernel at the
-    same standardized offsets u the CDF averages ndtr over. Every point
-    evaluated narrows a bracket [lo, hi] with cdf(lo) < beta <= cdf(hi).
-    A Newton step that would leave the bracket, or that is not shorter
-    than half the step before the previous one, bisects the bracket
-    instead. Each Newton target is moved a quarter of THRESHOLD_TOL past
-    the predicted root, toward the end of the bracket still to be closed,
-    so that once Newton has converged the next point lands on the other
-    side of the root and the bracket shrinks below THRESHOLD_TOL. The
-    result is hi: its CDF is at least beta and the root lies at most
-    THRESHOLD_TOL below it. It takes a median of 5 CDF evaluations on
-    random mixtures of 300 to 1800 samples, against 34 for plain bisection
-    to the same width.
+    same standardized offsets u the CDF averages ndtr over, so both come
+    from one set of offsets. Every point evaluated narrows a bracket
+    [lo, hi] with cdf(lo) < beta <= cdf(hi). A Newton step that would
+    leave the bracket, or that is not shorter than half the step before the
+    previous one, bisects the bracket instead. Each Newton target is moved
+    a quarter of THRESHOLD_TOL past the predicted root, toward the end of
+    the bracket still to be closed, so that once Newton has converged the
+    next point lands on the other side of the root and the bracket shrinks
+    below THRESHOLD_TOL. The result is hi: its CDF is at least beta and the
+    root lies at most THRESHOLD_TOL below it. A row leaves the pass once
+    its bracket has closed, so its result does not depend on the other
+    rows. It takes a median of 5 CDF evaluations on random mixtures of 300
+    to 1800 samples, against 34 for plain bisection to the same width.
 
     The CDF runs from minus infinity, so any density mass below zero counts
     toward beta.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
-    lo = float(model.samples.min() - 10.0 * model.bandwidth)
-    hi = float(model.samples.max() + 10.0 * model.bandwidth)
-    x = float(np.quantile(model.samples, beta))
+    bandwidth = np.atleast_1d(model.bandwidth)
+    h_r = np.full(bandwidth.shape, np.nan)
+    rows = np.flatnonzero(np.isfinite(bandwidth))
+    samples = np.atleast_2d(model.samples)
+    if rows.size < len(bandwidth):
+        samples, bandwidth = samples[rows], bandwidth[rows]
+    size = samples.shape[1]
+    # the start point is np.quantile's default ("linear") beta-quantile,
+    # written out so that one partition also yields each row's extremes
+    below = min(math.floor((size - 1) * beta), size - 2)
+    gamma = (size - 1) * beta - below
+    least, a, b, most = np.partition(
+        samples, (0, below, below + 1, size - 1),
+        axis=1)[:, [0, below, below + 1, -1]].T
+    x = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    lo = least - 10.0 * bandwidth
+    hi = most + 10.0 * bandwidth
+    scale = bandwidth[:, None]
+    norm = SQRT_2PI * bandwidth
     step = older_step = hi - lo
-    while True:
-        miss = float(model.cdf(x)) - beta
-        if miss >= 0.0:
-            hi = x
-        else:
-            lo = x
-        if hi - lo <= THRESHOLD_TOL:
-            return hi
-        u = (x - model.samples) / model.bandwidth
-        density = float(np.exp(-0.5 * u * u).mean()) / (SQRT_2PI * model.bandwidth)
-        target = 0.5 * (lo + hi)
-        if density > 0.0:
-            newton = x - miss / density - math.copysign(0.25 * THRESHOLD_TOL, miss)
-            if lo < newton < hi and abs(newton - x) <= 0.5 * abs(older_step):
-                target = newton
-        older_step, step = step, target - x
-        x = target
+    # a zero density makes the Newton point infinite or NaN, which no
+    # bracket holds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            u = x[:, None] - samples
+            u /= scale
+            kernels = -0.5 * u
+            kernels *= u
+            np.exp(kernels, out=kernels)
+            miss = np.add.reduce(ndtr(u, out=u), axis=1) / size - beta
+            above = miss >= 0.0
+            np.copyto(hi, x, where=above)
+            np.copyto(lo, x, where=~above)
+            done = hi - lo <= THRESHOLD_TOL
+            if done.any():
+                h_r[rows[done]] = hi[done]
+                live = ~done
+                rows, samples, scale, norm, kernels = (
+                    rows[live], samples[live], scale[live], norm[live],
+                    kernels[live])
+                lo, hi, x, miss, step, older_step = (
+                    lo[live], hi[live], x[live], miss[live], step[live],
+                    older_step[live])
+            density = np.add.reduce(kernels, axis=1) / size / norm
+            newton = x - miss / density
+            newton -= np.copysign(0.25 * THRESHOLD_TOL, miss)
+            take = (lo < newton) & (newton < hi)
+            take &= np.abs(newton - x) <= 0.5 * np.abs(older_step)
+            target = lo + hi
+            target *= 0.5
+            np.copyto(target, newton, where=take)
+            older_step, step = step, target - x
+            x = target
+    return float(h_r[0]) if np.ndim(model.bandwidth) == 0 else h_r
 
 
 @dataclass
 class DetectionOutcome:
-    """Alarm flags over a statistic stream plus the first-alarm time."""
+    """Alarm flags over a statistic stream, or a stack of them, plus the
+    first-alarm time (see detect)."""
 
     times: np.ndarray
     h_stream: np.ndarray
     alarms: np.ndarray
-    t_f: float | None
+    t_f: float | np.ndarray | None
 
 
 def detect(times: np.ndarray, h_stream: np.ndarray,
-           params: DetectorParams) -> DetectionOutcome:
+           params: DetectorParams, h_r=None) -> DetectionOutcome:
     """Alarm wherever the statistic strictly exceeds the threshold.
 
-    Warm-up entries arrive as NaN and can never alarm. params must be
-    calibrated.
+    h_stream is one stream or a (k, n) stack of candidate streams over the
+    same times; a (k,) h_r then replaces params.h_r, one threshold per row,
+    and t_f holds each row's first alarm time, NaN for none. Warm-up
+    entries arrive as NaN and can never alarm. params must be calibrated.
     """
     times = np.asarray(times, dtype=float)
     h = np.asarray(h_stream, dtype=float)
-    if times.shape != h.shape:
+    if times.shape != h.shape[-1:]:
         raise ValueError("times and statistic stream differ in length")
-    with np.errstate(invalid="ignore"):
-        alarms = h > params.h_r
-    alarms &= ~np.isnan(h)
-    t_f = float(times[int(np.argmax(alarms))]) if alarms.any() else None
+    threshold = params.h_r if h_r is None else np.asarray(h_r)[..., None]
+    # NaN compares False: warm-up frames never alarm
+    alarms = h > threshold
+    fired = alarms.any(axis=-1)
+    first = times[alarms.argmax(axis=-1)]
+    if h.ndim == 1:
+        t_f = float(first) if fired else None
+    else:
+        t_f = np.where(fired, first, np.nan)
     return DetectionOutcome(times=times, h_stream=h, alarms=alarms, t_f=t_f)

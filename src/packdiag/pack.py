@@ -112,6 +112,10 @@ class SimConfig:
                 f"dt={self.dt} violates the explicit stability bound {STABLE_DT:.6g} s")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
+        if not math.isfinite(self.duration / self.sample_interval):
+            raise ConfigError(f"sample_interval {self.sample_interval!r} "
+                              f"makes the frame count of a {self.duration!r} s "
+                              "run overflow")
         if self.n_frames < 1:
             raise ConfigError("duration shorter than one sample interval")
         if self.ambient <= 0:

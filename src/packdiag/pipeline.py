@@ -293,13 +293,30 @@ def _fuzzy_entropies(a: np.ndarray, count: int) -> np.ndarray:
     return fe
 
 
+def training_frames(streams: EntropyStreams, train_len: int) -> slice:
+    """The training frames of a recording: those with t <= train_len that
+    already have stream values.
+
+    The streams share one warm-up of window - 1 frames and times increase,
+    so the frames form one slice. ConfigError when train_len passes the
+    end of the recording or the slice is empty.
+    """
+    if train_len > streams.times[-1]:
+        raise ConfigError("train_len exceeds the recording length")
+    start = streams.window - 1
+    stop = int(np.searchsorted(streams.times, train_len, side="right"))
+    if stop <= start:
+        raise ConfigError("training prefix has no usable frames; "
+                          "increase train_len or shorten the window")
+    return slice(start, stop)
+
+
 def calibrate_pooled(streams_list: list[EntropyStreams],
                      params: DetectorParams) -> DetectorParams:
     """Fill in normalizers and alarm threshold from pooled training prefixes.
 
-    Training frames are those with t <= train_len that already have defined
-    stream values, gathered across every given recording. Each recording
-    needs one, and DetectorParams rejects a normalizer that is not
+    The training frames (see training_frames) are gathered across every
+    given recording, and DetectorParams rejects a normalizer that is not
     positive (ConfigError otherwise). Returns a new parameter set; the
     inputs are not modified.
     """
@@ -307,16 +324,9 @@ def calibrate_pooled(streams_list: list[EntropyStreams],
         raise ConfigError("need at least one stream set to calibrate")
     rows = []
     for streams in streams_list:
-        if params.train_len > streams.times[-1]:
-            raise ConfigError("train_len exceeds the recording length")
-        train = (streams.times <= params.train_len) & ~np.isnan(streams.h_d)
-        if not train.any():
-            raise ConfigError("training prefix has no usable frames; "
-                              "increase train_len or shorten the window")
-        # indexing each stream is faster than indexing their (3, n) stack
+        train = training_frames(streams, params.train_len)
         rows.append(np.stack([streams.h_d[train], streams.h_s[train],
                               streams.h_t[train]]))
-    # (3, n): the streams share one warm-up, so no training row holds a NaN
     h_d, h_s, h_t = train_rows = np.concatenate(rows, axis=1)
     max_hd, max_hs, max_ht = (float(m) for m in train_rows.max(axis=1))
     cal = dataclasses.replace(params, max_hd=max_hd, max_hs=max_hs, max_ht=max_ht)

@@ -25,14 +25,11 @@ from .fusion import (
     DetectionOutcome,
     DetectorParams,
     detect,
+    fit_kde,
     multiscale_statistic,
+    threshold_from_kde,
 )
-from .pipeline import (
-    EntropyStreams,
-    Telemetry,
-    calibrate_from_streams,
-    entropy_streams,
-)
+from .pipeline import Telemetry, entropy_streams, training_frames
 
 
 @dataclass(frozen=True)
@@ -62,55 +59,59 @@ class EvaluationResult:
     objective_value: float | None = None
 
 
-def frame_counts(outcome: DetectionOutcome,
-                 labels: np.ndarray) -> tuple[int, int, int, int]:
-    """Detected, abnormal, false-alarm and normal frames of one recording.
+def _tally(outcome: DetectionOutcome, labels: np.ndarray, t_r: float):
+    """Frame counts and delay of each candidate row of an outcome.
 
     Abnormal frames count toward the detection rate; post-warm-up normal
-    frames toward the false-alarm rate.
+    frames toward the false-alarm rate. The delay runs from the last normal
+    timestamp to the first alarm after it; a row with no such alarm is
+    penalized with the full recording length. Returns detected, abnormal,
+    false-alarm and normal frames, t_onset, t_detect (NaN for none) and the
+    relative delay; all but the abnormal frames and t_onset are per row,
+    for an outcome of one stream or a stack.
     """
+    times, alarms = outcome.times, outcome.alarms
     abnormal = labels == 1
-    normal = (labels == 0) & ~np.isnan(outcome.h_stream)
-    return (int((outcome.alarms & abnormal).sum()), int(abnormal.sum()),
-            int((outcome.alarms & normal).sum()), int(normal.sum()))
+    # NaN, never equal to itself, marks the warm-up
+    normal = (labels == 0) & (outcome.h_stream == outcome.h_stream)
+    first = int(np.argmax(abnormal))
+    t_onset = float(times[first - 1]) if first > 0 else float(times[0])
+    start = max(first, 1)   # the first frame after t_onset
+    after = alarms[..., start:]
+    fired = after.any(axis=-1)
+    t_detect = np.where(fired, times[start + after.argmax(axis=-1)], np.nan)
+    relative_delay = np.where(fired, (t_detect - t_onset) / t_r,
+                              float(times[-1]) / t_r)
+    return ((alarms & abnormal).sum(axis=-1), int(abnormal.sum()),
+            (alarms & normal).sum(axis=-1), normal.sum(axis=-1),
+            t_onset, t_detect, relative_delay)
 
 
 def compute_metrics(outcome: DetectionOutcome, labels: np.ndarray,
                     cfg: MetricsConfig) -> EvaluationResult:
     """Score one recording's alarms against its frame labels.
 
-    Frames are counted by frame_counts. The delay runs from the last normal
-    timestamp to the first alarm after it; a run with no such alarm is
-    penalized with the full recording length.
+    Frames and delay are counted by _tally; times must increase. A
+    labelling without both normal and abnormal frames raises ValueError.
     """
     labels = np.asarray(labels)
-    times = outcome.times
-    if labels.shape != times.shape:
+    if labels.shape != outcome.times.shape:
         raise ValueError("labels and outcome cover different frame counts")
-    detected, total_abnormal, false_alarms, total_normal = \
-        frame_counts(outcome, labels)
+    detected, total_abnormal, false_alarms, total_normal, t_onset, \
+        t_detect, relative_delay = _tally(outcome, labels, cfg.t_r)
     if total_abnormal == 0 or total_normal == 0:
         raise ValueError("unusable scenario labeling: need both normal and "
                          "abnormal frames")
-    adr = detected / total_abnormal
-    far = false_alarms / total_normal
-
-    first = int(np.argmax(labels == 1))
-    t_onset = float(times[first - 1]) if first > 0 else float(times[0])
-    post = outcome.alarms & (times > t_onset)
-    if post.any():
-        t_detect = float(times[int(np.argmax(post))])
-        relative_delay = (t_detect - t_onset) / cfg.t_r
-    else:
-        t_detect = None
-        relative_delay = float(times[-1]) / cfg.t_r
-
-    res = EvaluationResult(adr=adr, far=far, relative_delay=relative_delay,
-                           detected_abnormal=detected,
+    res = EvaluationResult(adr=int(detected) / total_abnormal,
+                           far=int(false_alarms) / int(total_normal),
+                           relative_delay=float(relative_delay),
+                           detected_abnormal=int(detected),
                            total_abnormal=total_abnormal,
-                           false_alarms=false_alarms,
-                           total_normal=total_normal,
-                           t_detect=t_detect, t_onset=t_onset)
+                           false_alarms=int(false_alarms),
+                           total_normal=int(total_normal),
+                           t_detect=(None if math.isnan(t_detect)
+                                     else float(t_detect)),
+                           t_onset=t_onset)
     res.objective_value = objective(res)
     return res
 
@@ -127,13 +128,27 @@ def _infeasible() -> EvaluationResult:
                             objective_value=math.inf)
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """One recording at one window: what scoring needs that no weight
+    vector changes."""
+
+    h_d: np.ndarray
+    h_s: np.ndarray
+    h_t: np.ndarray
+    cal: DetectorParams   # the window and the three training maxima
+    train: slice          # the training frames
+
+
 class FitnessEvaluator:
     """Shared pipeline runner for candidate (window, weights) pairs.
 
-    Entropy streams depend on the window only, so they are cached per
-    (recording, window) and reused across weight vectors; full evaluations
-    are memoized as well. Both caches are value-transparent: they only skip
-    repeated work.
+    Everything but the weights' part depends on the window only: the
+    streams, their training frames and maxima. So it is prepared once per
+    (recording, window), and a stack of weight vectors at one window is
+    scored in one vectorised pass per recording. Full evaluations are
+    memoized as well. Both caches are value-transparent: they only skip
+    repeated work, and a row's result does not depend on the other rows.
     """
 
     def __init__(self, scenarios: list[Telemetry],
@@ -146,60 +161,108 @@ class FitnessEvaluator:
         self.scenarios = scenarios
         self.base = base
         self.metrics = MetricsConfig()
-        self._streams: dict[tuple[int, int], EntropyStreams] = {}
+        # per window, one record per recording, or None if it cannot be
+        # calibrated
+        self._prepared: dict[int, list[_Prepared] | None] = {}
         self._memo: dict[tuple, EvaluationResult] = {}
 
-    def _stream(self, idx: int, window: int) -> EntropyStreams:
-        key = (idx, window)
-        if key not in self._streams:
-            self._streams[key] = entropy_streams(self.scenarios[idx], window)
-        return self._streams[key]
+    def _prepare(self, window: int) -> list[_Prepared] | None:
+        if window not in self._prepared:
+            records = []
+            try:
+                for tele in self.scenarios:
+                    streams = entropy_streams(tele, window)
+                    train = training_frames(streams, self.base.train_len)
+                    cal = dataclasses.replace(
+                        self.base, window=window,
+                        max_hd=float(streams.h_d[train].max()),
+                        max_hs=float(streams.h_s[train].max()),
+                        max_ht=float(streams.h_t[train].max()))
+                    records.append(_Prepared(streams.h_d, streams.h_s,
+                                             streams.h_t, cal, train))
+            except ValueError:
+                records = None
+            self._prepared[window] = records
+        return self._prepared[window]
 
     def evaluate(self, window: int, alpha) -> EvaluationResult:
-        """Pooled metrics of one candidate across every recording.
+        """Pooled metrics of one candidate: evaluate_many with one row."""
+        return self.evaluate_many(window, [alpha])[0]
+
+    def evaluate_many(self, window: int, alphas) -> list[EvaluationResult]:
+        """Pooled metrics of each weight vector at one window, in order.
 
         Counts pool over frames; the relative delay averages over the fault
         recordings, each missing detection contributing its full-duration
         penalty. A (window, alpha) that breaks a DetectorParams rule raises
-        ConfigError; a window that cannot be calibrated (it outgrows the
-        training prefix) scores +inf instead.
+        ConfigError before anything is scored. A window that cannot be
+        calibrated (it outgrows the training prefix, say) scores +inf for
+        every row; a row whose training statistic has no spread scores +inf
+        alone.
         """
         w = int(window)
-        key = (w, tuple(float(a) for a in alpha))
-        if key in self._memo:
-            return self._memo[key]
+        keys = [(w, tuple(float(a) for a in alpha)) for alpha in alphas]
+        todo = list(dict.fromkeys(k for k in keys if k not in self._memo))
+        for _, alpha in todo:
+            # ConfigError for a rule-breaking candidate
+            dataclasses.replace(self.base, window=w, alpha=alpha)
+        if todo:
+            self._memo.update(zip(todo, self._score(
+                w, np.array([alpha for _, alpha in todo]))))
+        return [self._memo[k] for k in keys]
 
-        params = dataclasses.replace(self.base, window=w, alpha=key[1])
+    def _score(self, w: int, alphas: np.ndarray) -> list[EvaluationResult]:
+        records = self._prepare(w)
+        if records is None:
+            return [_infeasible() for _ in alphas]
+        h_r = self._thresholds([
+            multiscale_statistic(rec.h_d[rec.train], rec.h_s[rec.train],
+                                 rec.h_t[rec.train], rec.cal, alphas)
+            for rec in records])
+        # a row whose threshold DetectorParams would reject
+        feasible = np.isfinite(h_r).all(axis=0)
         counts = []
         delays = []
-        try:
-            for idx, tele in enumerate(self.scenarios):
-                streams = self._stream(idx, w)
-                cal = calibrate_from_streams(streams, params)
-                h = multiscale_statistic(streams.h_d, streams.h_s,
-                                         streams.h_t, cal)
-                outcome = detect(streams.times, h, cal)
-                counts.append(frame_counts(outcome, tele.labels))
-                if (tele.labels == 1).any():
-                    res = compute_metrics(outcome, tele.labels, self.metrics)
-                    delays.append(res.relative_delay)
-        except ValueError:
-            result = _infeasible()
-            self._memo[key] = result
-            return result
-
-        # compute_metrics has rejected a fault recording with no normal frames
+        for tele, rec, row_h_r in zip(self.scenarios, records, h_r):
+            h = multiscale_statistic(rec.h_d, rec.h_s, rec.h_t, rec.cal, alphas)
+            outcome = detect(tele.times, h, rec.cal, row_h_r)
+            detected, abnormal, false, normal, _, _, delay = \
+                _tally(outcome, tele.labels, self.metrics.t_r)
+            counts.append((detected, abnormal, false, normal))
+            if abnormal:
+                # compute_metrics rejects a fault recording with no normal frames
+                feasible &= normal > 0
+                delays.append(delay)
         detected, total_abn, false, total_norm = (sum(c) for c in zip(*counts))
-        result = EvaluationResult(adr=detected / total_abn,
-                                  far=false / total_norm,
-                                  relative_delay=float(np.mean(delays)),
-                                  detected_abnormal=detected,
-                                  total_abnormal=total_abn,
-                                  false_alarms=false,
-                                  total_normal=total_norm)
-        result.objective_value = objective(result)
-        self._memo[key] = result
-        return result
+        relative_delay = np.stack(delays, axis=1).mean(axis=1)
+        results = []
+        for i in range(len(alphas)):
+            if not feasible[i]:
+                results.append(_infeasible())
+                continue
+            res = EvaluationResult(adr=int(detected[i]) / int(total_abn),
+                                   far=int(false[i]) / int(total_norm[i]),
+                                   relative_delay=float(relative_delay[i]),
+                                   detected_abnormal=int(detected[i]),
+                                   total_abnormal=int(total_abn),
+                                   false_alarms=int(false[i]),
+                                   total_normal=int(total_norm[i]))
+            res.objective_value = objective(res)
+            results.append(res)
+        return results
+
+    def _thresholds(self, trains: list[np.ndarray]) -> np.ndarray:
+        """Alarm thresholds of each recording's (k, L) training rows, as a
+        (recordings, k) array. Recordings with as many training frames
+        share one stacked search."""
+        h_r = np.empty((len(trains), trains[0].shape[0]))
+        sizes = [train.shape[1] for train in trains]
+        for size in set(sizes):
+            group = [r for r, s in enumerate(sizes) if s == size]
+            model = fit_kde(np.concatenate([trains[r] for r in group]))
+            h_r[group] = threshold_from_kde(model, self.base.beta).reshape(
+                len(group), -1)
+        return h_r
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
@@ -261,7 +324,9 @@ def mga_optimize(scenarios: list[Telemetry],
     """Tune (window, weights) by tournament GA with elitism and immigrants.
 
     Every individual is made feasible before evaluation: weights projected
-    onto the simplex, window rounded and clamped. Failure to find any
+    onto the simplex, window rounded and clamped. Each generation is scored
+    in one evaluator.evaluate_many batch per window, then read back with one
+    evaluator.evaluate call per individual. Failure to find any
     candidate with nonzero detection falls back to the shipped defaults
     with a warning. The optional log collects one line per generation:
     generation, best objective, mean objective, best window, best weights.
@@ -277,15 +342,19 @@ def mga_optimize(scenarios: list[Telemetry],
         w = int(rng.integers(ga.w_min, ga.w_max + 1))
         return w, simplex_project(rng.dirichlet((1.0, 1.0, 1.0)))
 
-    def fitness(ind):
-        w, alpha = ind
-        res = evaluator.evaluate(w, tuple(alpha))
-        return objective(res)
+    def fitness(pop):
+        by_window = {}
+        for w, alpha in pop:
+            by_window.setdefault(w, []).append(tuple(alpha))
+        for w, alphas in by_window.items():
+            evaluator.evaluate_many(w, alphas)
+        return [objective(evaluator.evaluate(w, tuple(alpha)))
+                for w, alpha in pop]
 
     seed_ind = (_clamp_window(base_params.window, ga),
                 simplex_project(np.asarray(base_params.alpha, dtype=float)))
     pop = [seed_ind] + [random_individual() for _ in range(ga.population - 1)]
-    fit = [fitness(ind) for ind in pop]
+    fit = fitness(pop)
 
     def tournament() -> int:
         picks = rng.integers(0, ga.population, TOURNAMENT)
@@ -318,7 +387,7 @@ def mga_optimize(scenarios: list[Telemetry],
             children.append((w, alpha))
         fresh = [random_individual() for _ in range(IMMIGRANTS)]
         pop = elites + children + fresh
-        fit = [fitness(ind) for ind in pop]
+        fit = fitness(pop)
         if log is not None:
             best_i = min(range(ga.population), key=lambda i: (fit[i], i))
             bw, ba = pop[best_i]

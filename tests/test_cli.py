@@ -123,6 +123,16 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_overflowing_frame_count_is_config_error(self, tmp_path, capsys):
+        # the frame count's math.floor raised OverflowError: a traceback and
+        # exit 1
+        cfg_path = tmp_path / "tiny.scenario"
+        cfg_path.write_text("duration = 2000.0\nsample_interval = 1e-310\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+        assert "sample_interval 1e-310" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, where):
         # numpy's own message named neither the key nor the value
@@ -217,12 +227,18 @@ class TestFitCommand:
         # each used to be found only after every candidate had been scored
         scored = []
         evaluate = FitnessEvaluator.evaluate
+        evaluate_many = FitnessEvaluator.evaluate_many
 
         def spy(self, window, alpha):
             scored.append((window, alpha))
             return evaluate(self, window, alpha)
 
+        def batch_spy(self, window, alphas):
+            scored.extend((window, alpha) for alpha in alphas)
+            return evaluate_many(self, window, alphas)
+
         monkeypatch.setattr(FitnessEvaluator, "evaluate", spy)
+        monkeypatch.setattr(FitnessEvaluator, "evaluate_many", batch_spy)
         # the last of a repeated flag wins
         argv = ["fit", "--normal", str(work / "normal.csv"),
                 "--fault", str(work / "fault.csv"), "--optimize",

@@ -229,6 +229,66 @@ class TestNewtonThreshold:
             assert abs(h - bisect_threshold(model, beta)) <= THRESHOLD_TOL
 
 
+class TestStackedCandidates:
+    """A leading candidate axis gives each row what a one-candidate call
+    gives it, bit for bit."""
+
+    def _stack(self):
+        rng = np.random.default_rng(30)
+        rows = [rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.01, 0.5), 570)
+                for _ in range(5)]
+        rows += [rng.lognormal(0.0, rng.uniform(0.2, 1.2), 570)
+                 for _ in range(3)]
+        return np.array(rows)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99, 0.999])
+    def test_threshold_rows_match_per_row_calls(self, beta):
+        stack = self._stack()
+        model = fit_kde(stack)
+        found = threshold_from_kde(model, beta)
+        assert found.shape == (len(stack),)
+        for row, bandwidth, h_r in zip(stack, model.bandwidth, found):
+            one = fit_kde(row)
+            assert bandwidth == one.bandwidth
+            assert h_r == threshold_from_kde(one, beta)
+
+    def test_row_without_density_gets_nan_alone(self):
+        stack = self._stack()[:4].copy()
+        stack[1] = 0.25
+        stack[2, 7] = np.inf
+        model = fit_kde(stack)
+        found = threshold_from_kde(model, 0.99)
+        assert np.isnan(model.bandwidth[[1, 2]]).all()
+        assert np.isnan(found[[1, 2]]).all()
+        for i in (0, 3):
+            assert found[i] == threshold_from_kde(fit_kde(stack[i]), 0.99)
+        with pytest.raises(ValueError, match="zero spread"):
+            fit_kde(stack[1])
+        with pytest.raises(ValueError, match="finite"):
+            fit_kde(stack[2])
+
+    def test_statistic_and_alarms_match_per_row_calls(self):
+        rng = np.random.default_rng(31)
+        h_d, h_s, h_t = rng.uniform(0.0, 2.0, (3, 40))
+        h_d[:5] = h_s[:5] = h_t[:5] = np.nan
+        times = np.arange(1.0, 41.0)
+        alphas = rng.dirichlet((1.0, 1.0, 1.0), 6)
+        cal = DetectorParams(max_hd=1.5, max_hs=2.0, max_ht=1.25, h_r=1.0)
+        h = multiscale_statistic(h_d, h_s, h_t, cal, alphas)
+        h_r = rng.uniform(0.5, 1.5, 6)
+        h_r[2] = 10.0   # never alarms
+        out = detect(times, h, cal, h_r)
+        for i, alpha in enumerate(alphas):
+            p = dataclasses.replace(cal, alpha=tuple(alpha), h_r=h_r[i])
+            row = multiscale_statistic(h_d, h_s, h_t, p)
+            assert np.array_equal(h[i], row, equal_nan=True)
+            one = detect(times, row, p)
+            assert np.array_equal(out.alarms[i], one.alarms)
+            assert (np.isnan(out.t_f[i]) if one.t_f is None
+                    else out.t_f[i] == one.t_f)
+        assert np.isnan(out.t_f[2])
+
+
 class TestDetect:
     def _params(self, h_r):
         return DetectorParams(max_hd=1.0, max_hs=1.0, max_ht=1.0, h_r=h_r)

@@ -402,6 +402,14 @@ class TestSimulate:
                                "one sample interval"):
                 SimConfig(duration=duration, sample_interval=sample_interval)
 
+    def test_rejects_overflowing_frame_count(self):
+        # duration / sample_interval is infinite here, and math.floor of it
+        # raised OverflowError
+        with pytest.raises(ConfigError, match="sample_interval 1e-310"):
+            SimConfig(duration=2000.0, sample_interval=1e-310)
+        with pytest.raises(ConfigError, match="sample_interval"):
+            dataclasses.replace(SimConfig(), sample_interval=1e-310)
+
     def test_rejects_negative_seed(self):
         # numpy's own message names neither the key nor the value
         with pytest.raises(ConfigError,

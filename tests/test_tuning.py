@@ -47,6 +47,28 @@ def tiny_scenarios():
     return teles
 
 
+@pytest.fixture(scope="module")
+def flat_lumped(tiny_scenarios):
+    """tiny_scenarios with group voltages that alternate about fixed levels.
+
+    Every level and swing is a binary fraction, so every window of an even
+    length holds the same voltages in one of two orders with exactly the
+    same statistics: h_d is one constant after its warm-up, and a weight
+    vector on h_d alone has a training statistic with no spread.
+    """
+    sign = np.where(np.arange(tiny_scenarios[0].n_frames) % 2 == 0, 1.0, -1.0)
+    levels = np.array([4.0, 4.0, 4.0, 3.5, 3.5, 3.0])
+    swings = np.array([0.25, 0.125, 0.0625, 0.25, 0.5, 0.125])
+    volts = levels + np.outer(sign, swings)
+    return [dataclasses.replace(t, volts=volts) for t in tiny_scenarios]
+
+
+def comparable(res):
+    """An EvaluationResult's fields with their types, NaN made equal to NaN."""
+    return [("nan" if isinstance(v, float) and math.isnan(v) else (type(v), v))
+            for v in dataclasses.astuple(res)]
+
+
 class TestComputeMetrics:
     def test_counts_by_hand(self):
         times = np.arange(1.0, 21.0)
@@ -174,8 +196,10 @@ class TestFitnessEvaluator:
         b = ev.evaluate(15, (0.3, 0.4, 0.3))
         assert a == b
         ev.evaluate(15, (0.5, 0.25, 0.25))
-        # one stream set per scenario, reused across weight vectors
-        assert sum(1 for (_, w) in ev._streams if w == 15) == 3
+        # one prepared record per scenario at the window, reused across
+        # weight vectors
+        assert list(ev._prepared) == [15]
+        assert len(ev._prepared[15]) == 3
 
     def test_pooled_counts_match_per_scenario_metrics(self, tiny_scenarios):
         ev = FitnessEvaluator(tiny_scenarios,
@@ -224,6 +248,63 @@ class TestFitnessEvaluator:
         with pytest.raises(ValueError):
             FitnessEvaluator([tiny_scenarios[2]],
                              base=DetectorParams(train_len=60))
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("window", [6, 15, 40])
+    def test_batch_equals_single_candidate_evaluate(self, tiny_scenarios,
+                                                    window):
+        rng = np.random.default_rng(window)
+        alphas = [tuple(rng.dirichlet((1.0, 1.0, 1.0))) for _ in range(10)]
+        alphas += [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3)]
+        base = DetectorParams(train_len=60)
+        batch = FitnessEvaluator(tiny_scenarios, base).evaluate_many(window,
+                                                                     alphas)
+        assert len(batch) == len(alphas)
+        assert any(math.isfinite(res.objective_value) for res in batch)
+        for alpha, res in zip(alphas, batch):
+            single = FitnessEvaluator(tiny_scenarios, base).evaluate(window,
+                                                                     alpha)
+            assert comparable(res) == comparable(single)
+
+    def test_row_without_spread_is_infeasible_alone(self, flat_lumped):
+        rng = np.random.default_rng(7)
+        alphas = [(0.5, 0.5, 0.0), (1.0, 0.0, 0.0)]
+        alphas += [tuple(rng.dirichlet((1.0, 1.0, 1.0))) for _ in range(4)]
+        base = DetectorParams(train_len=60)
+        batch = FitnessEvaluator(flat_lumped, base).evaluate_many(16, alphas)
+        finite = [math.isfinite(res.objective_value) for res in batch]
+        assert finite == [True, False, True, True, True, True]
+        assert math.isnan(batch[1].far)
+        for alpha, res in zip(alphas, batch):
+            single = FitnessEvaluator(flat_lumped, base).evaluate(16, alpha)
+            assert comparable(res) == comparable(single)
+
+    def test_window_failure_scores_every_row_infinite(self, tiny_scenarios):
+        ev = FitnessEvaluator(tiny_scenarios,
+                              base=DetectorParams(train_len=60))
+        batch = ev.evaluate_many(90, [(0.3, 0.4, 0.3), (1.0, 0.0, 0.0)])
+        assert all(math.isinf(objective(res)) for res in batch)
+        assert ev._prepared == {90: None}
+
+    def test_repeated_rows_are_scored_once(self, tiny_scenarios):
+        ev = FitnessEvaluator(tiny_scenarios,
+                              base=DetectorParams(train_len=60))
+        a, b, c = ev.evaluate_many(15, [(0.3, 0.4, 0.3), (0.5, 0.25, 0.25),
+                                        (0.3, 0.4, 0.3)])
+        assert a is c and a is not b
+        assert len(ev._memo) == 2
+        assert ev.evaluate(15, np.array([0.5, 0.25, 0.25])) is b
+
+    def test_rule_breaking_row_raises_before_scoring(self, tiny_scenarios):
+        ev = FitnessEvaluator(tiny_scenarios,
+                              base=DetectorParams(train_len=60))
+        with pytest.raises(ConfigError, match="sum to 1"):
+            ev.evaluate_many(15, [(0.3, 0.4, 0.3), (0.5, 0.4, 0.3)])
+        with pytest.raises(ConfigError, match="at least 4"):
+            ev.evaluate_many(3, [(0.3, 0.4, 0.3)])
+        assert not ev._memo
+        assert not ev._prepared
 
 
 class TestGaConfig:
@@ -306,24 +387,61 @@ class TestMgaOptimize:
 
     def test_every_candidate_feasible_before_evaluation(self, tiny_scenarios,
                                                         ga_setup):
-        ev, ga = ga_setup
+        _, ga = ga_setup
+        ev_spy = FitnessEvaluator(tiny_scenarios,
+                                  base=DetectorParams(train_len=60))
         seen = []
-        real = ev.evaluate
+        real, real_many = ev_spy.evaluate, ev_spy.evaluate_many
 
         def spy(window, alpha):
             seen.append((window, tuple(alpha)))
             return real(window, alpha)
 
-        ev_spy = FitnessEvaluator(tiny_scenarios,
-                                  base=DetectorParams(train_len=60))
-        ev_spy.evaluate = spy
+        def batch_spy(window, alphas):
+            # checked here, before the batch is scored
+            for alpha in alphas:
+                seen.append((window, tuple(alpha)))
+            check(seen)
+            return real_many(window, alphas)
+
+        def check(candidates):
+            for w, alpha in candidates:
+                assert isinstance(w, int) and 5 <= w <= 40
+                a = np.asarray(alpha)
+                assert abs(a.sum() - 1.0) <= 1e-9
+                assert (a >= -1e-12).all()
+
+        ev_spy.evaluate, ev_spy.evaluate_many = spy, batch_spy
         mga_optimize(tiny_scenarios, ev_spy, ga)
         assert seen
-        for w, alpha in seen:
-            assert isinstance(w, int) and 5 <= w <= 40
-            a = np.asarray(alpha)
-            assert abs(a.sum() - 1.0) <= 1e-9
-            assert (a >= -1e-12).all()
+        check(seen)
+
+    def test_one_evaluate_call_per_individual(self, tiny_scenarios, ga_setup):
+        _, ga = ga_setup
+        ev = FitnessEvaluator(tiny_scenarios, base=DetectorParams(train_len=60))
+        calls = []
+        real = ev.evaluate
+
+        def spy(window, alpha):
+            calls.append(window)
+            return real(window, alpha)
+
+        ev.evaluate = spy
+        mga_optimize(tiny_scenarios, ev, ga)
+        assert len(calls) == ga.population * (ga.generations + 1)
+
+    def test_log_is_pinned(self, tiny_scenarios, ga_setup):
+        # the lines the search printed before generations were scored in
+        # batches
+        ev, ga = ga_setup
+        log = []
+        mga_optimize(tiny_scenarios, ev, ga, log=log)
+        assert log == [
+            "0,1.14753,4.55476,9,0.415635,0.518277,0.0660878",
+            "1,1.12602,1.41886,8,0.40674,0.519736,0.0735235",
+            "2,1.12602,1.16882,8,0.40674,0.519736,0.0735235",
+            "3,1.12602,3.03477,8,0.40674,0.519736,0.0735235",
+            "4,1.12602,1.16947,8,0.40674,0.519736,0.0735235"]
 
     def test_all_infeasible_falls_back_to_defaults(self, tiny_scenarios):
         ev = FitnessEvaluator(tiny_scenarios,
