@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from packdiag import pack
-from packdiag.fusion import THRESHOLD_TOL
+from packdiag.fusion import SQRT_2PI, THRESHOLD_TOL
 
 M = 2  # embedding dimension of the temporal stream
 
@@ -148,6 +148,39 @@ def bisect_threshold(model, beta: float) -> float:
         else:
             lo = mid
     return hi
+
+
+def scalar_newton_threshold(model, beta: float) -> float:
+    """fusion.threshold_from_kde for one mixture, one candidate at a time.
+
+    The same safeguarded Newton search in Python scalars, starting from
+    np.quantile and taking every CDF through model.cdf: the search as it
+    was before it took a stack of candidates, kept as the reference the
+    stacked search must match bit for bit.
+    """
+    lo = float(model.samples.min() - 10.0 * model.bandwidth)
+    hi = float(model.samples.max() + 10.0 * model.bandwidth)
+    x = float(np.quantile(model.samples, beta))
+    step = older_step = hi - lo
+    while True:
+        miss = float(model.cdf(x)) - beta
+        if miss >= 0.0:
+            hi = x
+        else:
+            lo = x
+        if hi - lo <= THRESHOLD_TOL:
+            return hi
+        u = (x - model.samples) / model.bandwidth
+        density = (float(np.exp(-0.5 * u * u).mean())
+                   / (SQRT_2PI * model.bandwidth))
+        target = 0.5 * (lo + hi)
+        if density > 0.0:
+            newton = (x - miss / density
+                      - math.copysign(0.25 * THRESHOLD_TOL, miss))
+            if lo < newton < hi and abs(newton - x) <= 0.5 * abs(older_step):
+                target = newton
+        older_step, step = step, target - x
+        x = target
 
 
 class Ledger(NamedTuple):

@@ -124,8 +124,8 @@ class TestSimulateCommand:
         assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_overflowing_frame_count_is_config_error(self, tmp_path, capsys):
-        # the frame count's math.floor raised OverflowError: a traceback and
-        # exit 1
+        # duration / sample_interval is infinite, so there is no frame count
+        # to floor; a bad config exits 2, not with a traceback
         cfg_path = tmp_path / "tiny.scenario"
         cfg_path.write_text("duration = 2000.0\nsample_interval = 1e-310\n")
         out = tmp_path / "x.csv"

@@ -16,7 +16,7 @@ from packdiag.fusion import (
     THRESHOLD_TOL,
     threshold_from_kde,
 )
-from paper_oracles import bisect_threshold, kde_pdf
+from paper_oracles import bisect_threshold, kde_pdf, scalar_newton_threshold
 
 
 CALIBRATED = dict(max_hd=1.0, max_hs=1.0, max_ht=1.0, h_r=0.5)
@@ -251,6 +251,21 @@ class TestStackedCandidates:
             one = fit_kde(row)
             assert bandwidth == one.bandwidth
             assert h_r == threshold_from_kde(one, beta)
+            # the one-candidate search in scalars, from np.quantile
+            assert h_r == scalar_newton_threshold(one, beta)
+
+    def test_matches_scalar_search_on_random_mixtures(self):
+        # sizes from 2 up, so that the written-out quantile start meets
+        # its edge cases
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            size = int(rng.integers(2, 700))
+            samples = rng.lognormal(0.0, rng.uniform(0.1, 1.5), size)
+            beta = float(rng.choice([0.3, 0.5, 0.9, 0.99, 0.999,
+                                     rng.uniform(0.01, 0.99)]))
+            model = fit_kde(samples)
+            assert (threshold_from_kde(model, beta)
+                    == scalar_newton_threshold(model, beta))
 
     def test_row_without_density_gets_nan_alone(self):
         stack = self._stack()[:4].copy()

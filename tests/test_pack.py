@@ -403,8 +403,8 @@ class TestSimulate:
                 SimConfig(duration=duration, sample_interval=sample_interval)
 
     def test_rejects_overflowing_frame_count(self):
-        # duration / sample_interval is infinite here, and math.floor of it
-        # raised OverflowError
+        # duration / sample_interval is infinite here, so there is no frame
+        # count to floor
         with pytest.raises(ConfigError, match="sample_interval 1e-310"):
             SimConfig(duration=2000.0, sample_interval=1e-310)
         with pytest.raises(ConfigError, match="sample_interval"):
