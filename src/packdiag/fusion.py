@@ -181,6 +181,8 @@ def threshold_from_kde(model: KdeModel, beta: float):
             kernels = -0.5 * u
             kernels *= u
             np.exp(kernels, out=kernels)
+            # a sum over the count is what .mean computes, without the
+            # Python wrapper that costs more than a small row's sum
             miss = np.add.reduce(ndtr(u, out=u), axis=1) / size - beta
             above = miss >= 0.0
             np.copyto(hi, x, where=above)

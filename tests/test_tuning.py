@@ -283,6 +283,36 @@ class TestEvaluateMany:
             single = FitnessEvaluator(flat_lumped, base).evaluate(16, alpha)
             assert comparable(res) == comparable(single)
 
+    def test_recordings_with_different_training_lengths(self, tiny_scenarios):
+        # a half-second recording has twice the training frames, so its
+        # rows get a stacked threshold search of their own
+        half = Telemetry.from_frames(simulate(SimConfig(
+            duration=160.0, sample_interval=0.5, rng_seed=34)))
+        teles = [tiny_scenarios[0], half, tiny_scenarios[1]]
+        base = DetectorParams(train_len=60)
+        rng = np.random.default_rng(8)
+        alphas = [tuple(rng.dirichlet((1.0, 1.0, 1.0))) for _ in range(5)]
+        batch = FitnessEvaluator(teles, base).evaluate_many(12, alphas)
+        for alpha, res in zip(alphas, batch):
+            params = dataclasses.replace(base, window=12, alpha=alpha)
+            da = ta = f = tn = 0
+            delays = []
+            for tele in teles:
+                rep = run_detector(tele, params)
+                labels = tele.labels
+                normal = (labels == 0) & ~np.isnan(rep.h_stream)
+                da += int((rep.outcome.alarms & (labels == 1)).sum())
+                ta += int((labels == 1).sum())
+                f += int((rep.outcome.alarms & normal).sum())
+                tn += int(normal.sum())
+                if (labels == 1).any():
+                    delays.append(compute_metrics(rep.outcome, labels,
+                                                  MetricsConfig()).relative_delay)
+            assert (res.detected_abnormal, res.total_abnormal,
+                    res.false_alarms, res.total_normal) == (da, ta, f, tn)
+            assert res.adr == da / ta and res.far == f / tn
+            assert res.relative_delay == float(np.mean(delays))
+
     def test_window_failure_scores_every_row_infinite(self, tiny_scenarios):
         ev = FitnessEvaluator(tiny_scenarios,
                               base=DetectorParams(train_len=60))
