@@ -7,21 +7,25 @@ seed 203 without a fault) and prints:
 - `streams_s`: the wall time of `entropy_streams` on every recording at
   every window of the search's range, which a search with a fresh
   evaluator spends before it can score;
-- `search_s`: the best wall time of one `mga_optimize` over `--repeats`
-  runs on an evaluator whose per-window records are already prepared and
-  whose memo of scores is emptied before each run: the scoring alone;
+- `search_s`: the best wall time of one `mga_optimize` over three runs
+  on an evaluator whose per-window records are already prepared and whose
+  memo of scores is emptied before each run: the scoring alone;
 - `evaluate_calls` and `scored`: the search's `evaluate` calls and the
-  distinct candidates it scored.
+  distinct candidates it scored;
+- `batches`, `batch_rows_median` and `batch_rows_max`: the search's
+  `evaluate_many` calls that scored at least one new row, and the median
+  and largest number of rows they scored. Each scores its rows in one
+  vectorised pass, so these say how much a pass shares.
 
 The first line names the interpreter, numpy, scipy and the CPU count; set
 OPENBLAS_NUM_THREADS (or your BLAS's equivalent) to fix the BLAS thread
-count. The defaults are the `tune` workload's: population 30, 50
-generations, windows 20 to 40, GA seed 0.
+count. The search is the `tune` workload's at GA seed 0; the defaults of
+the flags are its population 30, 50 generations and windows 20 to 40.
 
 Usage, from anywhere:
 
     python3 scripts/tune_cost.py [--population N] [--generations N]
-                                 [--windows LO HI] [--seed N] [--repeats N]
+                                 [--windows LO HI]
 
 It measures the checkout holding this script.
 """
@@ -52,6 +56,8 @@ RECORDINGS = (
               fault=FaultSpec(fault_cell=23, r_short=10.0, onset=700.0)),
     SimConfig(duration=1200.0, rng_seed=203),
 )
+SEED = 0      # the GA seed
+REPEATS = 3   # timed searches; the best is printed
 
 
 def parse(argv: list[str]) -> argparse.Namespace:
@@ -60,8 +66,6 @@ def parse(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--generations", type=int, default=50)
     parser.add_argument("--windows", type=int, nargs=2, default=(20, 40),
                         metavar=("LO", "HI"))
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=3)
     return parser.parse_args(argv)
 
 
@@ -71,13 +75,9 @@ def main(argv: list[str]) -> int:
         ga = tuning.GaConfig(population=args.population,
                              generations=args.generations,
                              w_min=args.windows[0], w_max=args.windows[1],
-                             rng_seed=args.seed)
+                             rng_seed=SEED)
     except ConfigError as exc:
         print(f"tune_cost.py: error: {exc}", file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print("tune_cost.py: error: --repeats must be at least 1",
-              file=sys.stderr)
         return 2
     recordings = [pipeline.Telemetry.from_frames(simulate(cfg))
                   for cfg in RECORDINGS]
@@ -103,12 +103,23 @@ def main(argv: list[str]) -> int:
         calls += 1
         return evaluate(window, alpha)
 
-    evaluator.evaluate = counted
+    batches = []
+    evaluate_many = evaluator.evaluate_many
+
+    def sized(window, alphas):
+        scored = len(evaluator._memo)
+        results = evaluate_many(window, alphas)
+        if len(evaluator._memo) > scored:
+            batches.append(len(evaluator._memo) - scored)
+        return results
+
+    evaluator.evaluate, evaluator.evaluate_many = counted, sized
     tuning.mga_optimize(recordings, evaluator, ga)  # prepares every window
     searches = []
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         evaluator._memo.clear()
         calls = 0
+        batches.clear()
         start = time.perf_counter()
         tuning.mga_optimize(recordings, evaluator, ga)
         searches.append(time.perf_counter() - start)
@@ -116,6 +127,9 @@ def main(argv: list[str]) -> int:
     print(f"search_s {min(searches):.3f}")
     print(f"evaluate_calls {calls}")
     print(f"scored {len(evaluator._memo)}")
+    print(f"batches {len(batches)}")
+    print(f"batch_rows_median {np.median(batches):g}")
+    print(f"batch_rows_max {max(batches)}")
     return 0
 
 

@@ -89,7 +89,7 @@ def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams, alpha=None):
 @dataclass
 class KdeModel:
     """Gaussian kernel mixture over the training statistic: one mixture, or
-    a (k, L) stack of them with a (k,) bandwidth, one per candidate."""
+    a (k, L) stack of them with a (k,) bandwidth, one per row."""
 
     samples: np.ndarray
     bandwidth: float | np.ndarray
@@ -105,9 +105,9 @@ def fit_kde(samples) -> KdeModel:
     """Kernel density of the training statistic, bandwidth 1.06 s L^(-1/5).
 
     samples holds L training values, or a (k, L) stack of them, one row per
-    candidate. s is a row's sample (ddof=1) standard deviation. A row with
-    a value that is not finite, or with no spread, has no density: in a
-    stack its bandwidth is NaN, and a single row raises ValueError.
+    training statistic. s is a row's sample (ddof=1) standard deviation. A
+    row with a value that is not finite, or with no spread, has no density:
+    in a stack its bandwidth is NaN, and a single row raises ValueError.
     """
     samples = np.array(samples, dtype=float)
     if samples.ndim not in (1, 2) or samples.shape[-1] < 2:

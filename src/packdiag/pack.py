@@ -112,10 +112,6 @@ class SimConfig:
                 f"dt={self.dt} violates the explicit stability bound {STABLE_DT:.6g} s")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
-        if not math.isfinite(self.duration / self.sample_interval):
-            raise ConfigError(f"sample_interval {self.sample_interval!r} "
-                              f"makes the frame count of a {self.duration!r} s "
-                              "run overflow")
         if self.n_frames < 1:
             raise ConfigError("duration shorter than one sample interval")
         if self.ambient <= 0:
@@ -133,8 +129,14 @@ class SimConfig:
     def n_frames(self) -> int:
         """Telemetry frames of a run that no cell runs dry in: one at each
         multiple of sample_interval up to the duration. The quotient is
-        taken to a relative 1e-9, since 0.3 / 0.1 is 2.9999999999999996."""
-        return math.floor(self.duration / self.sample_interval * (1 + 1e-9))
+        taken to a relative 1e-9, since 0.3 / 0.1 is 2.9999999999999996.
+        ConfigError, naming sample_interval, when it overflows."""
+        frames = self.duration / self.sample_interval * (1 + 1e-9)
+        if not math.isfinite(frames):
+            raise ConfigError(f"sample_interval {self.sample_interval!r} "
+                              f"makes the frame count of a {self.duration!r} s "
+                              "run overflow")
+        return math.floor(frames)
 
 
 @dataclass

@@ -311,35 +311,46 @@ def training_frames(streams: EntropyStreams, train_len: int) -> slice:
     return slice(start, stop)
 
 
+def fit_normalizers(streams_list: list[EntropyStreams],
+                    params: DetectorParams) -> tuple[DetectorParams, list[slice]]:
+    """Fill in the normalizers: each stream's maximum over the training
+    frames (see training_frames) of every given recording.
+
+    Returns the new parameter set and each recording's training frames.
+    DetectorParams rejects a normalizer that is not positive (ConfigError).
+    """
+    if not streams_list:
+        raise ConfigError("need at least one stream set to calibrate")
+    trains = [training_frames(s, params.train_len) for s in streams_list]
+    max_hd, max_hs, max_ht = (float(m) for m in np.max(
+        [(s.h_d[t].max(), s.h_s[t].max(), s.h_t[t].max())
+         for s, t in zip(streams_list, trains)], axis=0))
+    cal = dataclasses.replace(params, max_hd=max_hd, max_hs=max_hs,
+                              max_ht=max_ht)
+    return cal, trains
+
+
+def fit_threshold(h_train, beta: float):
+    """Alarm threshold: the beta-point of the training statistic's kernel
+    density (see fit_kde and threshold_from_kde). A (k, L) stack of
+    training statistics gets one threshold per row, NaN for a row without
+    density."""
+    return threshold_from_kde(fit_kde(h_train), beta)
+
+
 def calibrate_pooled(streams_list: list[EntropyStreams],
                      params: DetectorParams) -> DetectorParams:
     """Fill in normalizers and alarm threshold from pooled training prefixes.
 
-    The training frames (see training_frames) are gathered across every
-    given recording, and DetectorParams rejects a normalizer that is not
-    positive (ConfigError otherwise). Returns a new parameter set; the
-    inputs are not modified.
+    The normalizers come from fit_normalizers, and the threshold from the
+    fused statistic over every recording's training frames. Returns a new
+    parameter set; the inputs are not modified.
     """
-    if not streams_list:
-        raise ConfigError("need at least one stream set to calibrate")
-    rows = []
-    for streams in streams_list:
-        train = training_frames(streams, params.train_len)
-        rows.append(np.stack([streams.h_d[train], streams.h_s[train],
-                              streams.h_t[train]]))
-    h_d, h_s, h_t = train_rows = np.concatenate(rows, axis=1)
-    max_hd, max_hs, max_ht = (float(m) for m in train_rows.max(axis=1))
-    cal = dataclasses.replace(params, max_hd=max_hd, max_hs=max_hs, max_ht=max_ht)
-    h_train = multiscale_statistic(h_d, h_s, h_t, cal)
-    model = fit_kde(h_train)
-    h_r = threshold_from_kde(model, params.beta)
-    return dataclasses.replace(cal, h_r=h_r)
-
-
-def calibrate_from_streams(streams: EntropyStreams,
-                           params: DetectorParams) -> DetectorParams:
-    """Single-recording calibration; see calibrate_pooled."""
-    return calibrate_pooled([streams], params)
+    cal, trains = fit_normalizers(streams_list, params)
+    h_train = np.concatenate([
+        multiscale_statistic(s.h_d[t], s.h_s[t], s.h_t[t], cal)
+        for s, t in zip(streams_list, trains)])
+    return dataclasses.replace(cal, h_r=fit_threshold(h_train, params.beta))
 
 
 @dataclass
@@ -362,7 +373,7 @@ def run_detector(tele: Telemetry, params: DetectorParams,
     """
     streams = entropy_streams(tele, params.window)
     if refit:
-        params = calibrate_from_streams(streams, params)
+        params = calibrate_pooled([streams], params)
     else:
         for name in CALIBRATION_KEYS:
             if getattr(params, name) is None:

@@ -25,11 +25,9 @@ from .fusion import (
     DetectionOutcome,
     DetectorParams,
     detect,
-    fit_kde,
     multiscale_statistic,
-    threshold_from_kde,
 )
-from .pipeline import Telemetry, entropy_streams, training_frames
+from .pipeline import Telemetry, entropy_streams, fit_normalizers, fit_threshold
 
 
 @dataclass(frozen=True)
@@ -168,16 +166,12 @@ class FitnessEvaluator:
 
     def _prepare(self, window: int) -> list[_Prepared] | None:
         if window not in self._prepared:
+            params = dataclasses.replace(self.base, window=window)
             records = []
             try:
                 for tele in self.scenarios:
                     streams = entropy_streams(tele, window)
-                    train = training_frames(streams, self.base.train_len)
-                    cal = dataclasses.replace(
-                        self.base, window=window,
-                        max_hd=float(streams.h_d[train].max()),
-                        max_hs=float(streams.h_s[train].max()),
-                        max_ht=float(streams.h_t[train].max()))
+                    cal, (train,) = fit_normalizers([streams], params)
                     records.append(_Prepared(streams.h_d, streams.h_s,
                                              streams.h_t, cal, train))
             except ValueError:
@@ -259,9 +253,9 @@ class FitnessEvaluator:
         sizes = [train.shape[1] for train in trains]
         for size in set(sizes):
             group = [r for r, s in enumerate(sizes) if s == size]
-            model = fit_kde(np.concatenate([trains[r] for r in group]))
-            h_r[group] = threshold_from_kde(model, self.base.beta).reshape(
-                len(group), -1)
+            h_r[group] = fit_threshold(
+                np.concatenate([trains[r] for r in group]),
+                self.base.beta).reshape(len(group), -1)
         return h_r
 
 

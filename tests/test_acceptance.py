@@ -33,7 +33,7 @@ from packdiag.pack import (
 )
 from packdiag.pipeline import (
     Telemetry,
-    calibrate_from_streams,
+    calibrate_pooled,
     entropy_streams,
 )
 from packdiag.tuning import (
@@ -129,7 +129,7 @@ def test_threshold_calibration():
                                                     rng_seed=11)))
     params = DetectorParams()  # train_len 600, beta 0.99
     streams = entropy_streams(tele, params.window)
-    cal = calibrate_from_streams(streams, params)
+    cal = calibrate_pooled([streams], params)
     train = (streams.times <= params.train_len) & ~np.isnan(streams.h_d)
     h_train = multiscale_statistic(streams.h_d[train], streams.h_s[train],
                                    streams.h_t[train], cal)

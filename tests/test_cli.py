@@ -123,14 +123,19 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
-    def test_overflowing_frame_count_is_config_error(self, tmp_path, capsys):
-        # duration / sample_interval is infinite, so there is no frame count
-        # to floor; a bad config exits 2, not with a traceback
+    @pytest.mark.parametrize("duration, interval", [
+        ("2000.0", "1e-310"), ("1.7976931348623157e308", "1.0")])
+    def test_overflowing_frame_count_is_config_error(self, tmp_path, capsys,
+                                                     duration, interval):
+        # the frame count overflows: duration / sample_interval is infinite,
+        # or finite but overflows with the 1e-9 allowance n_frames adds; a
+        # bad config exits 2, not with a traceback
         cfg_path = tmp_path / "tiny.scenario"
-        cfg_path.write_text("duration = 2000.0\nsample_interval = 1e-310\n")
+        cfg_path.write_text(f"duration = {duration}\n"
+                            f"sample_interval = {interval}\n")
         out = tmp_path / "x.csv"
         assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
-        assert "sample_interval 1e-310" in capsys.readouterr().err
+        assert f"sample_interval {interval} makes" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["file", "flag"])

@@ -407,6 +407,10 @@ class TestSimulate:
         # count to floor
         with pytest.raises(ConfigError, match="sample_interval 1e-310"):
             SimConfig(duration=2000.0, sample_interval=1e-310)
+        # the quotient is finite, but the 1e-9 allowance n_frames adds to it
+        # overflows
+        with pytest.raises(ConfigError, match="sample_interval 1.0 makes"):
+            SimConfig(duration=1.7976931348623157e308, sample_interval=1.0)
         with pytest.raises(ConfigError, match="sample_interval"):
             dataclasses.replace(SimConfig(), sample_interval=1e-310)
 

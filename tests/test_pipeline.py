@@ -7,7 +7,12 @@ import pytest
 
 from packdiag import pipeline
 from packdiag.errors import ConfigError
-from packdiag.fusion import DetectorParams, multiscale_statistic
+from packdiag.fusion import (
+    DetectorParams,
+    fit_kde,
+    multiscale_statistic,
+    threshold_from_kde,
+)
 from packdiag.lumped import lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import (
@@ -15,7 +20,7 @@ from packdiag.pipeline import (
     M,
     Telemetry,
     _rank1_temporal,
-    calibrate_from_streams,
+    calibrate_pooled,
     entropy_streams,
     run_detector,
 )
@@ -205,7 +210,7 @@ class TestCalibration:
     def test_normalizers_are_training_maxima(self, normal_tele):
         params = DetectorParams(window=15, train_len=120)
         streams = entropy_streams(normal_tele, window=15)
-        cal = calibrate_from_streams(streams, params)
+        cal = calibrate_pooled([streams], params)
         train = normal_tele.times <= 120
         assert cal.max_hd == np.nanmax(streams.h_d[train])
         assert cal.max_hs == np.nanmax(streams.h_s[train])
@@ -214,10 +219,29 @@ class TestCalibration:
         # the original params object is untouched
         assert params.max_hd is None
 
+    def test_pooled_over_recordings(self, normal_tele, fault_tele):
+        # the normalizers are the maxima over every recording's training
+        # frames, and one density is fitted to all their fused values
+        params = DetectorParams(window=15, train_len=120)
+        streams = [entropy_streams(t, window=15)
+                   for t in (normal_tele, fault_tele)]
+        cal = calibrate_pooled(streams, params)
+        rows = np.concatenate(
+            [np.stack([s.h_d, s.h_s, s.h_t])[:, (s.times <= 120)
+                                             & ~np.isnan(s.h_d)]
+             for s in streams], axis=1)
+        assert (cal.max_hd, cal.max_hs, cal.max_ht) == tuple(rows.max(axis=1))
+        # each recording holds the pooled maximum of at least one stream
+        names = ("max_hd", "max_hs", "max_ht")
+        for single in (calibrate_pooled([s], params) for s in streams):
+            assert any(getattr(single, n) < getattr(cal, n) for n in names)
+        h = multiscale_statistic(*rows, cal)
+        assert cal.h_r == threshold_from_kde(fit_kde(h), params.beta)
+
     def test_threshold_covers_training(self, normal_tele):
         params = DetectorParams(window=15, train_len=120, beta=0.99)
         streams = entropy_streams(normal_tele, window=15)
-        cal = calibrate_from_streams(streams, params)
+        cal = calibrate_pooled([streams], params)
         train = (normal_tele.times <= 120) & ~np.isnan(streams.h_d)
         h = multiscale_statistic(streams.h_d[train], streams.h_s[train],
                                  streams.h_t[train], cal)
@@ -237,7 +261,7 @@ class TestCalibration:
         params = DetectorParams(window=15, train_len=10)
         streams = entropy_streams(normal_tele, window=15)
         with pytest.raises(ConfigError):
-            calibrate_from_streams(streams, params)
+            calibrate_pooled([streams], params)
 
     def test_flat_training_is_a_degenerate_normalizer(self):
         # a pack at rest with noise-free sensors leaves every stream at zero
@@ -246,7 +270,7 @@ class TestCalibration:
             volt_noise_std=0.0)))
         streams = entropy_streams(tele, window=27)
         with pytest.raises(ConfigError, match="max_hd must be positive"):
-            calibrate_from_streams(streams, DetectorParams())
+            calibrate_pooled([streams], DetectorParams())
 
 
 class TestRunDetector:
