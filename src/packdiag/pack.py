@@ -10,10 +10,17 @@ onto its footprint.
 The pack and its cell are fixed: the module constants below are the one
 place they are set.
 
-Each substep is whole-array work: the groups are contiguous runs of ROWS
-serials, so one reshape solves every group's network, and the footprints are
-stored flat, so one scatter deposits every cell's heat. The thermal field is
-a plain (NX, NY) array of kelvin.
+A run has two stages. The circuit loop steps every group's network at once
+(the groups are contiguous runs of ROWS serials, so one reshape solves them
+all) and keeps each substep's cell heats. The circuit reads no temperature,
+so the thermal field can follow afterwards. Relative to ambient, the
+explicit scheme is linear with constant coefficients, and its rate operator
+is a Kronecker sum: a chain of NX nodes along x plus a chain of NY nodes
+along y (`thermal_operators`). The eigenvectors of the two chains therefore
+diagonalise the whole scheme, and `thermal_response` steps the NX * NY
+modal amplitudes of exactly the explicit scheme, one update per substep,
+reading each frame's cell means from them. The thermal field is a plain
+(NX, NY) array of kelvin.
 """
 
 from __future__ import annotations
@@ -26,7 +33,11 @@ import numpy as np
 from .errors import ConfigError, SimulationError, require_integers
 
 # open-circuit voltage vs state of charge, degree-6 fit (volts), highest power first
-OCV_COEFFS = np.array([-34.39, 127.38, -182.10, 127.24, -45.57, 8.40, 3.19])
+OCV_COEFFS = (-34.39, 127.38, -182.10, 127.24, -45.57, 8.40, 3.19)
+
+# the most telemetry frames one run may ask for: 11.6 days at 1 Hz; the
+# simulator holds its arrays for the whole run at once
+MAX_FRAMES = 1_000_000
 
 # the pack: COLS series groups of ROWS parallel cells, one group per column
 ROWS = 4
@@ -112,8 +123,14 @@ class SimConfig:
                 f"dt={self.dt} violates the explicit stability bound {STABLE_DT:.6g} s")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
-        if self.n_frames < 1:
+        frames = self.n_frames
+        if frames < 1:
             raise ConfigError("duration shorter than one sample interval")
+        if frames > MAX_FRAMES:
+            raise ConfigError(f"sample_interval {self.sample_interval!r} "
+                              f"makes a {self.duration!r} s run {frames} "
+                              f"frames long, more than MAX_FRAMES = "
+                              f"{MAX_FRAMES}")
         if self.ambient <= 0:
             raise ConfigError("ambient must be positive kelvin")
         if self.temp_noise_std < 0 or self.volt_noise_std < 0:
@@ -203,14 +220,25 @@ class Depleted(Exception):
 
 
 def ocv_of_soc(soc):
-    """Open-circuit voltage (V) for a state of charge in [0, 1]."""
+    """Open-circuit voltage (V) for a state of charge in [0, 1].
+
+    Horner's rule in np.polyval's order, so the bits are np.polyval's.
+    """
     arr = np.asarray(soc, dtype=float)
-    if (arr < 0).any() or (arr > 1).any():
+    if arr.min() < 0 or arr.max() > 1:
         raise ValueError("state of charge outside [0, 1]")
-    out = np.polyval(OCV_COEFFS, arr)
+    out = OCV_COEFFS[0] * arr + OCV_COEFFS[1]
+    for coeff in OCV_COEFFS[2:]:
+        out *= arr
+        out += coeff
     if np.isscalar(soc) or arr.ndim == 0:
         return float(out)
     return out
+
+
+# every group's parallel conductance, 1/ohm, while no short is active
+HEALTHY_CONDUCTANCE = np.full(N_GROUPS, ROWS / INTERNAL_RESISTANCE)
+HEALTHY_CONDUCTANCE.flags.writeable = False
 
 
 def step_electrical(state: ElectricalState, pack_current: float,
@@ -226,13 +254,14 @@ def step_electrical(state: ElectricalState, pack_current: float,
     r = INTERNAL_RESISTANCE
     ocv = ocv_of_soc(state.soc).reshape(N_GROUPS, ROWS)
 
-    denom = np.full(N_GROUPS, ROWS / r)
+    denom = HEALTHY_CONDUCTANCE
     active = fault is not None and t >= fault.onset
     if active:
         f = fault.fault_cell - 1
+        denom = denom.copy()
         denom[f // ROWS] += 1.0 / fault.r_short
-    if not ((denom > 0) & np.isfinite(denom)).all():
-        raise SimulationError("singular parallel network")
+        if not ((denom > 0) & np.isfinite(denom)).all():
+            raise SimulationError("singular parallel network")
     group_v = (ocv.sum(axis=1) / r - pack_current) / denom
     branch = ((ocv - group_v[:, None]) / r).ravel()
     drain = np.zeros(N_CELLS)
@@ -241,9 +270,9 @@ def step_electrical(state: ElectricalState, pack_current: float,
         branch[f] -= drain[f]
 
     new_soc = state.soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
-    if (new_soc <= 0).any():
+    if new_soc.min() <= 0:
         raise Depleted()
-    np.clip(new_soc, 0.0, 1.0, out=new_soc)
+    np.minimum(new_soc, 1.0, out=new_soc)
 
     return ElectricalState(soc=new_soc, branch_current=branch, drain_current=drain,
                            group_voltage=group_v)
@@ -266,35 +295,92 @@ def deposit_sources(cell_watts: np.ndarray) -> np.ndarray:
     return src.reshape(NX, NY)
 
 
+def _chain(n: int, h_first: float, h_last: float) -> np.ndarray:
+    """Rate operator (1/s) of n nodes in a row: diffusion between
+    neighbours, and convection to ambient through each end face."""
+    k = DIFFUSIVITY / NODE**2
+    op = k * (np.eye(n, k=1) + np.eye(n, k=-1))
+    op[np.diag_indices(n)] = -op.sum(axis=1)
+    op[0, 0] -= h_first / (VOLUMETRIC_HEAT_CAPACITY * NODE)
+    op[-1, -1] -= h_last / (VOLUMETRIC_HEAT_CAPACITY * NODE)
+    return op
+
+
+def thermal_operators(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The thermal physics: the rate operators along x (NX, NX) and y (NY, NY).
+
+    The field's excess over ambient, u (NX, NY), changes at the rate
+    ax @ u + u @ ay + sources / VOLUMETRIC_HEAT_CAPACITY. Interior faces
+    carry diffusive flux; the left edge (x = 0) exchanges heat with ambient
+    air at the forced coefficient and the other three edges at the natural
+    one, so corners see two faces. Both operators are symmetric, and with
+    both coefficients zero their rows sum to zero, which conserves the
+    field's mean.
+    """
+    return (_chain(NX, cfg.h_forced, cfg.h_natural),
+            _chain(NY, cfg.h_natural, cfg.h_natural))
+
+
+def _require_finite_field(field: np.ndarray):
+    """SimulationError naming the first node of a field that is not finite."""
+    if not np.isfinite(field).all():
+        bad = np.argwhere(~np.isfinite(field))[0]
+        raise SimulationError(f"non-finite temperature at node {tuple(bad)}")
+
+
 def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float,
                  cfg: SimConfig) -> np.ndarray:
-    """One explicit finite-volume step of dt seconds of the 2-D heat equation.
-
-    Interior faces carry diffusive flux; edges exchange heat with ambient air
-    (forced coefficient on the left edge, natural elsewhere). Insulated edges
-    (both coefficients zero) conserve the spatial mean exactly.
-    """
-    c_vol = VOLUMETRIC_HEAT_CAPACITY
-
-    rate = np.zeros_like(t)
-    fx = (t[1:, :] - t[:-1, :]) * (DIFFUSIVITY / NODE**2)
-    rate[:-1, :] += fx
-    rate[1:, :] -= fx
-    fy = (t[:, 1:] - t[:, :-1]) * (DIFFUSIVITY / NODE**2)
-    rate[:, :-1] += fy
-    rate[:, 1:] -= fy
-
-    # convective edges; corners see two faces
-    rate[0, :] += cfg.h_forced / (c_vol * NODE) * (cfg.ambient - t[0, :])
-    rate[-1, :] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[-1, :])
-    rate[:, 0] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, 0])
-    rate[:, -1] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, -1])
-
-    new_t = t + dt * (rate + sources / c_vol)
-    if not np.isfinite(new_t).all():
-        bad = np.argwhere(~np.isfinite(new_t))[0]
-        raise SimulationError(f"non-finite temperature at node {tuple(bad)}")
+    """One explicit step of dt seconds of the 2-D heat equation, on a field
+    of kelvin and sources of W/m^3 (see thermal_operators)."""
+    ax, ay = thermal_operators(cfg)
+    u = t - cfg.ambient
+    new_t = t + dt * (ax @ u + u @ ay + sources / VOLUMETRIC_HEAT_CAPACITY)
+    _require_finite_field(new_t)
     return new_t
+
+
+def thermal_response(cell_watts: np.ndarray, steps: int, dt: float,
+                     cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit thermal scheme driven by the substeps' cell heats.
+
+    cell_watts is (frames * steps, N_CELLS) watts, one row per substep of dt
+    seconds, starting from a field at ambient. Returns each frame's cell
+    temperatures (frames, N_CELLS), the means over the footprints at the
+    end of its last substep, and the field (NX, NY) after the last substep,
+    both in kelvin.
+
+    The scheme is stepped in its modes: with ax = Qx diag(mx) Qx^T and
+    ay = Qy diag(my) Qy^T, an explicit step multiplies the amplitude of
+    mode (i, j) by 1 + dt (mx_i + my_j) and adds that mode's share of the
+    substep's sources. Each cell's heat spreads over its footprint
+    (deposit_sources), so a watt in a cell has a fixed share in each mode,
+    and the footprint mean reads the same shares back.
+    """
+    ax, ay = thermal_operators(cfg)
+    mx, qx = np.linalg.eigh(ax)
+    my, qy = np.linalg.eigh(ay)
+    gain = (1.0 + dt * (mx[:, None] + my[None, :])).ravel()
+
+    # a watt in every cell: footprints are disjoint, so each node's density
+    # belongs to the one cell over it
+    density = deposit_sources(np.ones(N_CELLS)).ravel()
+    per_cell = np.zeros((N_CELLS, NX * NY))
+    owner = np.repeat(np.arange(N_CELLS), LAYOUT.footprint_counts)
+    per_cell[owner, LAYOUT.footprint_nodes] = density[LAYOUT.footprint_nodes]
+    shares = (qx.T @ per_cell.reshape(N_CELLS, NX, NY) @ qy).reshape(N_CELLS, -1)
+    source = shares * (dt / VOLUMETRIC_HEAT_CAPACITY)
+    read = shares * (NODE * NODE * HEIGHT)
+
+    frames = cell_watts.shape[0] // steps
+    amp = np.zeros(NX * NY)
+    excess = np.empty((frames, N_CELLS))
+    for k, frame in enumerate(cell_watts.reshape(frames, steps, N_CELLS)):
+        for deposited in frame @ source:
+            amp *= gain
+            amp += deposited
+        excess[k] = read @ amp
+    excess += cfg.ambient
+    return excess, qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient
 
 
 def initial_electrical_state(initial_soc: float) -> ElectricalState:
@@ -310,44 +396,51 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     """Run a scenario and return one telemetry frame per sample_interval.
 
     Each frame is reached in equal substeps of at most cfg.dt. A substep
-    steps the circuit, turns its currents into heat, deposits that heat on
-    the footprints and steps the thermal field, all over the same dt. A run
-    in which a cell runs out of charge stops there and returns the frames
-    made so far, fewer than cfg.n_frames; if no frame was made, it raises
-    SimulationError.
+    steps the circuit and turns its currents into heat; thermal_response
+    then steps the thermal field over the same substeps. A run in which a
+    cell runs out of charge stops there and returns the frames made so far,
+    fewer than cfg.n_frames; if no frame was made, it raises
+    SimulationError, as it does for a non-finite temperature.
     """
     steps = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
     dt = cfg.sample_interval / steps
-    rng = np.random.default_rng(cfg.rng_seed)
-    field = np.full((NX, NY), cfg.ambient)
     elec = initial_electrical_state(cfg.initial_soc)
     # the C-rate is taken against one cell's capacity
     pack_current = cfg.discharge_rate * CAPACITY_AH
     fault = cfg.fault
-    frames: list[TelemetryFrame] = []
-    for k in range(cfg.n_frames):
+    n = cfg.n_frames
+    watts = np.empty((n * steps, N_CELLS))
+    group_v = np.empty((n, N_GROUPS))
+    for k in range(n):
         base = k * cfg.sample_interval
         try:
             for s in range(steps):
                 t0 = base + s * dt
                 elec = step_electrical(elec, pack_current, fault, t0, dt)
-                src = deposit_sources(heat_generation(elec))
-                field = step_thermal(field, src, dt, cfg)
+                watts[k * steps + s] = heat_generation(elec)
         except Depleted:
-            if not frames:
+            if k == 0:
                 raise SimulationError(
                     f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
                     "before the first frame") from None
+            n = k
             break
+        group_v[k] = elec.group_voltage
+
+    temps, field = thermal_response(watts[: n * steps], steps, dt, cfg)
+    _require_finite_field(field)
+    # the draws of frame after frame: 24 temperatures, 6 voltages, 1 current
+    noise = np.random.default_rng(cfg.rng_seed).standard_normal(
+        (n, N_CELLS + N_GROUPS + 1))
+    temps += cfg.temp_noise_std * noise[:, :N_CELLS]
+    volts = group_v[:n] + cfg.volt_noise_std * noise[:, N_CELLS:-1]
+    current = pack_current + cfg.volt_noise_std * noise[:, -1]
+    frames = []
+    for k in range(n):
         t_frame = (k + 1) * cfg.sample_interval
-        flat = field.ravel()[LAYOUT.footprint_nodes]
-        temps = (np.add.reduceat(flat, LAYOUT.footprint_offsets) / LAYOUT.footprint_counts
-                 + rng.normal(0.0, cfg.temp_noise_std, N_CELLS))
-        volts = elec.group_voltage + rng.normal(0.0, cfg.volt_noise_std,
-                                                N_GROUPS)
-        current = pack_current + rng.normal(0.0, cfg.volt_noise_std)
         label = int(fault is not None and t_frame > fault.onset)
-        frames.append(TelemetryFrame(t=t_frame, cell_temps=temps,
-                                     group_volts=volts, pack_current=current,
+        frames.append(TelemetryFrame(t=t_frame, cell_temps=temps[k],
+                                     group_volts=volts[k],
+                                     pack_current=float(current[k]),
                                      label=label))
     return frames

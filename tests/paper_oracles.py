@@ -4,9 +4,11 @@ The detector computes each stream for all windows at once; these functions
 state the same quantities one window (or one score vector) at a time, in
 the plainest form, so tests can compare the vectorised paths against them.
 The threshold's kernel density is here too, with the plain bisection for
-the threshold that the detector's Newton search is checked against, and so
-is the simulator's heat ledger, which energy-closure tests balance the
-thermal field against.
+the threshold that the detector's Newton search is checked against. So are
+the simulator's explicit finite-volume stencil and the substep loop that
+stepped it, which the modal thermal response is checked against, and the
+simulator's heat ledger, which energy-closure tests balance the thermal
+field against.
 """
 
 import math
@@ -15,7 +17,18 @@ from typing import NamedTuple
 import numpy as np
 
 from packdiag import pack
+from packdiag.errors import SimulationError
 from packdiag.fusion import SQRT_2PI, THRESHOLD_TOL
+from packdiag.pack import (
+    DIFFUSIVITY,
+    LAYOUT,
+    N_CELLS,
+    N_GROUPS,
+    NODE,
+    NX,
+    NY,
+    VOLUMETRIC_HEAT_CAPACITY,
+)
 
 M = 2  # embedding dimension of the temporal stream
 
@@ -183,6 +196,80 @@ def scalar_newton_threshold(model, beta: float) -> float:
         x = target
 
 
+def stencil_step(t: np.ndarray, sources: np.ndarray, dt: float,
+                 cfg) -> np.ndarray:
+    """One explicit finite-volume step of dt seconds of the 2-D heat equation.
+
+    Interior faces carry diffusive flux; edges exchange heat with ambient air
+    (forced coefficient on the left edge, natural elsewhere). Insulated edges
+    (both coefficients zero) conserve the spatial mean exactly.
+    """
+    c_vol = VOLUMETRIC_HEAT_CAPACITY
+
+    rate = np.zeros_like(t)
+    fx = (t[1:, :] - t[:-1, :]) * (DIFFUSIVITY / NODE**2)
+    rate[:-1, :] += fx
+    rate[1:, :] -= fx
+    fy = (t[:, 1:] - t[:, :-1]) * (DIFFUSIVITY / NODE**2)
+    rate[:, :-1] += fy
+    rate[:, 1:] -= fy
+
+    # convective edges; corners see two faces
+    rate[0, :] += cfg.h_forced / (c_vol * NODE) * (cfg.ambient - t[0, :])
+    rate[-1, :] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[-1, :])
+    rate[:, 0] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, 0])
+    rate[:, -1] += cfg.h_natural / (c_vol * NODE) * (cfg.ambient - t[:, -1])
+
+    new_t = t + dt * (rate + sources / c_vol)
+    if not np.isfinite(new_t).all():
+        bad = np.argwhere(~np.isfinite(new_t))[0]
+        raise SimulationError(f"non-finite temperature at node {tuple(bad)}")
+    return new_t
+
+
+def stencil_simulate(cfg) -> list:
+    """pack.simulate stepping the whole field with stencil_step each substep.
+
+    Each substep steps the circuit, turns its currents into heat, deposits
+    that heat on the footprints and steps the field, and each frame draws
+    its noise as it is made: 24 temperatures, 6 voltages, then the current.
+    """
+    steps = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
+    dt = cfg.sample_interval / steps
+    rng = np.random.default_rng(cfg.rng_seed)
+    field = np.full((NX, NY), cfg.ambient)
+    elec = pack.initial_electrical_state(cfg.initial_soc)
+    pack_current = cfg.discharge_rate * pack.CAPACITY_AH
+    fault = cfg.fault
+    frames = []
+    for k in range(cfg.n_frames):
+        base = k * cfg.sample_interval
+        try:
+            for s in range(steps):
+                t0 = base + s * dt
+                elec = pack.step_electrical(elec, pack_current, fault, t0, dt)
+                src = pack.deposit_sources(pack.heat_generation(elec))
+                field = stencil_step(field, src, dt, cfg)
+        except pack.Depleted:
+            if not frames:
+                raise SimulationError(
+                    f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
+                    "before the first frame") from None
+            break
+        t_frame = (k + 1) * cfg.sample_interval
+        flat = field.ravel()[LAYOUT.footprint_nodes]
+        temps = (np.add.reduceat(flat, LAYOUT.footprint_offsets) / LAYOUT.footprint_counts
+                 + rng.normal(0.0, cfg.temp_noise_std, N_CELLS))
+        volts = elec.group_voltage + rng.normal(0.0, cfg.volt_noise_std,
+                                                N_GROUPS)
+        current = pack_current + rng.normal(0.0, cfg.volt_noise_std)
+        label = int(fault is not None and t_frame > fault.onset)
+        frames.append(pack.TelemetryFrame(t=t_frame, cell_temps=temps,
+                                          group_volts=volts,
+                                          pack_current=current, label=label))
+    return frames
+
+
 class Ledger(NamedTuple):
     """A run's frames with the books the simulator itself does not keep."""
 
@@ -193,32 +280,35 @@ class Ledger(NamedTuple):
 
 
 def ledgered_simulate(cfg, monkeypatch) -> Ledger:
-    """pack.simulate(cfg), with spies on the functions of its substep.
+    """pack.simulate(cfg), with spies on the functions it calls.
 
-    Each substep's cell heat, in watts, is booked over the dt its thermal
-    step advances, so the ledger counts heat before it is spread on the
-    grid; the last field and circuit state are kept.
+    Each substep's cell heat, in watts, is booked over the dt its circuit
+    step advanced, so the ledger counts heat before it reaches the thermal
+    field. The last field is the one pack.thermal_response returns, and
+    the last circuit state the one of the last step. For a run no cell
+    runs dry in, every booked substep reaches the field.
     """
     seen = {"heat_j": 0.0}
     step_electrical = pack.step_electrical
     heat_generation = pack.heat_generation
-    step_thermal = pack.step_thermal
+    thermal_response = pack.thermal_response
 
-    def electrical(*args):
-        seen["elec"] = step_electrical(*args)
+    def electrical(state, pack_current, fault, t, dt):
+        seen["dt"] = dt
+        seen["elec"] = step_electrical(state, pack_current, fault, t, dt)
         return seen["elec"]
 
     def generation(state):
-        seen["watts"] = heat_generation(state)
-        return seen["watts"]
+        watts = heat_generation(state)
+        seen["heat_j"] += watts.sum() * seen["dt"]
+        return watts
 
-    def thermal(field, sources, dt, run_cfg):
-        seen["heat_j"] += seen["watts"].sum() * dt
-        seen["field"] = step_thermal(field, sources, dt, run_cfg)
-        return seen["field"]
+    def response(*args):
+        temps, seen["field"] = thermal_response(*args)
+        return temps, seen["field"]
 
     monkeypatch.setattr(pack, "step_electrical", electrical)
     monkeypatch.setattr(pack, "heat_generation", generation)
-    monkeypatch.setattr(pack, "step_thermal", thermal)
+    monkeypatch.setattr(pack, "thermal_response", response)
     frames = pack.simulate(cfg)
     return Ledger(frames, seen["heat_j"], seen["field"], seen["elec"])

@@ -124,12 +124,14 @@ class TestSimulateCommand:
         assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("duration, interval", [
-        ("2000.0", "1e-310"), ("1.7976931348623157e308", "1.0")])
+        ("2000.0", "1e-310"), ("1.7976931348623157e308", "1.0"),
+        ("2000.0", "1e-06")])
     def test_overflowing_frame_count_is_config_error(self, tmp_path, capsys,
                                                      duration, interval):
         # the frame count overflows: duration / sample_interval is infinite,
-        # or finite but overflows with the 1e-9 allowance n_frames adds; a
-        # bad config exits 2, not with a traceback
+        # or finite but overflows with the 1e-9 allowance n_frames adds; or
+        # it is finite but past MAX_FRAMES (2,000,000,002 frames); a bad
+        # config exits 2, not with a traceback
         cfg_path = tmp_path / "tiny.scenario"
         cfg_path.write_text(f"duration = {duration}\n"
                             f"sample_interval = {interval}\n")

@@ -1,21 +1,26 @@
 """Tests for the pack simulator: geometry, circuit, thermal stepping, end-to-end runs."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from packdiag import pack
 from packdiag.errors import ConfigError, SimulationError
+from packdiag.io import read_scenario
 from packdiag.pack import (
     CAPACITY_AH,
     HEIGHT,
     INTERNAL_RESISTANCE,
     LAYOUT,
+    MAX_FRAMES,
     N_CELLS,
     N_GROUPS,
     NODE,
     NX,
     NY,
+    OCV_COEFFS,
     ROWS,
     STABLE_DT,
     VOLUMETRIC_HEAT_CAPACITY,
@@ -29,7 +34,9 @@ from packdiag.pack import (
     step_thermal,
     simulate,
 )
-from paper_oracles import ledgered_simulate
+from paper_oracles import ledgered_simulate, stencil_simulate, stencil_step
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # cell indices, one row per series group (a column of parallel cells)
 SERIES_GROUPS = np.arange(N_CELLS).reshape(N_GROUPS, ROWS)
@@ -101,6 +108,12 @@ class TestCellModel:
         rng = np.random.default_rng(7)
         for soc in rng.uniform(0.0, 1.0, 200):
             assert abs(ocv_of_soc(soc) - _ocv_power_sum(soc)) < 1e-12
+
+    def test_ocv_is_polyval_bit_for_bit(self):
+        socs = np.linspace(0.0, 1.0, 100_001)
+        assert np.array_equal(ocv_of_soc(socs), np.polyval(OCV_COEFFS, socs))
+        for soc in socs[::997]:
+            assert ocv_of_soc(float(soc)) == np.polyval(OCV_COEFFS, soc)
 
     def test_ocv_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -333,6 +346,19 @@ class TestThermal:
         i, j = np.unravel_index(fp[0], (NX, NY))
         assert abs(field[i, j] - (293.15 + 0.5 * 1e4 / 2e6)) < 1e-12
 
+    @pytest.mark.parametrize("h_forced, h_natural", [(25.0, 5.0), (0.0, 0.0),
+                                                     (400.0, 60.0)])
+    def test_step_matches_stencil(self, h_forced, h_natural):
+        # the Kronecker sum of the two chains is the 2-D stencil
+        cfg = self._config(h_forced=h_forced, h_natural=h_natural)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            field = 293.15 + rng.uniform(-5.0, 15.0, (NX, NY))
+            src = deposit_sources(rng.uniform(0.0, 3.0, N_CELLS))
+            got = step_thermal(field, src, cfg.dt, cfg)
+            want = stencil_step(field, src, cfg.dt, cfg)
+            assert np.abs(got - want).max() <= 1e-12
+
     def test_deposit_matches_per_footprint_loop(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
@@ -414,6 +440,18 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="sample_interval"):
             dataclasses.replace(SimConfig(), sample_interval=1e-310)
 
+    def test_rejects_more_frames_than_the_cap(self):
+        assert SimConfig(duration=float(MAX_FRAMES)).n_frames == MAX_FRAMES
+        with pytest.raises(ConfigError, match=f"sample_interval 1.0 makes a "
+                           f"{MAX_FRAMES + 1.0!r} s run {MAX_FRAMES + 1} "
+                           "frames long, more than MAX_FRAMES"):
+            SimConfig(duration=MAX_FRAMES + 1.0)
+        # 2,000,000,002 frames
+        with pytest.raises(ConfigError, match="sample_interval 1e-06 makes"):
+            SimConfig(duration=2000.0, sample_interval=1e-6)
+        with pytest.raises(ConfigError, match="sample_interval 1e-06"):
+            dataclasses.replace(SimConfig(), sample_interval=1e-6)
+
     def test_rejects_negative_seed(self):
         # numpy's own message names neither the key nor the value
         with pytest.raises(ConfigError,
@@ -472,6 +510,12 @@ class TestSimulate:
         assert run.heat_j > 0
         assert abs(gained / run.heat_j - 1.0) < 0.005
 
+    def test_non_finite_temperature_raises(self, monkeypatch):
+        monkeypatch.setattr(pack, "heat_generation",
+                            lambda state: np.full(N_CELLS, np.nan))
+        with pytest.raises(SimulationError, match="non-finite temperature"):
+            simulate(SimConfig(duration=10.0))
+
     def test_depleted_run_truncates(self):
         # 2C drains a branch at about 1.4e-4 soc/s, so 5% of charge lasts ~360 s
         cfg = SimConfig(duration=500.0, rng_seed=0, initial_soc=0.05)
@@ -517,6 +561,53 @@ class TestSimulate:
         after = frames[-1].group_volts
         sag = before - after
         assert sag[0] > sag[1:].max()
+
+
+ORACLE_RUNS = {
+    "sc01": read_scenario(SCENARIO_DIR / "sc01.scenario"),
+    # 1 C
+    "sc07": read_scenario(SCENARIO_DIR / "sc07.scenario"),
+    "insulated": SimConfig(duration=120.0, h_forced=0.0, h_natural=0.0,
+                           temp_noise_std=0.0, volt_noise_std=0.0,
+                           fault=FaultSpec(fault_cell=4, r_short=10.0,
+                                           onset=30.0)),
+    # the short starts between the two substeps of frame 21
+    "mid_frame_onset": SimConfig(duration=60.0, rng_seed=5,
+                                 fault=FaultSpec(fault_cell=17, r_short=10.0,
+                                                 onset=20.25)),
+    # at 16 C a cell runs dry at 810 s
+    "depleting": SimConfig(duration=900.0, discharge_rate=16.0, rng_seed=3),
+    # five substeps of 0.5 s per frame, and one of 0.4 s
+    "interval_2.5": SimConfig(duration=300.0, sample_interval=2.5, rng_seed=8,
+                              fault=FaultSpec(fault_cell=9, r_short=5.0,
+                                              onset=100.0)),
+    "interval_0.4": SimConfig(duration=120.0, sample_interval=0.4, rng_seed=9,
+                              fault=FaultSpec(fault_cell=21, r_short=10.0,
+                                              onset=50.0)),
+}
+
+
+class TestAgainstStencil:
+    """simulate against the parent's whole-field stencil loop: the circuit
+    and the noise bit for bit, the temperatures to rounding."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_RUNS))
+    def test_matches_stencil_simulate(self, name):
+        cfg = ORACLE_RUNS[name]
+        got, want = simulate(cfg), stencil_simulate(cfg)
+        assert len(got) == len(want)
+        if name == "depleting":
+            assert len(got) == 810
+        else:
+            assert len(got) == cfg.n_frames
+        for a, b in zip(got, want):
+            assert a.t == b.t and a.label == b.label
+            assert np.array_equal(a.group_volts, b.group_volts)
+            assert a.pack_current == b.pack_current
+        deviation = max(np.abs(a.cell_temps - b.cell_temps).max()
+                        for a, b in zip(got, want))
+        print(f"{name}: largest temperature deviation {deviation:.2e} K")
+        assert deviation <= 1e-10
 
 
 # frozen from the first deterministic run of scenario 1 (seed 101)
