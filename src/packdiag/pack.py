@@ -375,9 +375,9 @@ def thermal_response(cell_watts: np.ndarray, steps: int, dt: float,
     amp = np.zeros(NX * NY)
     excess = np.empty((frames, N_CELLS))
     for k, frame in enumerate(cell_watts.reshape(frames, steps, N_CELLS)):
-        for deposited in frame @ source:
+        for watts in frame:
             amp *= gain
-            amp += deposited
+            amp += watts @ source
         excess[k] = read @ amp
     excess += cfg.ambient
     return excess, qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient

@@ -1,6 +1,7 @@
 """Tests for the pack simulator: geometry, circuit, thermal stepping, end-to-end runs."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,19 @@ class TestSimulate:
                             lambda state: np.full(N_CELLS, np.nan))
         with pytest.raises(SimulationError, match="non-finite temperature"):
             simulate(SimConfig(duration=10.0))
+
+    def test_memory_holds_heats_not_modes(self):
+        # one frame of 2000 substeps: the run holds each substep's 24 heats
+        # (384 kB), never a (substeps, NX * NY) block of modal deposits
+        # (6.1 MB)
+        cfg = SimConfig(duration=1000.0, sample_interval=1000.0)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_depleted_run_truncates(self):
         # 2C drains a branch at about 1.4e-4 soc/s, so 5% of charge lasts ~360 s
