@@ -428,6 +428,7 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
         group_v[k] = elec.group_voltage
 
     temps, field = thermal_response(watts[: n * steps], steps, dt, cfg)
+    del watts  # spent: without them a run's peak is below its frames'
     _require_finite_field(field)
     # the draws of frame after frame: 24 temperatures, 6 voltages, 1 current
     noise = np.random.default_rng(cfg.rng_seed).standard_normal(
