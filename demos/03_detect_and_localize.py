@@ -19,6 +19,7 @@ from packdiag import (
     run_detector,
     simulate,
 )
+from packdiag.tuning import MetricsConfig, compute_metrics
 
 FAULT_CELL = 4
 ONSET = 1000.0
@@ -38,21 +39,21 @@ def main():
     print(f"calibrated on first {params.train_len:.0f}s: "
           f"threshold H_r = {cal.h_r:.5f}")
 
-    out = report.outcome
-    alarms = out.times[out.alarms]
-    post = alarms[alarms > ONSET]
-    rate_pre = float((alarms <= ONSET).sum()) \
-        / max(int((out.times <= ONSET).sum()), 1)
-    print(f"alarms: {alarms.size} total, {post.size} after onset, "
-          f"pre-onset alarm rate {100 * rate_pre:.2f}%")
+    # scored against the frame labels: the false-alarm rate counts the
+    # post-warm-up normal frames, and the alarm to localize is the first
+    # one after the labelled onset
+    met = compute_metrics(report.outcome, tele.labels, MetricsConfig())
+    print(f"alarms: {int(report.outcome.alarms.sum())} total, "
+          f"{met.detected_abnormal} after onset, false-alarm rate "
+          f"{100 * met.far:.2f}% of {met.total_normal} normal frames")
 
-    if post.size == 0:
+    if met.t_detect is None:
         print("no alarm after the onset; nothing to localize")
         return
 
-    t_first = float(post[0])
+    t_first = met.t_detect
     print(f"first post-onset alarm at t={t_first:.0f}s "
-          f"({t_first - ONSET:.0f}s after the short began)")
+          f"({t_first - met.t_onset:.0f}s after the short began)")
 
     cmap = contributions_at(tele, t_first, cal.window)
     excess = cmap.contributions

@@ -221,14 +221,22 @@ class DetectionOutcome:
     t_f: float | np.ndarray | None
 
 
+def first_alarm(times: np.ndarray, alarms: np.ndarray, start: int = 0):
+    """Each row's first alarm time at or after frame start, NaN for none;
+    alarms is one stream of flags or a (k, n) stack over the same times."""
+    after = alarms[..., start:]
+    return np.where(after.any(axis=-1),
+                    times[start + after.argmax(axis=-1)], np.nan)
+
+
 def detect(times: np.ndarray, h_stream: np.ndarray,
            params: DetectorParams, h_r=None) -> DetectionOutcome:
     """Alarm wherever the statistic strictly exceeds the threshold.
 
     h_stream is one stream or a (k, n) stack of candidate streams over the
     same times; a (k,) h_r then replaces params.h_r, one threshold per row,
-    and t_f holds each row's first alarm time, NaN for none. Warm-up
-    entries arrive as NaN and can never alarm. params must be calibrated.
+    and t_f holds each row's first_alarm, NaN for none (None for one
+    stream). NaN warm-up entries never alarm; params must be calibrated.
     """
     times = np.asarray(times, dtype=float)
     h = np.asarray(h_stream, dtype=float)
@@ -237,10 +245,7 @@ def detect(times: np.ndarray, h_stream: np.ndarray,
     threshold = params.h_r if h_r is None else np.asarray(h_r)[..., None]
     # NaN compares False: warm-up frames never alarm
     alarms = h > threshold
-    fired = alarms.any(axis=-1)
-    first = times[alarms.argmax(axis=-1)]
+    t_f = first_alarm(times, alarms)
     if h.ndim == 1:
-        t_f = float(first) if fired else None
-    else:
-        t_f = np.where(fired, first, np.nan)
+        t_f = None if np.isnan(t_f) else float(t_f)
     return DetectionOutcome(times=times, h_stream=h, alarms=alarms, t_f=t_f)

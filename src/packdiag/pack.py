@@ -38,6 +38,10 @@ OCV_COEFFS = (-34.39, 127.38, -182.10, 127.24, -45.57, 8.40, 3.19)
 # the most telemetry frames one run may ask for: 11.6 days at 1 Hz; the
 # simulator holds its arrays for the whole run at once
 MAX_FRAMES = 1_000_000
+# the most substeps one run may take: a MAX_FRAMES run's at the default dt
+# and sample_interval; the simulator holds each one's 24 cell heats (192
+# bytes) until the thermal response has run
+MAX_SUBSTEPS = 2 * MAX_FRAMES
 
 # the pack: COLS series groups of ROWS parallel cells, one group per column
 ROWS = 4
@@ -131,6 +135,13 @@ class SimConfig:
                               f"makes a {self.duration!r} s run {frames} "
                               f"frames long, more than MAX_FRAMES = "
                               f"{MAX_FRAMES}")
+        # the quotient first: an infinite one has no ceiling to take
+        if (self.sample_interval / self.dt > MAX_SUBSTEPS
+                or frames * self.substeps > MAX_SUBSTEPS):
+            raise ConfigError(f"sample_interval {self.sample_interval!r} "
+                              f"at dt {self.dt!r} makes a {self.duration!r}"
+                              f" s run more than MAX_SUBSTEPS = "
+                              f"{MAX_SUBSTEPS} substeps long")
         if self.ambient <= 0:
             raise ConfigError("ambient must be positive kelvin")
         if self.temp_noise_std < 0 or self.volt_noise_std < 0:
@@ -154,6 +165,11 @@ class SimConfig:
                               f"makes the frame count of a {self.duration!r} s "
                               "run overflow")
         return math.floor(frames)
+
+    @property
+    def substeps(self) -> int:
+        """Equal substeps of at most dt that make up one frame's interval."""
+        return max(1, math.ceil(self.sample_interval / self.dt - 1e-12))
 
 
 @dataclass
@@ -395,14 +411,14 @@ def initial_electrical_state(initial_soc: float) -> ElectricalState:
 def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     """Run a scenario and return one telemetry frame per sample_interval.
 
-    Each frame is reached in equal substeps of at most cfg.dt. A substep
-    steps the circuit and turns its currents into heat; thermal_response
-    then steps the thermal field over the same substeps. A run in which a
-    cell runs out of charge stops there and returns the frames made so far,
-    fewer than cfg.n_frames; if no frame was made, it raises
-    SimulationError, as it does for a non-finite temperature.
+    Each frame is reached in cfg.substeps equal substeps of at most cfg.dt.
+    A substep steps the circuit and turns its currents into heat;
+    thermal_response then steps the thermal field over the same substeps.
+    A run in which a cell runs out of charge stops there and returns the
+    frames made so far, fewer than cfg.n_frames; if no frame was made, it
+    raises SimulationError, as it does for a non-finite temperature.
     """
-    steps = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
+    steps = cfg.substeps
     dt = cfg.sample_interval / steps
     elec = initial_electrical_state(cfg.initial_soc)
     # the C-rate is taken against one cell's capacity

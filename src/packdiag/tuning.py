@@ -25,6 +25,7 @@ from .fusion import (
     DetectionOutcome,
     DetectorParams,
     detect,
+    first_alarm,
     multiscale_statistic,
 )
 from .pipeline import Telemetry, entropy_streams, fit_normalizers, fit_threshold
@@ -57,60 +58,75 @@ class EvaluationResult:
     objective_value: float | None = None
 
 
-def _tally(outcome: DetectionOutcome, labels: np.ndarray, t_r: float):
-    """Frame counts and delay of each candidate row of an outcome.
+def pooled_metrics(outcomes: list[DetectionOutcome], labels, t_r: float):
+    """Detection quality of each candidate row, pooled over recordings.
 
-    Abnormal frames count toward the detection rate; post-warm-up normal
-    frames toward the false-alarm rate. The delay runs from the last normal
-    timestamp to the first alarm after it; a row with no such alarm is
-    penalized with the full recording length. Returns detected, abnormal,
-    false-alarm and normal frames, t_onset, t_detect (NaN for none) and the
-    relative delay; all but the abnormal frames and t_onset are per row,
-    for an outcome of one stream or a stack.
+    Each outcome is one recording's stream or (k, n) stack of rows; labels
+    holds each one's frame labels. Abnormal frames count toward the
+    detection rate, post-warm-up normal frames toward the false-alarm rate.
+    A recording's t_onset is the timestamp before its first abnormal frame,
+    or its first, and a row's t_detect its first alarm after t_onset. The
+    relative delay, (t_detect - t_onset) / t_r or the recording's length /
+    t_r with no such alarm, averages over the recordings with abnormal
+    frames. Returns each row's EvaluationResult, None unless the pool holds
+    an abnormal frame and every recording with one a post-warm-up normal
+    frame; each recording's t_onset; and its (k,) t_detect, NaN for none.
     """
-    times, alarms = outcome.times, outcome.alarms
-    abnormal = labels == 1
-    # NaN, never equal to itself, marks the warm-up
-    normal = (labels == 0) & (outcome.h_stream == outcome.h_stream)
-    first = int(np.argmax(abnormal))
-    t_onset = float(times[first - 1]) if first > 0 else float(times[0])
-    start = max(first, 1)   # the first frame after t_onset
-    after = alarms[..., start:]
-    fired = after.any(axis=-1)
-    t_detect = np.where(fired, times[start + after.argmax(axis=-1)], np.nan)
-    relative_delay = np.where(fired, (t_detect - t_onset) / t_r,
-                              float(times[-1]) / t_r)
-    return ((alarms & abnormal).sum(axis=-1), int(abnormal.sum()),
-            (alarms & normal).sum(axis=-1), normal.sum(axis=-1),
-            t_onset, t_detect, relative_delay)
+    detected = false_alarms = total_normal = total_abnormal = 0
+    usable = True
+    onsets, detects, delays = [], [], []
+    for out, lab in zip(outcomes, labels):
+        alarms, h = np.atleast_2d(out.alarms, out.h_stream)
+        abnormal = lab == 1
+        # NaN, never equal to itself, marks the warm-up
+        normal = (lab == 0) & (h == h)
+        first = int(np.argmax(abnormal))
+        onsets.append(float(out.times[max(first - 1, 0)]))
+        # from the first frame after t_onset
+        detects.append(first_alarm(out.times, alarms, max(first, 1)))
+        n_normal = normal.sum(axis=-1)
+        detected = detected + (alarms & abnormal).sum(axis=-1)
+        false_alarms = false_alarms + (alarms & normal).sum(axis=-1)
+        total_normal = total_normal + n_normal
+        if abnormal.any():
+            total_abnormal += int(abnormal.sum())
+            usable = usable & (n_normal > 0)
+            delays.append(np.where(np.isnan(detects[-1]),
+                                   float(out.times[-1]) / t_r,
+                                   (detects[-1] - onsets[-1]) / t_r))
+    results = [None] * len(total_normal)
+    if delays:
+        relative_delay = np.stack(delays, axis=-1).mean(axis=-1)
+        for i in np.flatnonzero(usable):
+            res = results[i] = EvaluationResult(
+                adr=int(detected[i]) / total_abnormal,
+                far=int(false_alarms[i]) / int(total_normal[i]),
+                relative_delay=float(relative_delay[i]),
+                detected_abnormal=int(detected[i]),
+                total_abnormal=total_abnormal,
+                false_alarms=int(false_alarms[i]),
+                total_normal=int(total_normal[i]))
+            res.objective_value = objective(res)
+    return results, onsets, detects
 
 
 def compute_metrics(outcome: DetectionOutcome, labels: np.ndarray,
                     cfg: MetricsConfig) -> EvaluationResult:
     """Score one recording's alarms against its frame labels.
 
-    Frames and delay are counted by _tally; times must increase. A
+    pooled_metrics of one recording, with its t_onset and t_detect. A
     labelling without both normal and abnormal frames raises ValueError.
     """
     labels = np.asarray(labels)
     if labels.shape != outcome.times.shape:
         raise ValueError("labels and outcome cover different frame counts")
-    detected, total_abnormal, false_alarms, total_normal, t_onset, \
-        t_detect, relative_delay = _tally(outcome, labels, cfg.t_r)
-    if total_abnormal == 0 or total_normal == 0:
+    (res,), (t_onset,), ((t_detect,),) = pooled_metrics([outcome], [labels],
+                                                        cfg.t_r)
+    if res is None:
         raise ValueError("unusable scenario labeling: need both normal and "
                          "abnormal frames")
-    res = EvaluationResult(adr=int(detected) / total_abnormal,
-                           far=int(false_alarms) / int(total_normal),
-                           relative_delay=float(relative_delay),
-                           detected_abnormal=int(detected),
-                           total_abnormal=total_abnormal,
-                           false_alarms=int(false_alarms),
-                           total_normal=int(total_normal),
-                           t_detect=(None if math.isnan(t_detect)
-                                     else float(t_detect)),
-                           t_onset=t_onset)
-    res.objective_value = objective(res)
+    res.t_onset = t_onset
+    res.t_detect = None if math.isnan(t_detect) else float(t_detect)
     return res
 
 
@@ -213,37 +229,15 @@ class FitnessEvaluator:
             multiscale_statistic(rec.h_d[rec.train], rec.h_s[rec.train],
                                  rec.h_t[rec.train], rec.cal, alphas)
             for rec in records])
-        # a row whose threshold DetectorParams would reject
+        outcomes = [detect(tele.times, multiscale_statistic(
+            rec.h_d, rec.h_s, rec.h_t, rec.cal, alphas), rec.cal, row_h_r)
+            for tele, rec, row_h_r in zip(self.scenarios, records, h_r)]
+        results = pooled_metrics(outcomes, [t.labels for t in self.scenarios],
+                                 self.metrics.t_r)[0]
+        # a row whose threshold DetectorParams would reject, or unusable
         feasible = np.isfinite(h_r).all(axis=0)
-        counts = []
-        delays = []
-        for tele, rec, row_h_r in zip(self.scenarios, records, h_r):
-            h = multiscale_statistic(rec.h_d, rec.h_s, rec.h_t, rec.cal, alphas)
-            outcome = detect(tele.times, h, rec.cal, row_h_r)
-            detected, abnormal, false, normal, _, _, delay = \
-                _tally(outcome, tele.labels, self.metrics.t_r)
-            counts.append((detected, abnormal, false, normal))
-            if abnormal:
-                # compute_metrics rejects a fault recording with no normal frames
-                feasible &= normal > 0
-                delays.append(delay)
-        detected, total_abn, false, total_norm = (sum(c) for c in zip(*counts))
-        relative_delay = np.stack(delays, axis=1).mean(axis=1)
-        results = []
-        for i in range(len(alphas)):
-            if not feasible[i]:
-                results.append(_infeasible())
-                continue
-            res = EvaluationResult(adr=int(detected[i]) / int(total_abn),
-                                   far=int(false[i]) / int(total_norm[i]),
-                                   relative_delay=float(relative_delay[i]),
-                                   detected_abnormal=int(detected[i]),
-                                   total_abnormal=int(total_abn),
-                                   false_alarms=int(false[i]),
-                                   total_normal=int(total_norm[i]))
-            res.objective_value = objective(res)
-            results.append(res)
-        return results
+        return [res if ok and res is not None else _infeasible()
+                for res, ok in zip(results, feasible)]
 
     def _thresholds(self, trains: list[np.ndarray]) -> np.ndarray:
         """Alarm thresholds of each recording's (k, L) training rows, as a

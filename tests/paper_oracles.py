@@ -8,7 +8,8 @@ the threshold that the detector's Newton search is checked against. So are
 the simulator's explicit finite-volume stencil and the substep loop that
 stepped it, which the modal thermal response is checked against, and the
 simulator's heat ledger, which energy-closure tests balance the thermal
-field against.
+field against, and a frame-by-frame loop that scores one candidate's alarms
+the way tuning.pooled_metrics scores a stack of them.
 """
 
 import math
@@ -312,3 +313,67 @@ def ledgered_simulate(cfg, monkeypatch) -> Ledger:
     monkeypatch.setattr(pack, "thermal_response", response)
     frames = pack.simulate(cfg)
     return Ledger(frames, seen["heat_j"], seen["field"], seen["elec"])
+
+
+class LoopedScore(NamedTuple):
+    """One candidate's detection quality over labelled recordings."""
+
+    detected: int
+    abnormal: int
+    false_alarms: int
+    normal: int
+    t_onsets: list        # one per recording
+    t_detects: list       # one per recording, None for no alarm after onset
+    relative_delay: float | None   # None without a fault recording
+    usable: bool
+
+
+def looped_score(recordings, t_r: float) -> LoopedScore:
+    """Score one candidate's alarms one frame at a time.
+
+    recordings holds (times, h, alarms, labels) per recording, each one row
+    of frames. An abnormal frame (label 1) counts toward the detection
+    rate, a normal frame whose statistic is not NaN (past the warm-up)
+    toward the false-alarm rate. A recording's onset time is the timestamp
+    of the frame before its first abnormal frame, or of its first frame if
+    that one is abnormal or none is; its detection time the first alarm
+    after that. Each recording with an abnormal frame adds its delay,
+    (detection - onset) / t_r, or its last timestamp / t_r with no
+    detection, to a plain mean. The candidate can be scored when some
+    frame is abnormal and every recording with an abnormal frame has a
+    normal frame past its warm-up.
+    """
+    detected = abnormal = false_alarms = normal = 0
+    onsets, detects, delays = [], [], []
+    usable = True
+    for times, h, alarms, labels in recordings:
+        first_abnormal = None
+        own_normal = 0
+        for i in range(len(times)):
+            if labels[i] == 1:
+                abnormal += 1
+                detected += int(bool(alarms[i]))
+                if first_abnormal is None:
+                    first_abnormal = i
+            elif labels[i] == 0 and not math.isnan(h[i]):
+                own_normal += 1
+                false_alarms += int(bool(alarms[i]))
+        normal += own_normal
+        if first_abnormal is None or first_abnormal == 0:
+            onset = float(times[0])
+        else:
+            onset = float(times[first_abnormal - 1])
+        found = None
+        for i in range(len(times)):
+            if alarms[i] and times[i] > onset:
+                found = float(times[i])
+                break
+        onsets.append(onset)
+        detects.append(found)
+        if first_abnormal is not None:
+            usable = usable and own_normal > 0
+            delays.append(float(times[-1]) / t_r if found is None
+                          else (found - onset) / t_r)
+    delay = sum(delays) / len(delays) if delays else None
+    return LoopedScore(detected, abnormal, false_alarms, normal, onsets,
+                       detects, delay, usable and abnormal > 0)

@@ -140,6 +140,18 @@ class TestSimulateCommand:
         assert f"sample_interval {interval} makes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_substeps_is_config_error(self, tmp_path, capsys):
+        # one frame of 2,000,000,000 substeps, whose heats alone would take
+        # 384 GB: rejected before anything is simulated
+        cfg_path = tmp_path / "long.scenario"
+        cfg_path.write_text("duration = 1e9\nsample_interval = 1e9\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sample_interval 1000000000.0 at dt 0.5" in err
+        assert "MAX_SUBSTEPS" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, where):
         # numpy's own message named neither the key nor the value

@@ -16,6 +16,7 @@ from packdiag.pack import (
     INTERNAL_RESISTANCE,
     LAYOUT,
     MAX_FRAMES,
+    MAX_SUBSTEPS,
     N_CELLS,
     N_GROUPS,
     NODE,
@@ -452,6 +453,36 @@ class TestSimulate:
             SimConfig(duration=2000.0, sample_interval=1e-6)
         with pytest.raises(ConfigError, match="sample_interval 1e-06"):
             dataclasses.replace(SimConfig(), sample_interval=1e-6)
+
+    def test_rejects_more_substeps_than_the_cap(self):
+        # checked on construction: the runs below are never simulated
+        assert MAX_SUBSTEPS == 2 * MAX_FRAMES
+        cfg = SimConfig(duration=float(MAX_FRAMES))
+        assert cfg.n_frames * cfg.substeps == MAX_SUBSTEPS
+        cfg = SimConfig(duration=1e6, sample_interval=1e6)
+        assert (cfg.n_frames, cfg.substeps) == (1, MAX_SUBSTEPS)
+        # one frame of 2,000,000,000 substeps: 384 GB of heats
+        with pytest.raises(ConfigError, match="sample_interval 1000000000.0 "
+                           "at dt 0.5 makes a 1000000000.0 s run more than "
+                           "MAX_SUBSTEPS = 2000000 substeps long"):
+            SimConfig(duration=1e9, sample_interval=1e9)
+        with pytest.raises(ConfigError, match="at dt 0.1 .* MAX_SUBSTEPS"):
+            SimConfig(duration=2e5 + 1.0, dt=0.1)
+        with pytest.raises(ConfigError, match="sample_interval 1000000000.0"):
+            dataclasses.replace(SimConfig(), duration=1e9, sample_interval=1e9)
+        # the quotient overflows: no substep count to take the ceiling of
+        with pytest.raises(ConfigError, match="MAX_SUBSTEPS"):
+            SimConfig(duration=1e308, sample_interval=1e308, dt=0.25)
+        # the frame cap is checked first, and keeps its message
+        with pytest.raises(ConfigError, match="more than MAX_FRAMES"):
+            SimConfig(duration=MAX_FRAMES + 1.0, dt=0.1)
+
+    def test_substeps_per_frame(self):
+        # equal substeps of at most dt, to a relative 1e-12
+        assert SimConfig().substeps == 2
+        assert SimConfig(sample_interval=2.4, dt=0.5).substeps == 5
+        assert SimConfig(sample_interval=0.3, dt=0.1).substeps == 3
+        assert SimConfig(sample_interval=0.25, dt=0.5).substeps == 1
 
     def test_rejects_negative_seed(self):
         # numpy's own message names neither the key nor the value

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from packdiag.errors import ConfigError
-from packdiag.fusion import DetectionOutcome, DetectorParams
+from packdiag.fusion import DetectionOutcome, DetectorParams, detect
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import Telemetry, run_detector
 from packdiag.tuning import (
@@ -21,8 +21,10 @@ from packdiag.tuning import (
     compute_metrics,
     mga_optimize,
     objective,
+    pooled_metrics,
     simplex_project,
 )
+from paper_oracles import looped_score
 
 
 def synthetic_outcome(times, labels, alarm_times, warmup):
@@ -132,6 +134,110 @@ class TestComputeMetrics:
             MetricsConfig(t_r=0.0)
         with pytest.raises(ConfigError):
             dataclasses.replace(MetricsConfig(), t_r=0.0)
+
+
+def random_recording(rng, kind, k):
+    """Times, a (k, n) statistic stack with a NaN warm-up, per-row
+    thresholds and labels of one of the kinds the score must handle."""
+    n = int(rng.integers(6, 40))
+    times = np.cumsum(rng.uniform(0.5, 2.0, n))
+    warmup = int(rng.integers(0, n // 2))
+    onset = int(rng.integers(1, n))
+    labels = (np.arange(n) >= onset).astype(int)
+    if kind == "onset at frame 0":
+        labels = (np.arange(n) < onset).astype(int)
+    elif kind == "back to normal":
+        labels[int(rng.integers(onset, n)):] = 0
+    elif kind == "normal only":
+        labels[:] = 0
+    elif kind == "normal frames in warm-up":
+        warmup = max(warmup, onset)
+    h = rng.uniform(0.0, 1.0, (k, n))
+    h[:, :warmup] = np.nan
+    return times, h, rng.uniform(0.3, 1.0, k), labels
+
+
+KINDS = ("step", "onset at frame 0", "back to normal", "normal only",
+         "normal frames in warm-up")
+
+
+class TestPooledMetrics:
+    """pooled_metrics and compute_metrics against a frame-by-frame loop."""
+
+    def test_matches_loop_oracle_on_random_stacks(self):
+        rng = np.random.default_rng(18)
+        seen = {False: 0, True: 0}
+        for trial in range(300):
+            k = int(rng.integers(1, 5))
+            recs = [random_recording(rng, KINDS[int(rng.integers(len(KINDS)))],
+                                     k)
+                    for _ in range(int(rng.integers(1, 4)))]
+            outcomes = [detect(times, h, DetectorParams(), h_r=h_r)
+                        for times, h, h_r, _ in recs]
+            labels = [lab for *_, lab in recs]
+            results, onsets, detects = pooled_metrics(outcomes, labels, 1e3)
+            assert len(results) == k
+            for i in range(k):
+                want = looped_score(
+                    [(out.times, out.h_stream[i], out.alarms[i], lab)
+                     for out, lab in zip(outcomes, labels)], 1e3)
+                seen[want.usable] += 1
+                assert onsets == want.t_onsets
+                assert [None if math.isnan(d[i]) else d[i]
+                        for d in detects] == want.t_detects
+                for out, onset, d in zip(outcomes, onsets, detects):
+                    # the raw first alarm is the scored one once it
+                    # follows the onset
+                    if out.t_f[i] > onset:
+                        assert out.t_f[i] == d[i]
+                res = results[i]
+                if not want.usable:
+                    assert res is None
+                    continue
+                assert (res.detected_abnormal, res.total_abnormal,
+                        res.false_alarms, res.total_normal) == (
+                    want.detected, want.abnormal, want.false_alarms,
+                    want.normal)
+                assert res.adr == want.detected / want.abnormal
+                assert res.far == want.false_alarms / want.normal
+                assert res.relative_delay == want.relative_delay
+                assert res.objective_value == objective(res)
+                # a pooled result carries no one recording's times
+                assert res.t_onset is None and res.t_detect is None
+        assert seen[False] > 50 and seen[True] > 50
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_compute_metrics_matches_loop_oracle(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for trial in range(40):
+            times, h, h_r, labels = random_recording(rng, kind, 3)
+            stack = detect(times, h, DetectorParams(), h_r=h_r)
+            for i in range(3):
+                out = detect(times, h[i], DetectorParams(h_r=float(h_r[i])))
+                want = looped_score([(times, h[i], out.alarms, labels)], 1e3)
+                if kind in ("normal only", "normal frames in warm-up"):
+                    assert not want.usable
+                if not want.usable:
+                    with pytest.raises(ValueError,
+                                       match="unusable scenario labeling"):
+                        compute_metrics(out, labels, MetricsConfig())
+                    continue
+                res = compute_metrics(out, labels, MetricsConfig())
+                assert (res.detected_abnormal, res.total_abnormal,
+                        res.false_alarms, res.total_normal) == (
+                    want.detected, want.abnormal, want.false_alarms,
+                    want.normal)
+                assert (res.adr, res.far) == (want.detected / want.abnormal,
+                                              want.false_alarms / want.normal)
+                assert res.relative_delay == want.relative_delay
+                assert [res.t_onset] == want.t_onsets
+                assert [res.t_detect] == want.t_detects
+                # the raw first alarm is the scored one once it follows
+                # the onset
+                if out.t_f is not None and out.t_f > res.t_onset:
+                    assert out.t_f == res.t_detect
+                assert (np.isnan(stack.t_f[i]) if out.t_f is None
+                        else stack.t_f[i] == out.t_f)
 
 
 class TestObjective:
