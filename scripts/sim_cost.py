@@ -4,15 +4,15 @@ Simulates one scenario file (by default `scenarios/sc01.scenario`, 2000
 frames of two substeps each) and prints:
 
 - `simulate_ms`: the best wall time of `pack.simulate` over three calls;
-- `circuit_ms`: of that call, the time before `pack.thermal_response` is
-  called: the circuit loop, which steps the circuit and computes the cell
+- `circuit_ms`: of that call, the time inside `pack.step_electrical` and
+  `pack.heat_generation`, which step the circuit and compute the cell
   heats substep by substep;
 - `response_ms`: the rest of that call: the modal thermal response, the
-  noise and the frames;
+  substep loop itself, the noise and the frames;
 - `peak_mb`: the tracemalloc peak of one further call.
 
-The split is timed by wrapping `pack.thermal_response` for the call, one
-clock reading as it is entered. The first line names the scenario, its
+The split is timed by wrapping those two functions for the call, one clock
+pair per substep each. The first line names the scenario, its
 frames and substeps per frame, the interpreter, numpy and the CPU count;
 set OPENBLAS_NUM_THREADS (or your BLAS's equivalent) to fix the BLAS thread
 count.
@@ -43,27 +43,34 @@ from packdiag.io import read_scenario  # noqa: E402
 
 SCENARIO = ROOT / "scenarios" / "sc01.scenario"
 REPEATS = 3
+PARTS = ("step_electrical", "heat_generation")
 
 
-def timed_call(cfg: pack.SimConfig) -> tuple[float, float, int, int]:
-    """Wall seconds of one simulate call, the seconds before its thermal
-    response began, the frames it made and the substeps of each."""
-    response = pack.thermal_response
-    entered = []
+def timed_call(cfg: pack.SimConfig) -> tuple[float, float, int]:
+    """Wall seconds of one simulate call, the seconds inside the circuit
+    functions, and the frames it made."""
+    spent = [0.0]
+    originals = {name: getattr(pack, name) for name in PARTS}
 
-    def marked(cell_watts, steps, dt, run_cfg):
-        entered.append((time.perf_counter(), steps))
-        return response(cell_watts, steps, dt, run_cfg)
+    def timer(name):
+        def part(*args):
+            start = time.perf_counter()
+            try:
+                return originals[name](*args)
+            finally:
+                spent[0] += time.perf_counter() - start
+        return part
 
     try:
-        pack.thermal_response = marked
+        for name in PARTS:
+            setattr(pack, name, timer(name))
         start = time.perf_counter()
         frames = pack.simulate(cfg)
         wall = time.perf_counter() - start
     finally:
-        pack.thermal_response = response
-    (began, steps), = entered
-    return wall, began - start, len(frames), steps
+        for name, func in originals.items():
+            setattr(pack, name, func)
+    return wall, spent[0], len(frames)
 
 
 def peak_bytes(cfg: pack.SimConfig) -> int:
@@ -86,9 +93,9 @@ def main(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:
         print(f"sim_cost.py: error: {exc}", file=sys.stderr)
         return 2
-    wall, circuit, frames, steps = min(
+    wall, circuit, frames = min(
         (timed_call(cfg) for _ in range(REPEATS)), key=lambda run: run[0])
-    print(f"# {path.stem}: {frames} frames of {steps} substeps; Python "
+    print(f"# {path.stem}: {frames} frames of {cfg.substeps} substeps; Python "
           f"{platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs")
     print(f"simulate_ms {1e3 * wall:.1f}")

@@ -59,10 +59,23 @@ def write_dataset(path, tele: Telemetry):
     write_lines(path, lines)
 
 
+def _utf8_text(path) -> str:
+    """The file's text, with newlines as a text-mode read gives them;
+    DataFormatError naming the line of the first byte that is not UTF-8."""
+    # no UTF-8 sequence holds a CR or LF byte, so translating the bytes
+    # first keeps lines whole
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"line {lineno}: not UTF-8 text "
+                              f"({exc.reason})") from None
+
+
 def read_dataset(path) -> Telemetry:
     """Parse a telemetry CSV; malformed content names the offending line."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
+    lines = _utf8_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != DATASET_HEADER:

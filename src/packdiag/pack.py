@@ -10,17 +10,16 @@ onto its footprint.
 The pack and its cell are fixed: the module constants below are the one
 place they are set.
 
-A run has two stages. The circuit loop steps every group's network at once
-(the groups are contiguous runs of ROWS serials, so one reshape solves them
-all) and keeps each substep's cell heats. The circuit reads no temperature,
-so the thermal field can follow afterwards. Relative to ambient, the
-explicit scheme is linear with constant coefficients, and its rate operator
-is a Kronecker sum: a chain of NX nodes along x plus a chain of NY nodes
-along y (`thermal_operators`). The eigenvectors of the two chains therefore
-diagonalise the whole scheme, and `thermal_response` steps the NX * NY
-modal amplitudes of exactly the explicit scheme, one update per substep,
-reading each frame's cell means from them. The thermal field is a plain
-(NX, NY) array of kelvin.
+A run is one substep loop. Each substep steps every group's network at
+once (the groups are contiguous runs of ROWS serials, so one reshape solves
+them all), then the thermal field with that substep's cell heats. Relative
+to ambient, the explicit scheme is linear with constant coefficients, and
+its rate operator is a Kronecker sum: a chain of NX nodes along x plus a
+chain of NY nodes along y (`thermal_operators`). The eigenvectors of the two
+chains therefore diagonalise the whole scheme, so a substep steps the NX * NY
+modal amplitudes of exactly the explicit scheme (`_modal_step`), and each
+frame reads its cell means from them. The thermal field is a plain (NX, NY)
+array of kelvin.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ OCV_COEFFS = (-34.39, 127.38, -182.10, 127.24, -45.57, 8.40, 3.19)
 # simulator holds its arrays for the whole run at once
 MAX_FRAMES = 1_000_000
 # the most substeps one run may take: a MAX_FRAMES run's at the default dt
-# and sample_interval; the simulator holds each one's 24 cell heats (192
-# bytes) until the thermal response has run
+# and sample_interval; it bounds a run's work
 MAX_SUBSTEPS = 2 * MAX_FRAMES
 
 # the pack: COLS series groups of ROWS parallel cells, one group per column
@@ -179,7 +177,6 @@ class PackLayout:
     cell_centers: np.ndarray                  # (N_CELLS, 2)
     footprint_nodes: np.ndarray               # flat node indices, cell by cell
     footprint_counts: np.ndarray              # (N_CELLS,) nodes per cell
-    footprint_offsets: np.ndarray             # (N_CELLS,) start of each cell's run
 
 
 def build_layout() -> PackLayout:
@@ -203,12 +200,9 @@ def build_layout() -> PackLayout:
     for c in range(N_CELLS):
         inside = np.hypot(gx - centers[c, 0], gy - centers[c, 1]) <= radius
         footprints.append(np.flatnonzero(inside.ravel()))
-    counts = np.array([len(fp) for fp in footprints])
-
     return PackLayout(cell_centers=centers,
                       footprint_nodes=np.concatenate(footprints),
-                      footprint_counts=counts,
-                      footprint_offsets=np.cumsum(counts) - counts)
+                      footprint_counts=np.array([len(fp) for fp in footprints]))
 
 
 LAYOUT = build_layout()
@@ -355,22 +349,18 @@ def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float,
     return new_t
 
 
-def thermal_response(cell_watts: np.ndarray, steps: int, dt: float,
-                     cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit thermal scheme driven by the substeps' cell heats.
+def _modal_step(dt: float, cfg: SimConfig):
+    """The explicit thermal scheme for substeps of dt seconds, in its modes.
 
-    cell_watts is (frames * steps, N_CELLS) watts, one row per substep of dt
-    seconds, starting from a field at ambient. Returns each frame's cell
-    temperatures (frames, N_CELLS), the means over the footprints at the
-    end of its last substep, and the field (NX, NY) after the last substep,
-    both in kelvin.
-
-    The scheme is stepped in its modes: with ax = Qx diag(mx) Qx^T and
-    ay = Qy diag(my) Qy^T, an explicit step multiplies the amplitude of
-    mode (i, j) by 1 + dt (mx_i + my_j) and adds that mode's share of the
-    substep's sources. Each cell's heat spreads over its footprint
-    (deposit_sources), so a watt in a cell has a fixed share in each mode,
-    and the footprint mean reads the same shares back.
+    With ax = Qx diag(mx) Qx^T and ay = Qy diag(my) Qy^T, an explicit step
+    multiplies the amplitude of mode (i, j) by 1 + dt (mx_i + my_j) and adds
+    that mode's share of the substep's sources. Each cell's heat spreads
+    over its footprint (deposit_sources), so a watt in a cell has a fixed
+    share in each mode, and the footprint mean reads the same shares back.
+    Returns the gains (NX * NY,), the amplitudes one watt in each cell adds
+    in a substep (N_CELLS, NX * NY), the map from amplitudes to each cell's
+    mean excess over ambient (N_CELLS, NX * NY), and the bases (qx, qy)
+    that turn amplitudes a back into the field qx @ a @ qy.T of excess.
     """
     ax, ay = thermal_operators(cfg)
     mx, qx = np.linalg.eigh(ax)
@@ -384,19 +374,8 @@ def thermal_response(cell_watts: np.ndarray, steps: int, dt: float,
     owner = np.repeat(np.arange(N_CELLS), LAYOUT.footprint_counts)
     per_cell[owner, LAYOUT.footprint_nodes] = density[LAYOUT.footprint_nodes]
     shares = (qx.T @ per_cell.reshape(N_CELLS, NX, NY) @ qy).reshape(N_CELLS, -1)
-    source = shares * (dt / VOLUMETRIC_HEAT_CAPACITY)
-    read = shares * (NODE * NODE * HEIGHT)
-
-    frames = cell_watts.shape[0] // steps
-    amp = np.zeros(NX * NY)
-    excess = np.empty((frames, N_CELLS))
-    for k, frame in enumerate(cell_watts.reshape(frames, steps, N_CELLS)):
-        for watts in frame:
-            amp *= gain
-            amp += watts @ source
-        excess[k] = read @ amp
-    excess += cfg.ambient
-    return excess, qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient
+    return (gain, shares * (dt / VOLUMETRIC_HEAT_CAPACITY),
+            shares * (NODE * NODE * HEIGHT), (qx, qy))
 
 
 def initial_electrical_state(initial_soc: float) -> ElectricalState:
@@ -412,20 +391,23 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     """Run a scenario and return one telemetry frame per sample_interval.
 
     Each frame is reached in cfg.substeps equal substeps of at most cfg.dt.
-    A substep steps the circuit and turns its currents into heat;
-    thermal_response then steps the thermal field over the same substeps.
-    A run in which a cell runs out of charge stops there and returns the
-    frames made so far, fewer than cfg.n_frames; if no frame was made, it
-    raises SimulationError, as it does for a non-finite temperature.
+    A substep steps the circuit, turns its currents into heat and steps the
+    thermal field's modes with it (_modal_step); a frame reads its cell
+    temperatures from the modes. A run in which a cell runs out of charge
+    stops there and returns the frames made so far, fewer than cfg.n_frames;
+    if no frame was made, it raises SimulationError, as it does for a
+    non-finite temperature.
     """
     steps = cfg.substeps
     dt = cfg.sample_interval / steps
+    gain, source, read, (qx, qy) = _modal_step(dt, cfg)
     elec = initial_electrical_state(cfg.initial_soc)
     # the C-rate is taken against one cell's capacity
     pack_current = cfg.discharge_rate * CAPACITY_AH
     fault = cfg.fault
     n = cfg.n_frames
-    watts = np.empty((n * steps, N_CELLS))
+    amp = np.zeros(NX * NY)
+    temps = np.empty((n, N_CELLS))
     group_v = np.empty((n, N_GROUPS))
     for k in range(n):
         base = k * cfg.sample_interval
@@ -433,7 +415,8 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
             for s in range(steps):
                 t0 = base + s * dt
                 elec = step_electrical(elec, pack_current, fault, t0, dt)
-                watts[k * steps + s] = heat_generation(elec)
+                amp *= gain
+                amp += heat_generation(elec) @ source
         except Depleted:
             if k == 0:
                 raise SimulationError(
@@ -441,11 +424,13 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
                     "before the first frame") from None
             n = k
             break
+        temps[k] = read @ amp
         group_v[k] = elec.group_voltage
 
-    temps, field = thermal_response(watts[: n * steps], steps, dt, cfg)
-    del watts  # spent: without them a run's peak is below its frames'
-    _require_finite_field(field)
+    _require_finite_field(qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient)
+    del gain, source, read, qx, qy, amp  # spent: a run's peak is its frames'
+    temps = temps[:n]
+    temps += cfg.ambient
     # the draws of frame after frame: 24 temperatures, 6 voltages, 1 current
     noise = np.random.default_rng(cfg.rng_seed).standard_normal(
         (n, N_CELLS + N_GROUPS + 1))

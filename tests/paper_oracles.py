@@ -242,6 +242,8 @@ def stencil_simulate(cfg) -> list:
     elec = pack.initial_electrical_state(cfg.initial_soc)
     pack_current = cfg.discharge_rate * pack.CAPACITY_AH
     fault = cfg.fault
+    counts = LAYOUT.footprint_counts
+    starts = np.cumsum(counts) - counts    # where each cell's nodes begin
     frames = []
     for k in range(cfg.n_frames):
         base = k * cfg.sample_interval
@@ -259,7 +261,7 @@ def stencil_simulate(cfg) -> list:
             break
         t_frame = (k + 1) * cfg.sample_interval
         flat = field.ravel()[LAYOUT.footprint_nodes]
-        temps = (np.add.reduceat(flat, LAYOUT.footprint_offsets) / LAYOUT.footprint_counts
+        temps = (np.add.reduceat(flat, starts) / counts
                  + rng.normal(0.0, cfg.temp_noise_std, N_CELLS))
         volts = elec.group_voltage + rng.normal(0.0, cfg.volt_noise_std,
                                                 N_GROUPS)
@@ -285,14 +287,14 @@ def ledgered_simulate(cfg, monkeypatch) -> Ledger:
 
     Each substep's cell heat, in watts, is booked over the dt its circuit
     step advanced, so the ledger counts heat before it reaches the thermal
-    field. The last field is the one pack.thermal_response returns, and
-    the last circuit state the one of the last step. For a run no cell
-    runs dry in, every booked substep reaches the field.
+    field. The last field is the one simulate rebuilds from its modes and
+    hands to pack._require_finite_field, and the last circuit state the
+    one of the last step. Every booked substep reaches the field.
     """
     seen = {"heat_j": 0.0}
     step_electrical = pack.step_electrical
     heat_generation = pack.heat_generation
-    thermal_response = pack.thermal_response
+    require_finite_field = pack._require_finite_field
 
     def electrical(state, pack_current, fault, t, dt):
         seen["dt"] = dt
@@ -304,13 +306,13 @@ def ledgered_simulate(cfg, monkeypatch) -> Ledger:
         seen["heat_j"] += watts.sum() * seen["dt"]
         return watts
 
-    def response(*args):
-        temps, seen["field"] = thermal_response(*args)
-        return temps, seen["field"]
+    def finite_field(field):
+        seen["field"] = field
+        require_finite_field(field)
 
     monkeypatch.setattr(pack, "step_electrical", electrical)
     monkeypatch.setattr(pack, "heat_generation", generation)
-    monkeypatch.setattr(pack, "thermal_response", response)
+    monkeypatch.setattr(pack, "_require_finite_field", finite_field)
     frames = pack.simulate(cfg)
     return Ledger(frames, seen["heat_j"], seen["field"], seen["elec"])
 

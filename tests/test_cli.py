@@ -420,6 +420,23 @@ class TestDetectCommand:
         assert ret == 4
         assert "line 101: sample interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["detect", "localize", "fit"])
+    def test_bytes_not_utf8_name_line_and_exit_4(self, work, tmp_path, capsys,
+                                                 command):
+        # bytes that are not UTF-8 used to end in a config error (exit 2)
+        broken = tmp_path / "latin.csv"
+        data = (work / "fault.csv").read_bytes()
+        broken.write_bytes(data[:500] + b"\xff\xfe" + data[502:])
+        lineno = data.count(b"\n", 0, 500) + 1
+        assert lineno > 1
+        params = ["--params", str(work / "short.params")]
+        args = {"detect": [str(broken), *params],
+                "localize": [str(broken), *params, "--tf", "180"],
+                "fit": ["--normal", str(broken), "--train-len", "60"]}[command]
+        ret = main([command, *args, "--out", str(tmp_path / "out")])
+        assert ret == 4
+        assert f"line {lineno}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestLocalizeCommand:
     def test_prints_serial_and_writes_contributions(self, work, tmp_path,

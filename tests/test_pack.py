@@ -45,7 +45,7 @@ SERIES_GROUPS = np.arange(N_CELLS).reshape(N_GROUPS, ROWS)
 
 
 def _footprints():
-    return np.split(LAYOUT.footprint_nodes, LAYOUT.footprint_offsets[1:])
+    return np.split(LAYOUT.footprint_nodes, np.cumsum(LAYOUT.footprint_counts)[:-1])
 
 
 def _looped_step_electrical(state, pack_current, fault, t, dt):
@@ -549,17 +549,19 @@ class TestSimulate:
             simulate(SimConfig(duration=10.0))
 
     def test_memory_holds_heats_not_modes(self):
-        # one frame of 2000 substeps: the run holds each substep's 24 heats
-        # (384 kB), never a (substeps, NX * NY) block of modal deposits
-        # (6.1 MB)
-        cfg = SimConfig(duration=1000.0, sample_interval=1000.0)
-        tracemalloc.start()
-        try:
-            simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5e6
+        # one frame of 2000 or of 20,000 substeps: the run holds neither a
+        # (substeps, NX * NY) block of modal deposits (6.1 MB at 2000) nor
+        # each substep's 24 heats (3.8 MB at 20,000), so its peak does not
+        # grow with the substeps
+        for dt in (0.5, 0.05):
+            cfg = SimConfig(duration=1000.0, sample_interval=1000.0, dt=dt)
+            tracemalloc.start()
+            try:
+                simulate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6, (dt, peak)
 
     def test_depleted_run_truncates(self):
         # 2C drains a branch at about 1.4e-4 soc/s, so 5% of charge lasts ~360 s

@@ -25,7 +25,8 @@ def test_short_run(tmp_path):
                (line.split() for line in lines[1:])}
     assert list(figures) == ["simulate_ms", "circuit_ms", "response_ms",
                              "peak_mb"]
-    # the two stages run inside the timed call, so they add up to it
+    # the circuit's time is a part of the timed call and the response the
+    # rest, so the two add up to it
     assert figures["circuit_ms"] > 0.0 and figures["response_ms"] > 0.0
     assert abs(figures["circuit_ms"] + figures["response_ms"]
                - figures["simulate_ms"]) <= 0.11

@@ -445,6 +445,21 @@ class TestEvaluateMany:
         assert not ev._memo
         assert not ev._prepared
 
+    @pytest.mark.parametrize("window", [15.5, True])
+    def test_window_is_checked_as_given(self, tiny_scenarios, window):
+        # int() used to turn 15.5 into the memoised 15, and True into a
+        # window of 1 that failed the floor instead of the integer rule
+        ev = FitnessEvaluator(tiny_scenarios,
+                              base=DetectorParams(train_len=60))
+        alpha = (0.3, 0.4, 0.3)
+        first = ev.evaluate(15, alpha)
+        with pytest.raises(ConfigError,
+                           match=f"window must be an integer, got {window}"):
+            ev.evaluate(window, alpha)
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            ev.evaluate_many(window, [alpha])
+        assert ev.evaluate(np.int64(15), alpha) is first
+
 
 class TestGaConfig:
     def test_bounds(self):
