@@ -16,9 +16,13 @@ class DataFormatError(ValueError):
     """Malformed dataset, params, or trace file."""
 
 
+def require_integer(name, value):
+    """Reject a value that is a bool or not an int or NumPy integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def require_integers(cfg, *names):
-    """Reject each named field of cfg that is a bool or not an int or NumPy integer."""
+    """require_integer on each named field of cfg."""
     for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        require_integer(name, getattr(cfg, name))

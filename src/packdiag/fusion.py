@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, require_integer, require_integers
 
 DEFAULT_ALPHA = (0.216, 0.573, 0.211)
 # the temporal stream's embedding dimension; its fuzzy entropy pairs up
@@ -28,6 +28,15 @@ THRESHOLD_TOL = 1e-10
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the values calibration fills in: the three normalizers and the threshold
 CALIBRATION_KEYS = ("max_hd", "max_hs", "max_ht", "h_r")
+
+
+def require_window(window) -> int:
+    """The window as an int; ConfigError unless it is an integer as given
+    (a bool or 27.5 is not) of at least MIN_WINDOW frames."""
+    require_integer("window", window)
+    if window < MIN_WINDOW:
+        raise ConfigError(f"window must be at least {MIN_WINDOW}")
+    return int(window)
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,8 @@ class DetectorParams:
     h_r: float | None = None
 
     def __post_init__(self):
-        require_integers(self, "window", "train_len")
-        if self.window < MIN_WINDOW:
-            raise ConfigError(f"window must be at least {MIN_WINDOW}")
+        require_window(self.window)
+        require_integers(self, "train_len")
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.shape != (3,):
             raise ConfigError("alpha must have three entries")

@@ -164,7 +164,10 @@ def _kv_lines(keys: dict[str, type], values: dict) -> list[str]:
 def _read_kv(path, keys: dict[str, type], what: str) -> dict:
     """The file's entries, each converted by its key's type, in file order."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = _utf8_text(path)
+    except DataFormatError as exc:
+        raise ConfigError(f"{what} {exc}") from None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

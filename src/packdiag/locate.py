@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fusion import MIN_WINDOW
+from .fusion import require_window
 from .pack import LAYOUT
 from .pipeline import Telemetry
 from .spacetime import compensate
@@ -37,11 +37,10 @@ def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMa
     temperature less the pack mean and the smooth surface fitted to the
     frame, so the scores sum to zero, are in the temperature unit, and do
     not depend on its zero. The map covers the `window` frames ending at
-    t_f; an alarm earlier than the first full window cannot be attributed.
+    t_f, checked by fusion.require_window; an alarm earlier than the first
+    full window cannot be attributed.
     """
-    w = int(window)
-    if w < MIN_WINDOW:
-        raise ConfigError(f"window must be at least {MIN_WINDOW}")
+    w = require_window(window)
     hits = np.isclose(tele.times, t_f, rtol=0.0, atol=1e-9)
     if not hits.any():
         raise ValueError(f"t_f={t_f} is not a sampled frame time")

@@ -21,13 +21,13 @@ import numpy as np
 from .errors import ConfigError
 from .fusion import (
     CALIBRATION_KEYS,
-    MIN_WINDOW,
     DetectionOutcome,
     DetectorParams,
     M,
     detect,
     fit_kde,
     multiscale_statistic,
+    require_window,
     threshold_from_kde,
 )
 from .lumped import SPREAD_FLOOR, lumped_entropy_series
@@ -128,7 +128,8 @@ class EntropyStreams:
 def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     """Compute all three streams over a recording with a shared window length.
 
-    Row k is defined once k+1 >= window; earlier rows are NaN. Both thermal
+    The window is checked by fusion.require_window (ConfigError). Row k is
+    defined once k+1 >= window; earlier rows are NaN. Both thermal
     streams read the compensated temperatures (see spacetime.compensate),
     so neither depends on the temperature unit's zero and neither needs a
     reference taken elsewhere in the recording:
@@ -141,9 +142,7 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
       sensor-noise floor, so only the first is kept.
     """
     n = tele.n_frames
-    w = int(window)
-    if w < MIN_WINDOW:
-        raise ValueError(f"window {w} too short for order-{M} matching")
+    w = require_window(window)
     if n < w:
         raise ValueError(f"recording has {n} frames, needs at least {w}")
 

@@ -27,6 +27,7 @@ from .fusion import (
     detect,
     first_alarm,
     multiscale_statistic,
+    require_window,
 )
 from .pipeline import Telemetry, entropy_streams, fit_normalizers, fit_threshold
 
@@ -210,10 +211,7 @@ class FitnessEvaluator:
         every row; a row whose training statistic has no spread scores +inf
         alone.
         """
-        # ConfigError for a rule-breaking window, as given: int() would
-        # truncate 27.5 to a memoised 27
-        dataclasses.replace(self.base, window=window)
-        w = int(window)
+        w = require_window(window)
         keys = [(w, tuple(float(a) for a in alpha)) for alpha in alphas]
         todo = list(dict.fromkeys(k for k in keys if k not in self._memo))
         for _, alpha in todo:

@@ -123,6 +123,15 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_scenario_not_utf8_names_line_and_exits_2(self, tmp_path, capsys):
+        # the decoder's own message used to reach the console, with no line
+        cfg_path = tmp_path / "latin.scenario"
+        cfg_path.write_bytes(b"duration = 50.0\nrng_seed = \xff3\n")
+        assert main(["simulate", str(cfg_path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert ("error: scenario line 2: not UTF-8 text (invalid start byte)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("duration, interval", [
         ("2000.0", "1e-310"), ("1.7976931348623157e308", "1.0"),
         ("2000.0", "1e-06")])
@@ -312,6 +321,25 @@ class TestDetectCommand:
         assert post, "no alarm after the fault onset"
         assert float(post[0][0]) > 150.0
         assert t_f != "t_f=none"
+
+    def test_params_not_utf8_names_line_and_exits_2(self, work, tmp_path,
+                                                    capsys):
+        # the decoder's own message used to reach the console, with no line
+        params = tmp_path / "latin.params"
+        params.write_bytes(b"window = 27\ntrain_len = \xff60\n")
+        assert main(["detect", str(work / "normal.csv"), "--params",
+                     str(params), "--out", str(tmp_path / "t.csv")]) == 2
+        assert ("error: params line 2: not UTF-8 text (invalid start byte)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_params_with_cr_newlines_read(self, work, tmp_path, newline):
+        params = tmp_path / "cr.params"
+        params.write_bytes(newline.join([b"window = 27", b"train_len = 60",
+                                         b""]))
+        assert read_params(params) == DetectorParams(train_len=60)
+        assert main(["detect", str(work / "normal.csv"), "--params",
+                     str(params), "--out", str(tmp_path / "t.csv")]) == 0
 
     def test_no_refit_uses_stored_calibration(self, work, tmp_path):
         fitted = tmp_path / "fitted.params"

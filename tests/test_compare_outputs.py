@@ -1,18 +1,23 @@
-"""scripts/compare_outputs.py says how two output sets differ, and gates on it."""
+"""scripts/compare_outputs.py says how two output sets differ, and gates on
+it; the output_digests helpers it shares run commands and find alarms."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from packdiag.cli import main
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _load_compare_outputs():
-    # the script imports its sibling output_digests by plain name
+def _load(name):
+    # compare_outputs imports its sibling output_digests by plain name
     sys.path.insert(0, str(SCRIPTS))
     try:
-        spec = importlib.util.spec_from_file_location(
-            "compare_outputs", SCRIPTS / "compare_outputs.py")
+        spec = importlib.util.spec_from_file_location(name,
+                                                      SCRIPTS / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:
@@ -20,7 +25,8 @@ def _load_compare_outputs():
     return module
 
 
-compare_outputs = _load_compare_outputs()
+compare_outputs = _load("compare_outputs")
+output_digests = _load("output_digests")
 
 TRACE = ("t,h_d,h_s,h_t,H,H_r,alarm\n"
          "1,,,,,0.5,0\n"
@@ -76,3 +82,18 @@ def test_exit_status_gates_on_any_difference(tmp_path, monkeypatch, capsys):
     outputs["new"]["b.csv"] = "2\n"
     assert compare_outputs.main(argv) == 0
     assert capsys.readouterr().out == "a.csv: identical\nb.csv: identical\n"
+
+
+def test_run_exits_with_the_failed_commands_stderr(tmp_path):
+    missing = tmp_path / "none.scenario"
+    with pytest.raises(SystemExit) as failed:
+        output_digests.run(main, "simulate", str(missing),
+                           "--out", str(tmp_path / "none.csv"))
+    assert failed.value.code.startswith(f"packdiag simulate {missing} --out ")
+    assert failed.value.code.endswith(
+        f"exited 2: error: [Errno 2] No such file or directory: '{missing}'")
+
+
+def test_first_alarm_is_the_first_alarmed_rows_time():
+    assert output_digests.first_alarm(TRACE) == "3"
+    assert output_digests.first_alarm(TRACE.replace(",1\n", ",0\n")) is None

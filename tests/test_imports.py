@@ -1,10 +1,11 @@
-"""Every module-level import in the package, the tests and the demos is used."""
+"""Every module-level import in the package, the tests, the demos and the
+scripts is used."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src/packdiag", "tests", "demos")
+SCANNED = ("src/packdiag", "tests", "demos", "scripts")
 
 
 def unused_imports(source: str) -> list[str]:

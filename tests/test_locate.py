@@ -9,7 +9,7 @@ from packdiag.errors import ConfigError
 from packdiag.fusion import MIN_WINDOW, DetectorParams
 from packdiag.locate import ContributionMap, contribution_rows, contributions_at
 from packdiag.pack import LAYOUT, FaultSpec, SimConfig, simulate
-from packdiag.pipeline import Telemetry, run_detector
+from packdiag.pipeline import Telemetry, entropy_streams, run_detector
 from packdiag.spacetime import compensate
 
 
@@ -141,3 +141,18 @@ class TestContributionsAt:
         with pytest.raises(ConfigError, match=f"at least {MIN_WINDOW}"):
             contributions_at(fault_tele, 180.0, window=MIN_WINDOW - 1)
         contributions_at(fault_tele, 180.0, window=MIN_WINDOW)
+
+    @pytest.mark.parametrize("measure", [
+        entropy_streams, lambda tele, w: contributions_at(tele, 180.0, w)],
+        ids=["entropy_streams", "contributions_at"])
+    @pytest.mark.parametrize("window, match", [
+        (27.5, "window must be an integer, got 27.5"),
+        (True, "window must be an integer, got True"),
+        (3, f"window must be at least {MIN_WINDOW}")],
+        ids=["float", "bool", "short"])
+    def test_window_is_checked_as_given(self, fault_tele, measure, window,
+                                        match):
+        # 27.5 used to run as 27 frames, and True to fail the floor as 1
+        with pytest.raises(ConfigError, match=match):
+            measure(fault_tele, window)
+        assert measure(fault_tele, np.int64(27)) is not None
