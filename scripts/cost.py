@@ -63,7 +63,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from packdiag import pack, pipeline, tuning  # noqa: E402
-from packdiag.fusion import DetectorParams  # noqa: E402
+from packdiag.errors import ConfigError  # noqa: E402
+from packdiag.fusion import DetectorParams, require_window  # noqa: E402
 from packdiag.io import read_scenario  # noqa: E402
 from workloads import optimizer_test_configs  # noqa: E402
 
@@ -142,6 +143,12 @@ def sim(args: argparse.Namespace) -> int:
 
 
 def streams(args: argparse.Namespace) -> int:
+    try:
+        for w in args.windows:
+            require_window(w)
+    except ConfigError as exc:
+        print(f"cost.py streams: error: {exc}", file=sys.stderr)
+        return 2
     tele = pipeline.Telemetry.from_frames(pack.simulate(RECORDINGS[0]))
     pipeline.entropy_streams(tele, args.windows[0])  # lazy imports, warm caches
     print(f"# {tele.n_frames} frames; {machine(np, scipy)}")

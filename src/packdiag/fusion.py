@@ -26,6 +26,9 @@ MIN_WINDOW = M + 2
 # with CDF at or above it at most this far apart, and returns the upper one
 THRESHOLD_TOL = 1e-10
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# ndtr returns exactly 1.0 at every standardized offset above this one (from
+# 8.292362 on, by a 1e-6 grid and 1e7 random draws up to 1e6)
+NDTR_ONE = 8.3
 # the values calibration fills in: the three normalizers and the threshold
 CALIBRATION_KEYS = ("max_hd", "max_hs", "max_ht", "h_r")
 
@@ -189,9 +192,18 @@ def threshold_from_kde(model: KdeModel, beta: float):
             kernels = -0.5 * u
             kernels *= u
             np.exp(kernels, out=kernels)
+            # ndtr only where it is not exactly 1.0, gathered by index (ndtr's
+            # where= corrupted the heap in scipy 1.17.1): at a high beta most
+            # offsets lie far above the threshold. u is a fresh C-ordered
+            # array, so its ravel is a view
+            flat = u.ravel()
+            rest = np.flatnonzero(flat <= NDTR_ONE)
+            cdfs = ndtr(flat[rest])
+            flat.fill(1.0)
+            flat[rest] = cdfs
             # a sum over the count is what .mean computes, without the
             # Python wrapper that costs more than a small row's sum
-            miss = np.add.reduce(ndtr(u, out=u), axis=1) / size - beta
+            miss = np.add.reduce(u, axis=1) / size - beta
             above = miss >= 0.0
             np.copyto(hi, x, where=above)
             np.copyto(lo, x, where=~above)

@@ -30,7 +30,7 @@ from .fusion import (
     require_window,
     threshold_from_kde,
 )
-from .lumped import SPREAD_FLOOR, lumped_entropy_series
+from .lumped import SPREAD_FLOOR, lumped_entropy_series, window_chunks
 from .pack import N_CELLS, N_GROUPS, TelemetryFrame
 from .spacetime import COMPLEMENT_BASIS, compensate
 
@@ -140,6 +140,11 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     - h_t is the singular-value-weighted fuzzy entropy of the dominant
       temporal mode of the excess window. The higher modes sit at the
       sensor-noise floor, so only the first is kept.
+
+    Both windowed streams, h_d (lumped_entropy_series) and h_t
+    (_rank1_temporal), score their windows in chunks within one budget,
+    lumped.CHUNK_BYTES, so only arrays of a few floats a frame grow with
+    the recording.
     """
     n = tele.n_frames
     w = require_window(window)
@@ -158,12 +163,6 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
 
 
 LN2 = math.log(2.0)
-
-# the windows of one chunk allocate at most this many bytes together. Larger
-# chunks cost fewer calls per lag but at long windows spill the lag buffers
-# out of cache: at w = 200, 4 MB chunks scored 1200 frames about 20 % faster
-# than 16 MB ones, and no shorter window was slower
-CHUNK_BYTES = 4e6
 
 
 def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
@@ -185,23 +184,21 @@ def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
     matrix and its top eigenvector ((n_channels + 1) n_channels floats) or
     the leading row (w) with, at dimension M + 1, the scaled, lag-ordered
     delay-vector components and their means ((M + 2) count, count = w - M)
-    and three lag buffers (3 count); a chunk holds the larger to
-    CHUNK_BYTES. The output and numpy's fixed-size iteration buffers come
-    on top.
+    and three lag buffers (3 count); lumped.window_chunks holds a chunk's
+    larger need to lumped.CHUNK_BYTES. The output and numpy's fixed-size
+    iteration buffers come on top.
     """
     n, n_channels = field.shape
     n_win = n - w + 1
     count = w - M
 
     window_bytes = 8 * max(n_channels * (n_channels + 1), w + (M + 5) * count)
-    chunk = min(max(1, int(CHUNK_BYTES / window_bytes)), n_win)
 
     h_t = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(field, w, axis=0)
-    for start in range(0, n_win, chunk):
-        stop = min(start + chunk, n_win)
-        lam, a = _leading_modes(windows[start:stop])
-        h_t[w - 1 + start : w - 1 + stop] = lam * _fuzzy_entropies(a, count)
+    for part in window_chunks(n_win, window_bytes):
+        lam, a = _leading_modes(windows[part])
+        h_t[w - 1 :][part] = lam * _fuzzy_entropies(a, count)
     return h_t
 
 

@@ -3,6 +3,8 @@
 The detector computes each stream for all windows at once; these functions
 state the same quantities one window (or one score vector) at a time, in
 the plainest form, so tests can compare the vectorised paths against them.
+The lumped stream is also here as one whole-view formula over every
+window at once, which the chunked series must match bit for bit.
 The threshold's kernel density is here too, with the plain bisection for
 the threshold that the detector's Newton search is checked against. So are
 the simulator's explicit finite-volume stencil and the substep loop that
@@ -20,6 +22,7 @@ import numpy as np
 from packdiag import pack
 from packdiag.errors import SimulationError
 from packdiag.fusion import SQRT_2PI, THRESHOLD_TOL
+from packdiag.lumped import SPREAD_FLOOR
 from packdiag.pack import (
     DIFFUSIVITY,
     LAYOUT,
@@ -117,6 +120,36 @@ def dissimilarity_entropy(z: np.ndarray) -> float:
     if np.sqrt(var) < 1e-15:
         return 0.0
     return float(np.mean(np.abs(dev) ** 3) / var**1.5)
+
+
+def whole_view_lumped(volts: np.ndarray, window: int) -> np.ndarray:
+    """h_d with every window's mean and coefficient of variation taken from
+    the whole (n - window + 1, n_signals, window) view in one call, so the
+    deviations of all windows are held at once."""
+    volts = np.asarray(volts, dtype=float)
+    n = volts.shape[0]
+    h_d = np.full(n, np.nan)
+    if n < window:
+        return h_d
+    wins = np.lib.stride_tricks.sliding_window_view(volts, window, axis=0)
+    mu = wins.mean(axis=2)
+    if (np.abs(mu) < SPREAD_FLOOR).any():
+        raise ValueError("zero-mean voltage window")
+    cv = wins.std(axis=2) / mu
+    mu_cv = cv.mean(axis=1, keepdims=True)
+    sd_cv = cv.std(axis=1)
+    scores = np.abs(cv - mu_cv)
+    ok = sd_cv >= SPREAD_FLOOR
+    scores[ok] /= sd_cv[ok, None]
+    scores[~ok] = 0.0
+    dev = scores - scores.mean(axis=1, keepdims=True)
+    var = np.mean(dev**2, axis=1)
+    third = np.mean(np.abs(dev) ** 3, axis=1)
+    ent = np.zeros(len(var))
+    good = np.sqrt(var) >= SPREAD_FLOOR
+    ent[good] = third[good] / var[good] ** 1.5
+    h_d[window - 1:] = ent
+    return h_d
 
 
 def exhaustive_fuzzy(series, m: int, r: float) -> float:

@@ -65,6 +65,14 @@ def test_streams_bad_window_is_usage_error():
     assert "usage" in done.stderr
 
 
+def test_streams_window_below_floor_is_usage_error():
+    # checked before the recording is simulated
+    done = cost("streams", "27", "3", timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "cost.py streams: error: window must be at least 4\n"
+
+
 def test_tune_tiny_search():
     done = cost("tune", "--population", "6", "--generations", "2",
                 "--windows", "20", "22")

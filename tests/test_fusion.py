@@ -13,6 +13,7 @@ from packdiag.fusion import (
     detect,
     fit_kde,
     multiscale_statistic,
+    NDTR_ONE,
     THRESHOLD_TOL,
     threshold_from_kde,
 )
@@ -227,6 +228,15 @@ class TestNewtonThreshold:
             h = threshold_from_kde(model, beta)
             assert model.cdf(h) >= beta
             assert abs(h - bisect_threshold(model, beta)) <= THRESHOLD_TOL
+
+
+    def test_ndtr_is_exactly_one_above_the_skip_point(self):
+        # the search takes every offset above NDTR_ONE as CDF 1.0 without
+        # calling ndtr; that is exact only if ndtr itself returns 1.0 there
+        grid = np.linspace(NDTR_ONE, 40.0, 3_000_001)
+        assert (ndtr(grid) == 1.0).all()
+        assert (ndtr(np.array([np.nextafter(NDTR_ONE, np.inf), 1e300,
+                               np.inf])) == 1.0).all()
 
 
 class TestStackedCandidates:

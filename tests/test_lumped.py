@@ -1,10 +1,13 @@
 """Tests for the lumped (voltage-consistency) entropy chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from packdiag.lumped import SPREAD_FLOOR, lumped_entropy_series
-from paper_oracles import dissimilarity_entropy
+from packdiag import lumped
+from packdiag.lumped import CHUNK_BYTES, SPREAD_FLOOR, lumped_entropy_series
+from paper_oracles import dissimilarity_entropy, whole_view_lumped
 
 
 # Streaming oracle: a ring buffer walked one frame at a time, scored with
@@ -233,3 +236,69 @@ class TestSeriesPath:
     def test_warmup_is_nan(self):
         volts = np.ones((5, 6)) * 4.0
         assert np.isnan(lumped_entropy_series(volts, 27)).all()
+
+
+class TestChunking:
+    @staticmethod
+    def volts(n):
+        # six drifting group voltages, one of which departs halfway
+        rng = np.random.default_rng(6)
+        volts = 4.0 - 1e-4 * np.arange(n)[:, None] \
+            + 0.01 * rng.standard_normal((n, 6))
+        volts[n // 2 :, 3] += 0.002 * rng.standard_normal(n - n // 2)
+        return volts
+
+    @pytest.mark.parametrize("w", [4, 27, 200])
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    def test_matches_whole_view_bit_for_bit(self, monkeypatch, w, per_chunk):
+        # a window of six signals takes 8 * 6 * (w + 4) bytes; 601 frames
+        # leave a partial last chunk of 7 windows at each w
+        volts = self.volts(601)
+        n_win = 601 - w + 1
+        parts = []
+        unpatched = lumped.window_chunks
+
+        def window_chunks(n_win, window_bytes):
+            parts.extend(unpatched(n_win, window_bytes))
+            return parts
+
+        if per_chunk is not None:
+            monkeypatch.setattr(lumped, "CHUNK_BYTES",
+                                per_chunk * 8 * 6 * (w + 4))
+        monkeypatch.setattr(lumped, "window_chunks", window_chunks)
+        h_d = lumped_entropy_series(volts, w)
+        sizes = [part.stop - part.start for part in parts]
+        assert sum(sizes) == n_win
+        if per_chunk is None:
+            assert sizes == [n_win]
+        else:
+            assert sizes[0] == per_chunk
+            assert 0 < sizes[-1] < per_chunk or per_chunk == 1
+        assert np.array_equal(h_d, whole_view_lumped(volts, w),
+                              equal_nan=True)
+
+    def test_zero_mean_window_in_a_later_chunk(self, monkeypatch):
+        # frames 500-503 of one signal average exactly zero; at seven
+        # windows a chunk the window ending at frame 503 sits in the 72nd
+        volts = self.volts(601)
+        volts[500:504, 2] = [1.0, -1.0, 1.0, -1.0]
+        monkeypatch.setattr(lumped, "CHUNK_BYTES", 7 * 8 * 6 * (4 + 4))
+        for series in (lumped_entropy_series, whole_view_lumped):
+            with pytest.raises(ValueError, match="^zero-mean voltage window$"):
+                series(volts, 4)
+
+    def test_peak_memory_within_chunk_budget(self):
+        # the windows are read through a view of volts, chunk by chunk, so
+        # however long the recording the traced peak is the chunk's budget
+        # plus the whole arrays of a few floats a frame from the
+        # coefficients on, under six times the size of volts; the
+        # whole-view formula holds 193 MB of deviations here
+        volts = self.volts(20_000)
+        lumped_entropy_series(volts[:300], 200)
+        tracemalloc.start()
+        try:
+            lumped_entropy_series(volts, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_BYTES + 6 * volts.nbytes, peak

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from packdiag import pipeline
+from packdiag import lumped, pipeline
 from packdiag.errors import ConfigError
 from packdiag.fusion import (
     DetectorParams,
@@ -13,10 +13,9 @@ from packdiag.fusion import (
     multiscale_statistic,
     threshold_from_kde,
 )
-from packdiag.lumped import lumped_entropy_series
+from packdiag.lumped import CHUNK_BYTES, lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import (
-    CHUNK_BYTES,
     M,
     Telemetry,
     _rank1_temporal,
@@ -166,7 +165,7 @@ class TestEntropyStreams:
             whole = _rank1_temporal(excess, window)
             for chunk in chunks:
                 with monkeypatch.context() as m:
-                    m.setattr(pipeline, "CHUNK_BYTES", chunk * window_bytes)
+                    m.setattr(lumped, "CHUNK_BYTES", chunk * window_bytes)
                     m.setattr(pipeline, "_leading_modes", leading_modes)
                     sizes.clear()
                     pieces = _rank1_temporal(excess, window)
