@@ -21,28 +21,27 @@ rest: the modal thermal response, the substep loop itself, the noise and
 the frames; and `peak_mb`, the tracemalloc peak of one further call.
 
 `streams` simulates the first fault recording of the perfbench `tune`
-workload (1200 frames, seed 201, a 10 ohm short in cell 4 from t = 700 s)
-and prints one row per window (5 27 60 100 200 by default): `streams_ms`,
-the best wall time of `entropy_streams` over three calls; of that call,
-`modes_ms` in `pipeline._leading_modes` (the Gram products, top-eigenpair
-solves and leading rows of h_t) and `kernel_ms` in
-`pipeline._fuzzy_entropies` (h_t's fuzzy pair kernel); `other_ms`, the
-rest: h_d, the compensation, h_s and the projection; and `peak_mb`, the
-tracemalloc peak of one further call.
+workload (`workloads.optimizer_test_configs`, 1200 frames) and prints one
+row per window (5 27 60 100 200 by default): `streams_ms`, the best wall
+time of `entropy_streams` over three calls; of that call, `modes_ms` in
+`pipeline._leading_modes` (the Gram products, top-eigenpair solves and
+leading rows of h_t) and `kernel_ms` in `pipeline._fuzzy_entropies` (h_t's
+fuzzy pair kernel); `other_ms`, the rest: h_d, the compensation, h_s and
+the projection; and `peak_mb`, the tracemalloc peak of one further call.
 
-`tune` simulates the three 1200-frame recordings of that workload (seeds
-201 and 202 with a short in cell 4 or 23, seed 203 without a fault) and
-prints `streams_s`, the wall time of `entropy_streams` on every recording
-at every window of the search's range, which a search with a fresh
-evaluator spends before it can score; `search_s`, the best wall time of
-one `mga_optimize` over three runs on an evaluator whose per-window records
-are prepared and whose memo of scores is emptied before each run: the
-scoring alone; `evaluate_calls` and `scored`, the search's `evaluate` calls
-and the distinct candidates it scored; and `batches`, `batch_rows_median`
-and `batch_rows_max`, the `evaluate_many` calls that scored at least one
-new row and the median and largest number of rows they scored, each in one
-vectorised pass. The search is the workload's: GA seed 0, and by default
-population 30, 50 generations and windows 20 to 40.
+`tune` simulates the three 1200-frame recordings of that workload (two with
+a short, one without a fault) and prints `streams_s`, the wall time of
+`entropy_streams` on every recording at every window of the search's range,
+which a search with a fresh evaluator spends before it can score;
+`search_s`, the best wall time of one `mga_optimize` over three runs on an
+evaluator whose per-window records are prepared and whose memo of scores is
+emptied before each run: the scoring alone; `evaluate_calls` and `scored`,
+the search's `evaluate` calls and the distinct candidates it scored; and
+`batches`, `batch_rows_median` and `batch_rows_max`, the `evaluate_many`
+calls that scored at least one new row and the median and largest number of
+rows they scored, each in one vectorised pass. The search is the
+workload's: GA seed 0, and by default population 30, 50 generations and
+windows 20 to 40.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from packdiag import pack, pipeline, tuning  # noqa: E402
-from packdiag.errors import ConfigError  # noqa: E402
+from packdiag.errors import ConfigError, SimulationError  # noqa: E402
 from packdiag.fusion import DetectorParams, require_window  # noqa: E402
 from packdiag.io import read_scenario  # noqa: E402
 from workloads import optimizer_test_configs  # noqa: E402
@@ -130,8 +129,12 @@ def sim(args: argparse.Namespace) -> int:
         print(f"cost.py sim: error: {exc}", file=sys.stderr)
         return 2
     call = partial(pack.simulate, cfg)
-    wall, spent, frames = timed_call(
-        pack, ("step_electrical", "heat_generation"), call)
+    try:
+        wall, spent, frames = timed_call(
+            pack, ("step_electrical", "heat_generation"), call)
+    except SimulationError as exc:
+        print(f"cost.py sim: error: {exc}", file=sys.stderr)
+        return 3
     circuit = sum(spent.values())
     print(f"# {args.scenario.stem}: {len(frames)} frames of {cfg.substeps} "
           f"substeps; {machine(np)}")
@@ -143,9 +146,12 @@ def sim(args: argparse.Namespace) -> int:
 
 
 def streams(args: argparse.Namespace) -> int:
+    n = RECORDINGS[0].n_frames
     try:
         for w in args.windows:
-            require_window(w)
+            if require_window(w) > n:
+                raise ConfigError(f"recording has {n} frames, needs at "
+                                  f"least {w}")
     except ConfigError as exc:
         print(f"cost.py streams: error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ from paper_oracles import (
     kde_pdf,
     ledgered_simulate,
 )
+from workloads import optimizer_test_configs
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -198,15 +199,9 @@ def test_benchmark_at_shipped_defaults():
 
 def test_optimizer_beats_random_search():
     start = time.perf_counter()
-    fault_a = SimConfig(duration=1200.0, rng_seed=201,
-                        fault=FaultSpec(fault_cell=4, r_short=10.0,
-                                        onset=700.0))
-    fault_b = SimConfig(duration=1200.0, rng_seed=202,
-                        fault=FaultSpec(fault_cell=23, r_short=10.0,
-                                        onset=700.0))
-    normal = SimConfig(duration=1200.0, rng_seed=203)
+    # the benchmark's tune recordings: two faults, then the normal run
     scenarios = [Telemetry.from_frames(simulate(cfg))
-                 for cfg in (fault_a, fault_b, normal)]
+                 for cfg in optimizer_test_configs(1200.0).values()]
     evaluator = FitnessEvaluator(scenarios, base=DetectorParams())
 
     emitted = []

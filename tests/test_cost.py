@@ -43,6 +43,16 @@ def test_sim_missing_scenario_is_usage_error(tmp_path):
     assert "none.scenario" in done.stderr
 
 
+def test_sim_run_dry_before_the_first_frame_is_simulation_error(tmp_path):
+    scenario = tmp_path / "empty.scenario"
+    write_scenario(scenario, SimConfig(duration=30.0, initial_soc=0.00001))
+    done = cost("sim", str(scenario), timeout=60)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == ("cost.py sim: error: a cell ran out of charge at "
+                           "t = 0.5 s, before the first frame\n")
+
+
 def test_streams_two_window_grid():
     done = cost("streams", "5", "27")
     assert done.returncode == 0, done.stderr
@@ -71,6 +81,15 @@ def test_streams_window_below_floor_is_usage_error():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "cost.py streams: error: window must be at least 4\n"
+
+
+def test_streams_window_beyond_recording_is_usage_error():
+    # checked before the recording is simulated
+    done = cost("streams", "27", "5000", timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("cost.py streams: error: recording has 1200 "
+                           "frames, needs at least 5000\n")
 
 
 def test_tune_tiny_search():

@@ -24,3 +24,12 @@ def test_library_example_gives_the_quoted_alarms():
     t_f = report.outcome.t_f
     raw = contributions_at(scope["tele"], t_f, report.params.window)
     assert t_f == 264.0 and raw.cell_serial == 9
+
+
+def test_scripts_and_readme_name_each_other():
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"scripts/\w+\.py", text))
+    shipped = {path.relative_to(README.parent).as_posix()
+               for path in (README.parent / "scripts").glob("*.py")}
+    assert named <= shipped, f"README names missing scripts: {named - shipped}"
+    assert shipped <= named, f"README leaves out scripts: {shipped - named}"
