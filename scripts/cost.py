@@ -172,11 +172,15 @@ def streams(args: argparse.Namespace) -> int:
 
 
 def tune(args: argparse.Namespace) -> int:
+    n = min(cfg.n_frames for cfg in RECORDINGS)
     try:
         ga = tuning.GaConfig(population=args.population,
                              generations=args.generations,
                              w_min=args.windows[0], w_max=args.windows[1],
                              rng_seed=0)
+        if ga.w_max > n:
+            raise ConfigError(f"recording has {n} frames, needs at least "
+                              f"{ga.w_max}")
     except ValueError as exc:
         print(f"cost.py tune: error: {exc}", file=sys.stderr)
         return 2

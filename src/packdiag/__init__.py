@@ -2,7 +2,7 @@
 
 The names below cover simulating a pack, detecting and localizing a short,
 and tuning the detector; everything else is reached through its module
-(packdiag.pack, packdiag.pipeline, packdiag.spacetime, ...).
+(packdiag.pack, packdiag.pipeline, packdiag.fusion, ...).
 """
 
 from .errors import ConfigError, DataFormatError, SimulationError

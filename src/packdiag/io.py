@@ -47,16 +47,13 @@ def write_lines(path, lines: list[str]):
 
 
 def write_dataset(path, tele: Telemetry):
-    """Write one recording as the standard telemetry CSV."""
-    lines = [DATASET_HEADER]
-    for k in range(tele.n_frames):
-        fields = [_g(tele.times[k])]
-        fields += [_g(v) for v in tele.temps[k]]
-        fields += [_g(v) for v in tele.volts[k]]
-        fields.append(_g(tele.current[k]))
-        fields.append(str(int(tele.labels[k])))
-        lines.append(",".join(fields))
-    write_lines(path, lines)
+    """Write one recording as the standard telemetry CSV: 12 significant
+    digits a value, as _g gives them, and the integer label."""
+    table = np.column_stack((tele.times, tele.temps, tele.volts, tele.current,
+                             tele.labels))
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        np.savetxt(out, table, fmt=["%.12g"] * (_N_FIELDS - 1) + ["%d"],
+                   delimiter=",", header=DATASET_HEADER, comments="")
 
 
 def _utf8_text(path) -> str:

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .fusion import require_window
 from .pack import LAYOUT
-from .pipeline import Telemetry
-from .spacetime import compensate
+from .pipeline import Telemetry, compensate
 
 
 @dataclass
@@ -33,7 +32,7 @@ class ContributionMap:
 def contributions_at(tele: Telemetry, t_f: float, window: int) -> ContributionMap:
     """Mean excess temperature per cell over the window ending at the alarm.
 
-    The excess is spacetime.compensate of the raw telemetry: each cell's
+    The excess is pipeline.compensate of the raw telemetry: each cell's
     temperature less the pack mean and the smooth surface fitted to the
     frame, so the scores sum to zero, are in the temperature unit, and do
     not depend on its zero. The map covers the `window` frames ending at

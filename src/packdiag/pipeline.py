@@ -1,9 +1,27 @@
 """End-to-end assembly: telemetry frames -> entropy streams -> alarm decisions.
 
 This ties the three abnormality measures to the shared sliding window:
-voltage dissimilarity across series groups, the hottest cell's excess over
-the smooth temperature surface, and temporal irregularity of the dominant
-mode of that excess field.
+voltage dissimilarity across series groups (h_d), the hottest cell's excess
+over the smooth temperature surface (h_s), and temporal irregularity of the
+dominant mode of that excess field (h_t).
+
+Each series group contributes one voltage signal to h_d. A sliding
+coefficient of variation per signal is scored against the cross-group
+spread, and a skewness-like statistic of those scores flags the window where
+one group stops behaving like the others. All statistics are population
+statistics over the window.
+
+A normal pack warms as a whole and cools along a smooth pattern set by its
+boundaries; a shorted cell is a hot spot on top of that. compensate() strips
+the smooth part frame by frame (the pack mean and the best-fitting quadratic
+surface over the cell positions), leaving each cell's excess over its
+surroundings in the same unit as the input, whatever its zero. Both thermal
+streams and localization read this excess field. The excess has as many
+dimensions as cells but fills only the 18 of the pack's 24 that
+COMPLEMENT_BASIS spans; h_t decomposes its windows in those coordinates. The
+cells do not move, so that basis and the projector compensate() applies are
+built once, at import.
+
 Calibration takes each stream's maximum over a leading stretch of
 presumed-normal frames as its normalizer, fuses the normalized streams
 into one weighted sum, and places the alarm threshold on the density of
@@ -30,12 +48,19 @@ from .fusion import (
     require_window,
     threshold_from_kde,
 )
-from .lumped import SPREAD_FLOOR, lumped_entropy_series, window_chunks
-from .pack import N_CELLS, N_GROUPS, TelemetryFrame
-from .spacetime import COMPLEMENT_BASIS, compensate
+from .pack import LAYOUT, N_CELLS, N_GROUPS, TelemetryFrame
 
 # largest relative departure of any sample interval from the median one
 SAMPLING_TOLERANCE = 0.1
+
+# spreads below this are treated as exactly degenerate
+SPREAD_FLOOR = 1e-15
+
+# the windows of one chunk allocate at most this many bytes together. Larger
+# chunks cost fewer calls per lag but at long windows spill h_t's lag
+# buffers out of cache: at w = 200, 4 MB chunks scored 1200 frames about
+# 20 % faster than 16 MB ones, and no shorter window was slower
+CHUNK_BYTES = 4e6
 
 
 def first_bad_frame(times: np.ndarray, labels: np.ndarray,
@@ -125,14 +150,112 @@ class EntropyStreams:
     window: int
 
 
+def window_chunks(n_win: int, window_bytes: int) -> list[slice]:
+    """Consecutive slices covering n_win windows, each of as many windows as
+    CHUNK_BYTES holds at window_bytes a window, and at least one."""
+    chunk = max(1, min(int(CHUNK_BYTES / window_bytes), n_win))
+    return [slice(start, min(start + chunk, n_win))
+            for start in range(0, n_win, chunk)]
+
+
+def _quadratic_surfaces() -> np.ndarray:
+    """The surfaces 1, x, y, x^2, xy, y^2 over the cell centres, as columns."""
+    # standardized positions span the same surfaces and keep the fit well
+    # conditioned
+    coords = LAYOUT.cell_centers
+    x, y = ((coords - coords.mean(axis=0)) / coords.std(axis=0)).T
+    return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
+
+
+_SURFACES = _quadratic_surfaces()
+# the thin SVD's left singular vectors span every quadratic surface
+_SPAN = np.linalg.svd(_SURFACES, full_matrices=False)[0]
+# orthogonal projector onto what no quadratic surface explains
+_SMOOTH_PROJECTOR = np.eye(N_CELLS) - _SPAN @ _SPAN.T
+# orthonormal (24, 18) columns spanning what _SMOOTH_PROJECTOR keeps: the
+# full SVD's columns past the surfaces. Every compensated frame lies in
+# their span, so `excess @ COMPLEMENT_BASIS` holds the same frames in 18
+# coordinates, with the same norms and the same inner products between
+# frames.
+COMPLEMENT_BASIS = np.linalg.svd(_SURFACES)[0][:, _SPAN.shape[1]:]
+
+
+def compensate(temps: np.ndarray) -> np.ndarray:
+    """Each cell's excess over the smooth temperature surface, per frame.
+
+    temps is (n_frames, N_CELLS), one column per cell in serial order.
+    Every frame loses its mean (the common mode) and then its least-squares
+    quadratic surface in x and y (the cooling gradient and its curvature).
+    The result has the unit of the input but not its zero: kelvin and
+    Celsius input give the same excess, and each frame of it sums to zero.
+    """
+    t = np.asarray(temps, dtype=float)
+    # centring first keeps the projection working on tenths of a kelvin
+    # rather than hundreds, so the unit's zero leaves no rounding trace
+    centred = t - t.mean(axis=1, keepdims=True)
+    return centred @ _SMOOTH_PROJECTOR
+
+
+def lumped_entropy_series(volts: np.ndarray, window: int) -> np.ndarray:
+    """Per-frame dissimilarity entropy h_d over a (n_frames, n_signals) matrix.
+
+    Row k is defined once the window ending at frame k is full; earlier rows
+    are NaN. ValueError when a window of a signal has a zero mean.
+
+    Each window's mean and coefficient of variation are taken chunk by
+    chunk (see window_chunks) from the sliding-window view of volts, which
+    is never copied; a chunk's std holds the deviations of all its
+    windows. A window's reductions see the same values in the same layout
+    in any chunk, so h_d does not depend on the chunking. Everything from
+    the (n_frames - window + 1, n_signals) array of coefficients on is
+    computed whole.
+    """
+    volts = np.asarray(volts, dtype=float)
+    n, n_signals = volts.shape
+    h_d = np.full(n, np.nan)
+    if n < window:
+        return h_d
+
+    n_win = n - window + 1
+    wins = np.lib.stride_tricks.sliding_window_view(volts, window, axis=0)  # (n-W+1, P, W)
+    cv = np.empty((n_win, n_signals))
+    # per window and signal: the window's deviations, the two means, the
+    # std and the quotient
+    for part in window_chunks(n_win, 8 * n_signals * (window + 4)):
+        block = wins[part]
+        mu = block.mean(axis=2)
+        if (np.abs(mu) < SPREAD_FLOOR).any():
+            raise ValueError("zero-mean voltage window")
+        cv[part] = block.std(axis=2) / mu
+
+    mu_cv = cv.mean(axis=1, keepdims=True)
+    sd_cv = cv.std(axis=1)
+    scores = np.abs(cv - mu_cv)
+    ok = sd_cv >= SPREAD_FLOOR
+    scores[ok] /= sd_cv[ok, None]
+    scores[~ok] = 0.0
+
+    # third absolute moment over variance^(3/2) of each frame's scores: 1
+    # for any symmetric two-valued set, 0 when all scores coincide
+    dev = scores - scores.mean(axis=1, keepdims=True)
+    var = np.mean(dev**2, axis=1)
+    third = np.mean(np.abs(dev) ** 3, axis=1)
+    ent = np.zeros(len(var))
+    good = np.sqrt(var) >= SPREAD_FLOOR
+    ent[good] = third[good] / var[good] ** 1.5
+
+    h_d[window - 1:] = ent
+    return h_d
+
+
 def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
     """Compute all three streams over a recording with a shared window length.
 
     The window is checked by fusion.require_window (ConfigError). Row k is
     defined once k+1 >= window; earlier rows are NaN. Both thermal
-    streams read the compensated temperatures (see spacetime.compensate),
-    so neither depends on the temperature unit's zero and neither needs a
-    reference taken elsewhere in the recording:
+    streams read the compensated temperatures (see compensate), so neither
+    depends on the temperature unit's zero and neither needs a reference
+    taken elsewhere in the recording:
 
     - h_s is the largest per-cell mean excess over the window, in the
       temperature unit. Sensor noise averages out over the window; a
@@ -143,8 +266,8 @@ def entropy_streams(tele: Telemetry, window: int) -> EntropyStreams:
 
     Both windowed streams, h_d (lumped_entropy_series) and h_t
     (_rank1_temporal), score their windows in chunks within one budget,
-    lumped.CHUNK_BYTES, so only arrays of a few floats a frame grow with
-    the recording.
+    CHUNK_BYTES, by one rule, window_chunks, so only arrays of a few floats
+    a frame grow with the recording.
     """
     n = tele.n_frames
     w = require_window(window)
@@ -184,8 +307,8 @@ def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
     matrix and its top eigenvector ((n_channels + 1) n_channels floats) or
     the leading row (w) with, at dimension M + 1, the scaled, lag-ordered
     delay-vector components and their means ((M + 2) count, count = w - M)
-    and three lag buffers (3 count); lumped.window_chunks holds a chunk's
-    larger need to lumped.CHUNK_BYTES. The output and numpy's fixed-size
+    and three lag buffers (3 count); window_chunks holds a chunk's
+    larger need to CHUNK_BYTES. The output and numpy's fixed-size
     iteration buffers come on top.
     """
     n, n_channels = field.shape
@@ -214,7 +337,7 @@ def _leading_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and right singular vectors of B depend on B only through B^T B, which
     is unchanged when B is rewritten in any orthonormal basis of a subspace
     holding its columns. Every compensated frame lies in the 18-dimensional
-    span of spacetime.COMPLEMENT_BASIS, so entropy_streams passes the
+    span of COMPLEMENT_BASIS, so entropy_streams passes the
     excess in those 18 coordinates and the Gram is 18 x 18 instead of
     24 x 24. Fuzzy entropy does not see the sign of the row, so rows are
     not sign-aligned.

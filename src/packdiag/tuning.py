@@ -29,7 +29,13 @@ from .fusion import (
     multiscale_statistic,
     require_window,
 )
-from .pipeline import Telemetry, entropy_streams, fit_normalizers, fit_threshold
+from .pipeline import (
+    EntropyStreams,
+    Telemetry,
+    entropy_streams,
+    fit_normalizers,
+    fit_threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,7 @@ class _Prepared:
     """One recording at one window: what scoring needs that no weight
     vector changes."""
 
-    h_d: np.ndarray
-    h_s: np.ndarray
-    h_t: np.ndarray
+    streams: EntropyStreams
     cal: DetectorParams   # the window and the three training maxima
     train: slice          # the training frames
 
@@ -189,8 +193,7 @@ class FitnessEvaluator:
                 for tele in self.scenarios:
                     streams = entropy_streams(tele, window)
                     cal, (train,) = fit_normalizers([streams], params)
-                    records.append(_Prepared(streams.h_d, streams.h_s,
-                                             streams.h_t, cal, train))
+                    records.append(_Prepared(streams, cal, train))
             except ValueError:
                 records = None
             self._prepared[window] = records
@@ -226,13 +229,16 @@ class FitnessEvaluator:
         records = self._prepare(w)
         if records is None:
             return [_infeasible() for _ in alphas]
-        h_r = self._thresholds([
-            multiscale_statistic(rec.h_d[rec.train], rec.h_s[rec.train],
-                                 rec.h_t[rec.train], rec.cal, alphas)
-            for rec in records])
-        outcomes = [detect(tele.times, multiscale_statistic(
-            rec.h_d, rec.h_s, rec.h_t, rec.cal, alphas), rec.cal, row_h_r)
-            for tele, rec, row_h_r in zip(self.scenarios, records, h_r)]
+        # the statistic is elementwise, so each recording's (k, n) stack is
+        # computed once and its training columns are read from it
+        hs = [multiscale_statistic(rec.streams.h_d, rec.streams.h_s,
+                                   rec.streams.h_t, rec.cal, alphas)
+              for rec in records]
+        h_r = self._thresholds([h[:, rec.train]
+                                for h, rec in zip(hs, records)])
+        outcomes = [detect(tele.times, h, rec.cal, row_h_r)
+                    for tele, h, rec, row_h_r
+                    in zip(self.scenarios, hs, records, h_r)]
         results = pooled_metrics(outcomes, [t.labels for t in self.scenarios],
                                  self.metrics.t_r)[0]
         # a row whose threshold DetectorParams would reject, or unusable

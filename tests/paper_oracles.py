@@ -22,7 +22,6 @@ import numpy as np
 from packdiag import pack
 from packdiag.errors import SimulationError
 from packdiag.fusion import SQRT_2PI, THRESHOLD_TOL
-from packdiag.lumped import SPREAD_FLOOR
 from packdiag.pack import (
     DIFFUSIVITY,
     LAYOUT,
@@ -33,6 +32,7 @@ from packdiag.pack import (
     NY,
     VOLUMETRIC_HEAT_CAPACITY,
 )
+from packdiag.pipeline import SPREAD_FLOOR
 
 M = 2  # embedding dimension of the temporal stream
 

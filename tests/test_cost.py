@@ -117,6 +117,16 @@ def test_tune_tiny_search():
         <= int(figures["batch_rows_max"]) <= 6
 
 
+def test_tune_window_beyond_recording_is_usage_error():
+    # checked before the recordings are simulated
+    done = cost("tune", "--population", "6", "--generations", "1",
+                "--windows", "1190", "1300", timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("cost.py tune: error: recording has 1200 frames, "
+                           "needs at least 1300\n")
+
+
 def test_tune_bad_config_is_usage_error():
     done = cost("tune", "--population", "2", timeout=60)
     assert done.returncode == 2

@@ -9,8 +9,7 @@ from packdiag.errors import ConfigError
 from packdiag.fusion import MIN_WINDOW, DetectorParams
 from packdiag.locate import ContributionMap, contribution_rows, contributions_at
 from packdiag.pack import LAYOUT, FaultSpec, SimConfig, simulate
-from packdiag.pipeline import Telemetry, entropy_streams, run_detector
-from packdiag.spacetime import compensate
+from packdiag.pipeline import Telemetry, compensate, entropy_streams, run_detector
 
 
 @pytest.fixture(scope="module")

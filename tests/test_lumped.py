@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from packdiag import lumped
-from packdiag.lumped import CHUNK_BYTES, SPREAD_FLOOR, lumped_entropy_series
+from packdiag import pipeline
+from packdiag.pipeline import CHUNK_BYTES, SPREAD_FLOOR, lumped_entropy_series
 from paper_oracles import dissimilarity_entropy, whole_view_lumped
 
 
@@ -256,16 +256,16 @@ class TestChunking:
         volts = self.volts(601)
         n_win = 601 - w + 1
         parts = []
-        unpatched = lumped.window_chunks
+        unpatched = pipeline.window_chunks
 
         def window_chunks(n_win, window_bytes):
             parts.extend(unpatched(n_win, window_bytes))
             return parts
 
         if per_chunk is not None:
-            monkeypatch.setattr(lumped, "CHUNK_BYTES",
+            monkeypatch.setattr(pipeline, "CHUNK_BYTES",
                                 per_chunk * 8 * 6 * (w + 4))
-        monkeypatch.setattr(lumped, "window_chunks", window_chunks)
+        monkeypatch.setattr(pipeline, "window_chunks", window_chunks)
         h_d = lumped_entropy_series(volts, w)
         sizes = [part.stop - part.start for part in parts]
         assert sum(sizes) == n_win
@@ -282,7 +282,7 @@ class TestChunking:
         # windows a chunk the window ending at frame 503 sits in the 72nd
         volts = self.volts(601)
         volts[500:504, 2] = [1.0, -1.0, 1.0, -1.0]
-        monkeypatch.setattr(lumped, "CHUNK_BYTES", 7 * 8 * 6 * (4 + 4))
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 8 * 6 * (4 + 4))
         for series in (lumped_entropy_series, whole_view_lumped):
             with pytest.raises(ValueError, match="^zero-mean voltage window$"):
                 series(volts, 4)

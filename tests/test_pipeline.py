@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from packdiag import lumped, pipeline
+from packdiag import pipeline
 from packdiag.errors import ConfigError
 from packdiag.fusion import (
     DetectorParams,
@@ -13,17 +13,18 @@ from packdiag.fusion import (
     multiscale_statistic,
     threshold_from_kde,
 )
-from packdiag.lumped import CHUNK_BYTES, lumped_entropy_series
 from packdiag.pack import FaultSpec, SimConfig, simulate
 from packdiag.pipeline import (
+    CHUNK_BYTES,
     M,
     Telemetry,
     _rank1_temporal,
     calibrate_pooled,
+    compensate,
     entropy_streams,
+    lumped_entropy_series,
     run_detector,
 )
-from packdiag.spacetime import compensate
 from paper_oracles import looped_temporal, window_temporal
 
 
@@ -165,13 +166,40 @@ class TestEntropyStreams:
             whole = _rank1_temporal(excess, window)
             for chunk in chunks:
                 with monkeypatch.context() as m:
-                    m.setattr(lumped, "CHUNK_BYTES", chunk * window_bytes)
+                    m.setattr(pipeline, "CHUNK_BYTES", chunk * window_bytes)
                     m.setattr(pipeline, "_leading_modes", leading_modes)
                     sizes.clear()
                     pieces = _rank1_temporal(excess, window)
                 assert sizes[0] == chunk, (window, chunk)
                 assert np.array_equal(whole, pieces, equal_nan=True), \
                     (window, chunk)
+
+    def test_one_chunk_budget_for_both_windowed_streams(self, normal_tele,
+                                                        monkeypatch):
+        # h_d and h_t take their chunks by one rule within one budget, so a
+        # single patch of the budget resizes both; at w = 20 a window of the
+        # six voltages takes 1,152 bytes and one of the 18 excess
+        # coordinates 2,736
+        w = 20
+        n_win = normal_tele.n_frames - w + 1
+        calls = []
+        unpatched = pipeline.window_chunks
+
+        def window_chunks(n_win, window_bytes):
+            parts = unpatched(n_win, window_bytes)
+            calls.append((window_bytes, parts[0].stop - parts[0].start))
+            return parts
+
+        monkeypatch.setattr(pipeline, "window_chunks", window_chunks)
+        whole = entropy_streams(normal_tele, w)
+        assert calls == [(1152, n_win), (2736, n_win)]
+        calls.clear()
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 3 * 2736)
+        pieces = entropy_streams(normal_tele, w)
+        assert calls == [(1152, 7), (2736, 3)]
+        for name in ("h_d", "h_s", "h_t"):
+            assert np.array_equal(getattr(whole, name), getattr(pieces, name),
+                                  equal_nan=True), name
 
     @pytest.mark.parametrize("w", [27, 200])
     def test_peak_memory_within_chunk_budget(self, w):

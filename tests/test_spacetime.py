@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from packdiag.pack import LAYOUT
-from packdiag.spacetime import _SMOOTH_PROJECTOR, COMPLEMENT_BASIS, compensate
+from packdiag.pipeline import _SMOOTH_PROJECTOR, COMPLEMENT_BASIS, compensate
 from paper_oracles import decompose_window, exhaustive_fuzzy, fuzzy_entropy
 
 
