@@ -24,10 +24,11 @@ the frames; and `peak_mb`, the tracemalloc peak of one further call.
 workload (`workloads.optimizer_test_configs`, 1200 frames) and prints one
 row per window (5 27 60 100 200 by default): `streams_ms`, the best wall
 time of `entropy_streams` over three calls; of that call, `modes_ms` in
-`pipeline._leading_modes` (the Gram products, top-eigenpair solves and
-leading rows of h_t) and `kernel_ms` in `pipeline._fuzzy_entropies` (h_t's
-fuzzy pair kernel); `other_ms`, the rest: h_d, the compensation, h_s and
-the projection; and `peak_mb`, the tracemalloc peak of one further call.
+`pipeline._leading_modes` (the Gram products, their batched squaring to
+the top eigenvector and the leading rows of h_t) and `kernel_ms` in
+`pipeline._fuzzy_entropies` (h_t's fuzzy pair kernel); `other_ms`, the
+rest: h_d, the compensation, h_s and the projection; and `peak_mb`, the
+tracemalloc peak of one further call.
 
 `tune` simulates the three 1200-frame recordings of that workload (two with
 a short, one without a fault) and prints `streams_s`, the wall time of

@@ -71,21 +71,31 @@ def _utf8_text(path) -> str:
 
 
 def read_dataset(path) -> Telemetry:
-    """Parse a telemetry CSV; malformed content names the offending line."""
+    """Parse a telemetry CSV; malformed content names the offending line.
+
+    Each row's fields go straight into one preallocated float table, so
+    beyond the file's text and lines only the arrays themselves grow with
+    the recording.
+    """
     lines = _utf8_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != DATASET_HEADER:
         raise DataFormatError("bad dataset header; expected "
                               f"'{DATASET_HEADER[:24]}...'")
-    times, rows, currents, labels = [], [], [], []
+    if len(lines) == 1:
+        raise DataFormatError("dataset has a header but no rows")
+    # t, the channels and I; the labels stay Python ints until every line
+    # is read, so that first_bad_frame can name any integer it rejects
+    table = np.empty((len(lines) - 1, _N_FIELDS - 1))
+    labels = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != _N_FIELDS:
             raise DataFormatError(f"line {lineno}: expected {_N_FIELDS} "
                                   f"fields, got {len(parts)}")
         try:
-            values = [float(p) for p in parts[:-1]]
+            table[lineno - 2] = [float(p) for p in parts[:-1]]
         except ValueError:
             raise DataFormatError(f"line {lineno}: non-numeric field") from None
         try:
@@ -93,20 +103,17 @@ def read_dataset(path) -> Telemetry:
         except ValueError:
             raise DataFormatError(f"line {lineno}: label must be an integer, "
                                   f"got {parts[-1]!r}") from None
-        times.append(values[0])
-        rows.append(values[1:-1])
-        currents.append(values[-1])
-    if not times:
-        raise DataFormatError("dataset has a header but no rows")
-    times, rows, currents, labels = (np.asarray(v) for v in
-                                     (times, rows, currents, labels))
-    bad = first_bad_frame(times, labels, rows, currents)
+    # the checks below copy the table; the lines need not outlive the parse
+    del lines
+    times, channels, currents = table[:, 0], table[:, 1:-1], table[:, -1]
+    labels = np.asarray(labels)
+    bad = first_bad_frame(times, labels, channels, currents)
     if bad is not None:
         k, why = bad
         raise DataFormatError(f"line {k + 2}: {why}")
     return Telemetry(times=times,
-                     temps=rows[:, :N_CELLS],
-                     volts=rows[:, N_CELLS:],
+                     temps=channels[:, :N_CELLS],
+                     volts=channels[:, N_CELLS:],
                      current=currents,
                      labels=np.asarray(labels, dtype=int))
 

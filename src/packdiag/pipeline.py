@@ -303,26 +303,41 @@ def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
     The windows are taken chunk by chunk from the sliding-window view of
     the field, which is never copied; _leading_modes and _fuzzy_entropies
     score a chunk, and each window's result depends on that window alone,
-    so not on the chunk. Per window of a chunk they hold either the Gram
-    matrix and its top eigenvector ((n_channels + 1) n_channels floats) or
-    the leading row (w) with, at dimension M + 1, the scaled, lag-ordered
-    delay-vector components and their means ((M + 2) count, count = w - M)
-    and three lag buffers (3 count); window_chunks holds a chunk's
-    larger need to CHUNK_BYTES. The output and numpy's fixed-size
-    iteration buffers come on top.
+    so not on the chunk. Per window of a chunk they hold either the two
+    (n_channels, n_channels) buffers that _leading_modes squares the Gram
+    matrix between, with the leading vector (n_channels) and four floats of
+    traces and indices beside them, or the leading row (w) with, at
+    dimension M + 1, the scaled, lag-ordered delay-vector components and
+    their means ((M + 2) count, count = w - M) and three lag buffers
+    (3 count); window_chunks holds a chunk's larger need to CHUNK_BYTES.
+    The output and numpy's fixed-size iteration buffers come on top.
     """
     n, n_channels = field.shape
     n_win = n - w + 1
     count = w - M
 
-    window_bytes = 8 * max(n_channels * (n_channels + 1), w + (M + 5) * count)
+    window_bytes = 8 * max(n_channels * (2 * n_channels + 1) + 4,
+                           w + (M + 5) * count)
 
     h_t = np.full(n, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(field, w, axis=0)
     for part in window_chunks(n_win, window_bytes):
         lam, a = _leading_modes(windows[part])
         h_t[w - 1 :][part] = lam * _fuzzy_entropies(a, count)
+        # the next chunk's squaring buffers take this chunk's rows' place
+        del lam, a
     return h_t
+
+
+# every window's Gram is squared this many times before any is tested
+SQUARINGS = 8
+# a window still short of convergence after this many goes to eigh
+MAX_SQUARINGS = 24
+# the off-leading mass, 1 - |P|_F^2 of a unit-trace P, at which the
+# leading direction is taken as exact
+CONVERGED = 1e-15
+# squarings between rescalings to unit trace; see _leading_modes
+RESCALE_EVERY = 4
 
 
 def _leading_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,29 +345,79 @@ def _leading_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of a (c, n_channels, w) stack.
 
     The leading pair comes from the (n_channels, n_channels) Gram matrix
-    B B^T of each window B, not from an SVD: its top eigenvector u is the
-    leading left singular vector, so a = u^T B is the leading singular
+    G = B B^T of each window B, not from an SVD: its top eigenvector u is
+    the leading left singular vector, so a = u^T B is the leading singular
     value times the leading temporal row, lam = |a| and a / lam is that
-    row. LAPACK's dsyevr finds the top eigenpair alone. The singular values
-    and right singular vectors of B depend on B only through B^T B, which
-    is unchanged when B is rewritten in any orthonormal basis of a subspace
-    holding its columns. Every compensated frame lies in the 18-dimensional
-    span of COMPLEMENT_BASIS, so entropy_streams passes the
-    excess in those 18 coordinates and the Gram is 18 x 18 instead of
-    24 x 24. Fuzzy entropy does not see the sign of the row, so rows are
-    not sign-aligned.
-    """
-    # scipy.linalg takes about 45 ms to import; only this stream needs it
-    from scipy.linalg.lapack import dsyevr
+    row. The singular values and right singular vectors of B depend on B
+    only through B^T B, which is unchanged when B is rewritten in any
+    orthonormal basis of a subspace holding its columns. Every compensated
+    frame lies in the 18-dimensional span of COMPLEMENT_BASIS, so
+    entropy_streams passes the excess in those 18 coordinates and the Gram
+    is 18 x 18 instead of 24 x 24. Fuzzy entropy does not see the sign of
+    the row, so rows are not sign-aligned.
 
+    u comes from repeated squaring, the power method on G^(2^k) (Golub and
+    Van Loan, Matrix Computations, section 8.2), batched over the stack
+    with np.matmul between two buffers. P starts as G at unit trace; its
+    eigenvalues are then weights summing to 1, and each squaring squares
+    them, so all but the largest fade. 1 - |P|_F^2 / tr(P)^2 is about
+    twice the weight left outside the leading direction. Every window is
+    squared SQUARINGS times; from then on, a window whose last P was
+    within CONVERGED of rank 1 leaves the stack, and u is the column of
+    its P at the largest diagonal entry, normalized. P is rescaled to unit
+    trace only every RESCALE_EVERY squarings: its top eigenvalue is at
+    least 1/n_channels of its trace, so in between the trace cannot fall
+    below n_channels^-16 of its last value, far from underflow. A window
+    still in the stack after MAX_SQUARINGS, whose top two eigenvalues are
+    too close to part, and a window whose Gram is exactly zero go to one
+    batched np.linalg.eigh call on their Gram matrices. Which path a
+    window takes and what it computes there depend on that window alone.
+    """
     c, n_channels, _ = block.shape
-    gram = block @ block.transpose(0, 2, 1)
-    u = np.empty((c, 1, n_channels))
-    for i in range(c):
-        u[i, 0] = dsyevr(gram[i], range="I", il=n_channels,
-                         iu=n_channels)[1][:, 0]
-    del gram
-    a = (u @ block)[:, 0, :]
+    u = np.empty((c, n_channels))
+    live = np.arange(c)
+    p = block @ block.transpose(0, 2, 1)
+    trace = np.einsum("ijj->i", p)
+    dead = trace == 0.0
+    stuck = [live[dead]]
+    if dead.any():
+        p, live, trace = p[~dead], live[~dead], trace[~dead]
+    p /= trace[:, None, None]
+    trace = np.ones(live.size)
+    q = np.empty_like(p)
+    for step in range(1, MAX_SQUARINGS + 1):
+        np.matmul(p, p, out=q)
+        p, q = q, p
+        # tr(P^2) is |P|_F^2 of the P just squared, whose trace was `trace`
+        frob = np.einsum("ijj->i", p)
+        done = trace * trace - frob <= CONVERGED * trace * trace
+        if step % RESCALE_EVERY == 0:
+            p /= frob[:, None, None]
+            frob = np.ones(live.size)
+        trace = frob
+        if step < SQUARINGS or not done.any():
+            continue
+        # the second buffer's bytes hold the converged windows' columns and
+        # then the compacted stack, so no more than two stacks are live
+        q = None
+        rows = np.flatnonzero(done)
+        top = np.diagonal(p, axis1=1, axis2=2)[rows].argmax(axis=1)
+        col = p[rows, :, top]
+        u[live[rows]] = col / np.sqrt(np.einsum("ij,ij->i", col, col))[:, None]
+        keep = ~done
+        p, live, trace = p[keep], live[keep], trace[keep]
+        if not live.size:
+            break
+        q = np.empty_like(p)
+    stuck.append(live)
+    del p, q
+    stuck = np.concatenate(stuck)
+    if stuck.size:
+        gram = np.empty((stuck.size, n_channels, n_channels))
+        for g, i in zip(gram, stuck):
+            np.matmul(block[i], block[i].T, out=g)
+        u[stuck] = np.linalg.eigh(gram)[1][:, :, -1]
+    a = (u[:, None, :] @ block)[:, 0, :]
     lam = np.sqrt(np.einsum("ij,ij->i", a, a))
     # an all-zero window keeps lam = 0 and a = 0, which has no spread:
     # it scores 0, as the loop's zero-filled degenerate mode does
@@ -370,7 +435,10 @@ def _fuzzy_entropies(a: np.ndarray, count: int) -> np.ndarray:
     (count, c) array, the pairs (i, i+k) of all rows are two contiguous row
     slices. Each component is scaled by sqrt(ln 2) / r once, so a pair's
     similarity exp(-ln 2 (d / r)^2) is exp(-the largest squared component
-    difference). No pairwise (count, count) array is formed. Each pair's
+    difference). A baseline-free vector of dimension 2 is (-d/2, d/2) for
+    the step d between its two samples, so both its absolute components
+    are |d|/2 and the distance between two such vectors is read from one
+    coordinate. No pairwise (count, count) array is formed. Each pair's
     similarity is summed over lags into its first index, then over that
     index, so a row's result does not depend on the other rows.
     """
@@ -385,8 +453,10 @@ def _fuzzy_entropies(a: np.ndarray, count: int) -> np.ndarray:
     log_sim = np.zeros((2, c))
     for j, mu in enumerate((M, M + 1)):
         vecs = np.lib.stride_tricks.sliding_window_view(a, mu, axis=1)[:, :count]
-        comps = comps_buf[:mu]  # (mu, count, c)
-        np.subtract(vecs.transpose(2, 1, 0), vecs.mean(axis=2).T, out=comps)
+        used = 1 if mu == 2 else mu
+        comps = comps_buf[:used]  # (used, count, c)
+        np.subtract(vecs[:, :, :used].transpose(2, 1, 0),
+                    vecs.mean(axis=2).T, out=comps)
         np.abs(comps, out=comps)
         comps *= scale
         acc.fill(0.0)
@@ -396,7 +466,7 @@ def _fuzzy_entropies(a: np.ndarray, count: int) -> np.ndarray:
             d = dist[: count - k]
             np.subtract(comps[0, k:], comps[0, :-k], out=d)
             np.multiply(d, d, out=d)
-            for dim in range(1, mu):
+            for dim in range(1, used):
                 dd = diff[: count - k]
                 np.subtract(comps[dim, k:], comps[dim, :-k], out=dd)
                 np.multiply(dd, dd, out=dd)

@@ -1,5 +1,6 @@
 """Tests for dataset, params, and scenario file round-trips."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,30 @@ class TestDatasetFile:
         path.write_text("time,stuff\n" + body)
         with pytest.raises(DataFormatError, match="header"):
             read_dataset(path)
+
+    def test_read_peak_is_text_lines_and_table(self, tmp_path):
+        # rows are parsed straight into one float table, so the traced peak
+        # is the file's text and its lines (about twice the file) or the
+        # lines and the table; lists of Python floats took 1.9 KB a frame
+        n = 2000
+        rng = np.random.default_rng(6)
+        tele = Telemetry(times=np.arange(1.0, n + 1),
+                         temps=rng.normal(300.0, 1.0, (n, 24)),
+                         volts=rng.normal(14.4, 0.1, (n, 6)),
+                         current=rng.normal(-10.0, 1.0, n),
+                         labels=np.zeros(n, dtype=int))
+        path = tmp_path / "run.csv"
+        write_dataset(path, tele)
+        read_dataset(path)  # one-time allocations do not count
+        tracemalloc.start()
+        try:
+            back = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 8 * n * 32  # t, 24 temperatures, 6 voltages and I a row
+        assert back.n_frames == n
+        assert peak <= 2 * path.stat().st_size + table, peak
 
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "run.csv"

@@ -1,6 +1,9 @@
 """Tests for the end-to-end stream assembly: telemetry -> entropies -> alarms."""
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from packdiag.pipeline import (
     CHUNK_BYTES,
     M,
     Telemetry,
+    _fuzzy_entropies,
+    _leading_modes,
     _rank1_temporal,
     calibrate_pooled,
     compensate,
@@ -25,7 +30,9 @@ from packdiag.pipeline import (
     lumped_entropy_series,
     run_detector,
 )
-from paper_oracles import looped_temporal, window_temporal
+from paper_oracles import fuzzy_entropy, looped_temporal, window_temporal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +158,7 @@ class TestEntropyStreams:
     def test_batched_path_chunking_invariant(self, normal_tele,
                                              monkeypatch):
         # tiny chunks must stitch together to the same streams, bit for bit;
-        # a window of the 24-channel excess takes 4,800 bytes at w = 20 and
+        # a window of the 24-channel excess takes 9,440 bytes at w = 20 and
         # 12,688 at w = 200, so each budget below fits `chunk` windows
         excess = compensate(normal_tele.temps)
         sizes = []
@@ -161,7 +168,7 @@ class TestEntropyStreams:
             sizes.append(block.shape[0])
             return unpatched(block)
 
-        for window, window_bytes, chunks in ((20, 4800, (7,)),
+        for window, window_bytes, chunks in ((20, 9440, (7,)),
                                              (200, 12688, (1, 7))):
             whole = _rank1_temporal(excess, window)
             for chunk in chunks:
@@ -179,7 +186,7 @@ class TestEntropyStreams:
         # h_d and h_t take their chunks by one rule within one budget, so a
         # single patch of the budget resizes both; at w = 20 a window of the
         # six voltages takes 1,152 bytes and one of the 18 excess
-        # coordinates 2,736
+        # coordinates 5,360
         w = 20
         n_win = normal_tele.n_frames - w + 1
         calls = []
@@ -192,11 +199,11 @@ class TestEntropyStreams:
 
         monkeypatch.setattr(pipeline, "window_chunks", window_chunks)
         whole = entropy_streams(normal_tele, w)
-        assert calls == [(1152, n_win), (2736, n_win)]
+        assert calls == [(1152, n_win), (5360, n_win)]
         calls.clear()
-        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 3 * 2736)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 3 * 5360)
         pieces = entropy_streams(normal_tele, w)
-        assert calls == [(1152, 7), (2736, 3)]
+        assert calls == [(1152, 13), (5360, 3)]
         for name in ("h_d", "h_s", "h_t"):
             assert np.array_equal(getattr(whole, name), getattr(pieces, name),
                                   equal_nan=True), name
@@ -208,7 +215,7 @@ class TestEntropyStreams:
         # budget plus the output and numpy's iteration buffers (about
         # 0.15 MB, whatever the chunk)
         field = np.random.default_rng(4).normal(0.0, 0.05, (2000, 18))
-        _rank1_temporal(field[:w], w)  # the first call imports scipy.linalg
+        _rank1_temporal(field[:w], w)  # one-time allocations do not count
         tracemalloc.start()
         try:
             h_t = _rank1_temporal(field, w)
@@ -231,6 +238,67 @@ class TestEntropyStreams:
         assert np.isnan(h_t[: w - 1]).all()
         assert (h_t[w - 1 :] == 0.0).all()
         assert np.array_equal(h_t, looped_temporal(excess, w), equal_nan=True)
+
+
+class TestLeadingModes:
+    def test_degenerate_windows_and_the_eigh_path(self, monkeypatch):
+        # a zero window has no Gram to square; a Gram that is exactly a
+        # multiple of the identity never nears rank 1 however often it is
+        # squared; both go to eigh, while a rank-1 and a generic window
+        # converge
+        rng = np.random.default_rng(8)
+        n, w = 18, 36
+        eye = np.eye(n)
+        block = np.stack([np.zeros((n, w)),
+                          np.outer(rng.normal(size=n), rng.normal(size=w)),
+                          np.hstack([eye, -eye]),  # B B^T = 2 I
+                          rng.normal(size=(n, w))])
+        solved = []
+        unpatched = np.linalg.eigh
+
+        def eigh(gram):
+            solved.append(gram.shape[0])
+            return unpatched(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        lam, a = _leading_modes(block)
+        assert solved == [2]
+        top = np.linalg.svd(block, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(lam, top, rtol=1e-14, atol=0.0)
+        assert lam[0] == 0.0 and (a[0] == 0.0).all()
+        for b, lam_b, a_b in zip(block[1:], lam[1:], a[1:]):
+            # a = u^T B / lam, so B a^T / lam is the unit vector u
+            u = b @ a_b / lam_b
+            assert abs(np.linalg.norm(u) - 1.0) < 1e-14
+            residual = b @ (b.T @ u) - lam_b**2 * u
+            assert np.linalg.norm(residual) <= 1e-14 * lam_b**2
+
+    def test_streams_leave_scipy_linalg_unloaded(self):
+        # h_t's eigensolves are numpy's, so scoring a recording loads no
+        # scipy.linalg (about 45 ms and 4-6 MB of a fresh process)
+        code = ("import sys\n"
+                "from packdiag import pack, pipeline\n"
+                "cfg = pack.SimConfig(duration=60.0, rng_seed=1)\n"
+                "tele = pipeline.Telemetry.from_frames(pack.simulate(cfg))\n"
+                "pipeline.entropy_streams(tele, 20)\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
+
+    def test_dimension_m_kernel_reads_one_coordinate(self):
+        # neighbours that straddle zero: the two baseline-free components
+        # of a dimension-2 vector differ by an ulp in some pairs, and the
+        # kernel reads only the first
+        rng = np.random.default_rng(12)
+        w = 40
+        a = rng.uniform(0.1, 1.0, (60, w)) * (-1.0) ** np.arange(w)
+        a[:, ::3] *= rng.uniform(1e-3, 1e3, (60, (w + 2) // 3))
+        mid = (a[:, :-1] + a[:, 1:]) / 2
+        assert (np.abs(a[:, :-1] - mid) != np.abs(a[:, 1:] - mid)).any()
+        fast = _fuzzy_entropies(a, w - M)
+        slow = [fuzzy_entropy(row) for row in a]
+        np.testing.assert_allclose(fast, slow, rtol=0.0, atol=1e-12)
 
 
 class TestCalibration:
