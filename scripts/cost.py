@@ -157,7 +157,7 @@ def streams(args: argparse.Namespace) -> int:
         print(f"cost.py streams: error: {exc}", file=sys.stderr)
         return 2
     tele = pipeline.Telemetry.from_frames(pack.simulate(RECORDINGS[0]))
-    pipeline.entropy_streams(tele, args.windows[0])  # lazy imports, warm caches
+    pipeline.entropy_streams(tele, args.windows[0])  # warm-up, untimed
     print(f"# {tele.n_frames} frames; {machine(np, scipy)}")
     print(f"{'window':>6} {'streams_ms':>10} {'modes_ms':>8} "
           f"{'kernel_ms':>9} {'other_ms':>8} {'peak_mb':>7}")
@@ -187,7 +187,7 @@ def tune(args: argparse.Namespace) -> int:
         return 2
     recordings = [pipeline.Telemetry.from_frames(pack.simulate(cfg))
                   for cfg in RECORDINGS]
-    pipeline.entropy_streams(recordings[0], ga.w_min)  # lazy imports
+    pipeline.entropy_streams(recordings[0], ga.w_min)  # warm-up, untimed
     print(f"# {len(recordings)} recordings of {recordings[0].n_frames} "
           f"frames, windows {ga.w_min}-{ga.w_max}, population "
           f"{ga.population}, {ga.generations} generations, seed "

@@ -303,13 +303,14 @@ def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
     The windows are taken chunk by chunk from the sliding-window view of
     the field, which is never copied; _leading_modes and _fuzzy_entropies
     score a chunk, and each window's result depends on that window alone,
-    so not on the chunk. Per window of a chunk they hold either the two
-    (n_channels, n_channels) buffers that _leading_modes squares the Gram
-    matrix between, with the leading vector (n_channels) and four floats of
-    traces and indices beside them, or the leading row (w) with, at
-    dimension M + 1, the scaled, lag-ordered delay-vector components and
-    their means ((M + 2) count, count = w - M) and three lag buffers
-    (3 count); window_chunks holds a chunk's larger need to CHUNK_BYTES.
+    so not on the chunk. Per window of a chunk they hold either two
+    (n_channels, n_channels) matrices, the Gram power that _leading_modes
+    squares and its square or compacted copy, with the leading vector
+    (n_channels) and four floats of traces and indices beside them, or the
+    leading row (w) with, at dimension M + 1, the scaled, lag-ordered
+    delay-vector components and their means ((M + 2) count, count = w - M)
+    and three lag buffers (3 count); window_chunks holds a chunk's larger
+    need to CHUNK_BYTES.
     The output and numpy's fixed-size iteration buffers come on top.
     """
     n, n_channels = field.shape
@@ -331,8 +332,10 @@ def _rank1_temporal(field: np.ndarray, w: int) -> np.ndarray:
 
 # every window's Gram is squared this many times before any is tested
 SQUARINGS = 8
-# a window still short of convergence after this many goes to eigh
-MAX_SQUARINGS = 24
+# a window still live after this many squarings is degenerate to rounding:
+# a top-two gap of 2.2e-16 relative, the smallest a double can hold, brings
+# the off-leading mass down to CONVERGED by about the 58th
+MAX_SQUARINGS = 64
 # the off-leading mass, 1 - |P|_F^2 of a unit-trace P, at which the
 # leading direction is taken as exact
 CONVERGED = 1e-15
@@ -358,65 +361,52 @@ def _leading_modes(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     u comes from repeated squaring, the power method on G^(2^k) (Golub and
     Van Loan, Matrix Computations, section 8.2), batched over the stack
-    with np.matmul between two buffers. P starts as G at unit trace; its
-    eigenvalues are then weights summing to 1, and each squaring squares
-    them, so all but the largest fade. 1 - |P|_F^2 / tr(P)^2 is about
-    twice the weight left outside the leading direction. Every window is
-    squared SQUARINGS times; from then on, a window whose last P was
-    within CONVERGED of rank 1 leaves the stack, and u is the column of
-    its P at the largest diagonal entry, normalized. P is rescaled to unit
-    trace only every RESCALE_EVERY squarings: its top eigenvalue is at
-    least 1/n_channels of its trace, so in between the trace cannot fall
-    below n_channels^-16 of its last value, far from underflow. A window
-    still in the stack after MAX_SQUARINGS, whose top two eigenvalues are
-    too close to part, and a window whose Gram is exactly zero go to one
-    batched np.linalg.eigh call on their Gram matrices. Which path a
-    window takes and what it computes there depend on that window alone.
+    with np.matmul. P starts as G at unit trace; its eigenvalues are then
+    weights summing to 1, and each squaring squares them, so all but the
+    largest fade. 1 - |P|_F^2 / tr(P)^2 is about twice the weight left
+    outside the leading direction. Every window is squared SQUARINGS
+    times; from then on, a window whose last P was within CONVERGED of
+    rank 1 leaves the stack, and u is the column of its P at the largest
+    diagonal entry, normalized. P is rescaled to unit trace only every
+    RESCALE_EVERY squarings: its top eigenvalue is at least 1/n_channels
+    of its trace, so in between the trace cannot fall below
+    n_channels^-16 of its last value, far from underflow. A window still
+    in the stack after MAX_SQUARINGS has top eigenvalues equal to within
+    rounding, so every unit vector of their eigenspace is a leading
+    vector, and it takes its u the same way. A window whose Gram is
+    exactly zero never enters the stack: it keeps u = 0, so its lam and a
+    are 0. What a window computes depends on that window alone.
     """
     c, n_channels, _ = block.shape
-    u = np.empty((c, n_channels))
-    live = np.arange(c)
+    u = np.zeros((c, n_channels))
     p = block @ block.transpose(0, 2, 1)
     trace = np.einsum("ijj->i", p)
-    dead = trace == 0.0
-    stuck = [live[dead]]
-    if dead.any():
-        p, live, trace = p[~dead], live[~dead], trace[~dead]
+    live = np.flatnonzero(trace)
+    if live.size < c:
+        p, trace = p[live], trace[live]
     p /= trace[:, None, None]
     trace = np.ones(live.size)
-    q = np.empty_like(p)
     for step in range(1, MAX_SQUARINGS + 1):
-        np.matmul(p, p, out=q)
-        p, q = q, p
+        if not live.size:
+            break
+        p = p @ p
         # tr(P^2) is |P|_F^2 of the P just squared, whose trace was `trace`
         frob = np.einsum("ijj->i", p)
         done = trace * trace - frob <= CONVERGED * trace * trace
+        # a window live at the cap is degenerate to rounding
+        done |= step == MAX_SQUARINGS
         if step % RESCALE_EVERY == 0:
             p /= frob[:, None, None]
             frob = np.ones(live.size)
         trace = frob
         if step < SQUARINGS or not done.any():
             continue
-        # the second buffer's bytes hold the converged windows' columns and
-        # then the compacted stack, so no more than two stacks are live
-        q = None
         rows = np.flatnonzero(done)
         top = np.diagonal(p, axis1=1, axis2=2)[rows].argmax(axis=1)
         col = p[rows, :, top]
         u[live[rows]] = col / np.sqrt(np.einsum("ij,ij->i", col, col))[:, None]
         keep = ~done
         p, live, trace = p[keep], live[keep], trace[keep]
-        if not live.size:
-            break
-        q = np.empty_like(p)
-    stuck.append(live)
-    del p, q
-    stuck = np.concatenate(stuck)
-    if stuck.size:
-        gram = np.empty((stuck.size, n_channels, n_channels))
-        for g, i in zip(gram, stuck):
-            np.matmul(block[i], block[i].T, out=g)
-        u[stuck] = np.linalg.eigh(gram)[1][:, :, -1]
     a = (u[:, None, :] @ block)[:, 0, :]
     lam = np.sqrt(np.einsum("ij,ij->i", a, a))
     # an all-zero window keeps lam = 0 and a = 0, which has no spread:

@@ -224,35 +224,60 @@ class TestEntropyStreams:
             tracemalloc.stop()
         assert peak <= CHUNK_BYTES + h_t.nbytes + 0.25e6, peak
 
-    @pytest.mark.parametrize("kind", ["dead", "quiet"])
-    def test_degenerate_windows_score_zero(self, kind):
+    @pytest.mark.parametrize("kind", ["dead", "quiet", "gap"])
+    def test_degenerate_windows_score_zero(self, kind, monkeypatch):
         # an all-zero excess has no leading mode; a time-constant one has a
-        # leading coefficient with no spread; either way h_t is exactly 0
+        # leading coefficient with no spread; either way h_t is exactly 0;
+        # so it is on the windows inside an all-zero stretch of a live
+        # excess, which fall in the third and fourth chunks of 7 windows
+        # (a window of the 24-channel excess takes 9,440 bytes at w = 15)
         n, w = 40, 15
+        rng = np.random.default_rng(3)
         if kind == "dead":
             excess = np.zeros((n, 24))
+        elif kind == "quiet":
+            excess = np.tile(rng.normal(0.0, 0.05, 24), (n, 1))
         else:
-            cells = np.random.default_rng(3).normal(0.0, 0.05, 24)
-            excess = np.tile(cells, (n, 1))
+            excess = rng.normal(0.0, 0.05, (n, 24))
+            excess[20:38] = 0.0
+        whole = _rank1_temporal(excess, w)
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 9440)
         h_t = _rank1_temporal(excess, w)
+        assert np.array_equal(h_t, whole, equal_nan=True)
         assert np.isnan(h_t[: w - 1]).all()
-        assert (h_t[w - 1 :] == 0.0).all()
-        assert np.array_equal(h_t, looped_temporal(excess, w), equal_nan=True)
+        loop = looped_temporal(excess, w)
+        if kind == "gap":
+            # the live windows match the loop to rounding only, as in
+            # test_batched_path_matches_loop
+            assert (h_t[34:38] == 0.0).all() and (h_t[38:] > 0.0).all()
+            np.testing.assert_allclose(h_t, loop, rtol=1e-9, atol=1e-10)
+        else:
+            assert (h_t[w - 1 :] == 0.0).all()
+            assert np.array_equal(h_t, loop, equal_nan=True)
 
 
 class TestLeadingModes:
-    def test_degenerate_windows_and_the_eigh_path(self, monkeypatch):
-        # a zero window has no Gram to square; a Gram that is exactly a
-        # multiple of the identity never nears rank 1 however often it is
-        # squared; both go to eigh, while a rank-1 and a generic window
-        # converge
+    def test_degenerate_windows_need_no_eigh(self, monkeypatch):
+        # every window is solved by squaring alone, with no eigh: a zero
+        # window has no Gram to square and keeps lam = 0 and a = 0; a Gram
+        # that is exactly a multiple of the identity never nears rank 1
+        # however often it is squared, so any unit vector is a leading one;
+        # top singular values 1 and 1 - delta take more squarings the
+        # smaller delta is; a rank-1 and a generic window converge quickly
         rng = np.random.default_rng(8)
         n, w = 18, 36
         eye = np.eye(n)
-        block = np.stack([np.zeros((n, w)),
-                          np.outer(rng.normal(size=n), rng.normal(size=w)),
-                          np.hstack([eye, -eye]),  # B B^T = 2 I
-                          rng.normal(size=(n, w))])
+        windows = [np.zeros((n, w)),
+                   np.outer(rng.normal(size=n), rng.normal(size=w)),
+                   np.hstack([eye, -eye]),  # B B^T = 2 I
+                   rng.normal(size=(n, w))]
+        for delta in (1e-6, 1e-9, 1e-12):
+            left = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            right = np.linalg.qr(rng.normal(size=(w, n)))[0]
+            sv = np.concatenate([[1.0, 1.0 - delta],
+                                 np.sort(rng.uniform(0.1, 0.9, n - 2))[::-1]])
+            windows.append(left * sv @ right.T)
+        block = np.stack(windows)
         solved = []
         unpatched = np.linalg.eigh
 
@@ -262,7 +287,7 @@ class TestLeadingModes:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         lam, a = _leading_modes(block)
-        assert solved == [2]
+        assert solved == []
         top = np.linalg.svd(block, compute_uv=False)[:, 0]
         np.testing.assert_allclose(lam, top, rtol=1e-14, atol=0.0)
         assert lam[0] == 0.0 and (a[0] == 0.0).all()
@@ -274,7 +299,7 @@ class TestLeadingModes:
             assert np.linalg.norm(residual) <= 1e-14 * lam_b**2
 
     def test_streams_leave_scipy_linalg_unloaded(self):
-        # h_t's eigensolves are numpy's, so scoring a recording loads no
+        # h_t's leading modes need numpy alone, so scoring a recording loads no
         # scipy.linalg (about 45 ms and 4-6 MB of a fresh process)
         code = ("import sys\n"
                 "from packdiag import pack, pipeline\n"
