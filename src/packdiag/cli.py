@@ -188,10 +188,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

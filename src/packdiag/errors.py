@@ -9,7 +9,8 @@ class ConfigError(ValueError):
 
 
 class SimulationError(RuntimeError):
-    """Numerical failure inside the simulator (non-finite field, singular network)."""
+    """Failure inside the simulator: a non-finite field, or a cell out of
+    charge before the first frame."""
 
 
 class DataFormatError(ValueError):

@@ -89,6 +89,9 @@ class FaultSpec:
             raise ConfigError(f"fault_cell {self.fault_cell} outside 1..{N_CELLS}")
         if self.r_short <= 0:
             raise ConfigError("r_short must be positive")
+        if not math.isfinite(ROWS / INTERNAL_RESISTANCE + 1.0 / self.r_short):
+            raise ConfigError(f"r_short {self.r_short!r} makes its group's "
+                              "parallel conductance overflow")
         if self.onset < 0:
             raise ConfigError("onset must be non-negative")
 
@@ -225,24 +228,17 @@ class TelemetryFrame:
     label: int
 
 
-class Depleted(Exception):
-    """Internal signal: a cell ran out of charge during discharge."""
-
-
 def ocv_of_soc(soc):
-    """Open-circuit voltage (V) for a state of charge in [0, 1].
+    """Open-circuit voltage (V) for a state of charge in [0, 1], a range
+    the caller keeps: in simulate, SimConfig bounds the start to (0, 1],
+    step_electrical clips at 1, and the run stops at 0.
 
     Horner's rule in np.polyval's order, so the bits are np.polyval's.
     """
-    arr = np.asarray(soc, dtype=float)
-    if arr.min() < 0 or arr.max() > 1:
-        raise ValueError("state of charge outside [0, 1]")
-    out = OCV_COEFFS[0] * arr + OCV_COEFFS[1]
+    out = OCV_COEFFS[0] * soc + OCV_COEFFS[1]
     for coeff in OCV_COEFFS[2:]:
-        out *= arr
+        out *= soc
         out += coeff
-    if np.isscalar(soc) or arr.ndim == 0:
-        return float(out)
     return out
 
 
@@ -251,7 +247,7 @@ HEALTHY_CONDUCTANCE = np.full(N_GROUPS, ROWS / INTERNAL_RESISTANCE)
 HEALTHY_CONDUCTANCE.flags.writeable = False
 
 
-def step_electrical(state: ElectricalState, pack_current: float,
+def step_electrical(soc: np.ndarray, pack_current: float,
                     fault: FaultSpec | None, t: float, dt: float) -> ElectricalState:
     """Advance the circuit by dt: solve each group's parallel network, count coulombs.
 
@@ -259,10 +255,11 @@ def step_electrical(state: ElectricalState, pack_current: float,
     internal drain of V_group / r_short inside the faulted cell, so bus-side
     branch currents still sum exactly to the pack current. Group g holds
     serials g*ROWS .. (g+1)*ROWS - 1, so (N_GROUPS, ROWS) views solve all
-    groups at once.
+    groups at once. soc holds every cell's state of charge; the new ones
+    are clipped at 1, and simulate stops at a step that leaves one at 0 or below.
     """
     r = INTERNAL_RESISTANCE
-    ocv = ocv_of_soc(state.soc).reshape(N_GROUPS, ROWS)
+    ocv = ocv_of_soc(soc).reshape(N_GROUPS, ROWS)
 
     denom = HEALTHY_CONDUCTANCE
     active = fault is not None and t >= fault.onset
@@ -270,8 +267,6 @@ def step_electrical(state: ElectricalState, pack_current: float,
         f = fault.fault_cell - 1
         denom = denom.copy()
         denom[f // ROWS] += 1.0 / fault.r_short
-        if not ((denom > 0) & np.isfinite(denom)).all():
-            raise SimulationError("singular parallel network")
     group_v = (ocv.sum(axis=1) / r - pack_current) / denom
     branch = ((ocv - group_v[:, None]) / r).ravel()
     drain = np.zeros(N_CELLS)
@@ -279,9 +274,7 @@ def step_electrical(state: ElectricalState, pack_current: float,
         drain[f] = group_v[f // ROWS] / fault.r_short
         branch[f] -= drain[f]
 
-    new_soc = state.soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
-    if new_soc.min() <= 0:
-        raise Depleted()
+    new_soc = soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
     np.minimum(new_soc, 1.0, out=new_soc)
 
     return ElectricalState(soc=new_soc, branch_current=branch, drain_current=drain,
@@ -378,30 +371,22 @@ def _modal_step(dt: float, cfg: SimConfig):
             shares * (NODE * NODE * HEIGHT), (qx, qy))
 
 
-def initial_electrical_state(initial_soc: float) -> ElectricalState:
-    """Every cell at initial_soc with no current, each group at its OCV."""
-    soc = np.full(N_CELLS, float(initial_soc))
-    v = float(ocv_of_soc(initial_soc))
-    return ElectricalState(soc=soc, branch_current=np.zeros(N_CELLS),
-                           drain_current=np.zeros(N_CELLS),
-                           group_voltage=np.full(N_GROUPS, v))
-
-
 def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     """Run a scenario and return one telemetry frame per sample_interval.
 
-    Each frame is reached in cfg.substeps equal substeps of at most cfg.dt.
-    A substep steps the circuit, turns its currents into heat and steps the
-    thermal field's modes with it (_modal_step); a frame reads its cell
-    temperatures from the modes. A run in which a cell runs out of charge
-    stops there and returns the frames made so far, fewer than cfg.n_frames;
-    if no frame was made, it raises SimulationError, as it does for a
-    non-finite temperature.
+    Each frame is reached in cfg.substeps equal substeps of at most cfg.dt,
+    all stepped by one loop from every cell at cfg.initial_soc. A substep
+    steps the circuit, turns its currents into heat and steps the thermal
+    field's modes with it (_modal_step); a frame reads its cell temperatures
+    from the modes after its last substep. A run stops at the step that
+    leaves a cell at 0 state of charge or below and returns the frames made
+    before it, fewer than cfg.n_frames; if no frame was made, it raises
+    SimulationError, as it does for a non-finite temperature.
     """
     steps = cfg.substeps
     dt = cfg.sample_interval / steps
     gain, source, read, (qx, qy) = _modal_step(dt, cfg)
-    elec = initial_electrical_state(cfg.initial_soc)
+    soc = np.full(N_CELLS, float(cfg.initial_soc))
     # the C-rate is taken against one cell's capacity
     pack_current = cfg.discharge_rate * CAPACITY_AH
     fault = cfg.fault
@@ -409,23 +394,23 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     amp = np.zeros(NX * NY)
     temps = np.empty((n, N_CELLS))
     group_v = np.empty((n, N_GROUPS))
-    for k in range(n):
-        base = k * cfg.sample_interval
-        try:
-            for s in range(steps):
-                t0 = base + s * dt
-                elec = step_electrical(elec, pack_current, fault, t0, dt)
-                amp *= gain
-                amp += heat_generation(elec) @ source
-        except Depleted:
+    for i in range(n * steps):
+        k, s = divmod(i, steps)
+        t0 = k * cfg.sample_interval + s * dt
+        elec = step_electrical(soc, pack_current, fault, t0, dt)
+        soc = elec.soc
+        if soc.min() <= 0:
             if k == 0:
                 raise SimulationError(
                     f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
-                    "before the first frame") from None
+                    "before the first frame")
             n = k
             break
-        temps[k] = read @ amp
-        group_v[k] = elec.group_voltage
+        amp *= gain
+        amp += heat_generation(elec) @ source
+        if s == steps - 1:
+            temps[k] = read @ amp
+            group_v[k] = elec.group_voltage
 
     _require_finite_field(qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient)
     del gain, source, read, qx, qy, amp  # spent: a run's peak is its frames'

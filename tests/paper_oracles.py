@@ -267,12 +267,14 @@ def stencil_simulate(cfg) -> list:
     Each substep steps the circuit, turns its currents into heat, deposits
     that heat on the footprints and steps the field, and each frame draws
     its noise as it is made: 24 temperatures, 6 voltages, then the current.
+    The run stops at the circuit step that leaves a cell at 0 state of
+    charge or below, with the frames made before it.
     """
     steps = max(1, math.ceil(cfg.sample_interval / cfg.dt - 1e-12))
     dt = cfg.sample_interval / steps
     rng = np.random.default_rng(cfg.rng_seed)
     field = np.full((NX, NY), cfg.ambient)
-    elec = pack.initial_electrical_state(cfg.initial_soc)
+    soc = np.full(N_CELLS, float(cfg.initial_soc))
     pack_current = cfg.discharge_rate * pack.CAPACITY_AH
     fault = cfg.fault
     counts = LAYOUT.footprint_counts
@@ -280,17 +282,19 @@ def stencil_simulate(cfg) -> list:
     frames = []
     for k in range(cfg.n_frames):
         base = k * cfg.sample_interval
-        try:
-            for s in range(steps):
-                t0 = base + s * dt
-                elec = pack.step_electrical(elec, pack_current, fault, t0, dt)
-                src = pack.deposit_sources(pack.heat_generation(elec))
-                field = stencil_step(field, src, dt, cfg)
-        except pack.Depleted:
+        for s in range(steps):
+            t0 = base + s * dt
+            elec = pack.step_electrical(soc, pack_current, fault, t0, dt)
+            soc = elec.soc
+            if soc.min() <= 0:
+                break
+            src = pack.deposit_sources(pack.heat_generation(elec))
+            field = stencil_step(field, src, dt, cfg)
+        if soc.min() <= 0:
             if not frames:
                 raise SimulationError(
                     f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
-                    "before the first frame") from None
+                    "before the first frame")
             break
         t_frame = (k + 1) * cfg.sample_interval
         flat = field.ravel()[LAYOUT.footprint_nodes]
@@ -322,7 +326,9 @@ def ledgered_simulate(cfg, monkeypatch) -> Ledger:
     step advanced, so the ledger counts heat before it reaches the thermal
     field. The last field is the one simulate rebuilds from its modes and
     hands to pack._require_finite_field, and the last circuit state the
-    one of the last step. Every booked substep reaches the field.
+    one of the last step. Every booked substep reaches the field. A run
+    that stops ends with the step that emptied a cell: its circuit state is
+    the last one, and its heat is neither booked nor in the field.
     """
     seen = {"heat_j": 0.0}
     step_electrical = pack.step_electrical

@@ -161,6 +161,17 @@ class TestSimulateCommand:
         assert "MAX_SUBSTEPS" in err
         assert not out.exists()
 
+    def test_overflowing_short_is_config_error(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows, so the faulted group's conductance is not
+        # finite: refused when the file is read, not at the onset
+        cfg_path = tmp_path / "hard.scenario"
+        cfg_path.write_text("duration = 50.0\nfault_cell = 4\n"
+                            "r_short = 1e-320\nonset = 10.0\n")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+        assert "r_short 1e-320" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["file", "flag"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, where):
         # numpy's own message named neither the key nor the value

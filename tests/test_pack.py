@@ -26,11 +26,11 @@ from packdiag.pack import (
     ROWS,
     STABLE_DT,
     VOLUMETRIC_HEAT_CAPACITY,
+    ElectricalState,
     FaultSpec,
     SimConfig,
     deposit_sources,
     heat_generation,
-    initial_electrical_state,
     ocv_of_soc,
     step_electrical,
     step_thermal,
@@ -48,9 +48,9 @@ def _footprints():
     return np.split(LAYOUT.footprint_nodes, np.cumsum(LAYOUT.footprint_counts)[:-1])
 
 
-def _looped_step_electrical(state, pack_current, fault, t, dt):
+def _looped_step_electrical(soc, pack_current, fault, t, dt):
     # reference: solve each series group's parallel network one group at a time
-    ocv = ocv_of_soc(state.soc)
+    ocv = ocv_of_soc(soc)
     r = INTERNAL_RESISTANCE
     active = fault is not None and t >= fault.onset
     fault_idx = fault.fault_cell - 1 if fault is not None else -1
@@ -62,15 +62,13 @@ def _looped_step_electrical(state, pack_current, fault, t, dt):
         denom = len(grp) / r
         if active and fault_idx in grp:
             denom += 1.0 / fault.r_short
-        if denom <= 0 or not np.isfinite(denom):
-            raise SimulationError("singular parallel network")
         v = (ocv[grp].sum() / r - pack_current) / denom
         group_v[g] = v
         branch[grp] = (ocv[grp] - v) / r
         if active and fault_idx in grp:
             drain[fault_idx] = v / fault.r_short
             branch[fault_idx] -= drain[fault_idx]
-    soc = state.soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
+    soc = soc - (branch + drain) * dt / (3600.0 * CAPACITY_AH)
     return soc, branch, drain, group_v
 
 
@@ -117,11 +115,28 @@ class TestCellModel:
         for soc in socs[::997]:
             assert ocv_of_soc(float(soc)) == np.polyval(OCV_COEFFS, soc)
 
-    def test_ocv_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ocv_of_soc(-0.01)
-        with pytest.raises(ValueError):
-            ocv_of_soc(1.01)
+    def test_simulate_keeps_soc_in_range(self, monkeypatch):
+        # ocv_of_soc checks no range, so every state of charge a run hands it
+        # must lie in (0, 1]: from a full start with a short, and in a run
+        # that stops within one substep of empty (at 16 C a cell runs dry at
+        # 810 s)
+        seen = []
+
+        def spy(soc):
+            seen.append((soc.min(), soc.max()))
+            return ocv_of_soc(soc)
+
+        monkeypatch.setattr(pack, "ocv_of_soc", spy)
+        full = SimConfig(duration=60.0, initial_soc=1.0,
+                         fault=FaultSpec(fault_cell=4, r_short=10.0, onset=10.0))
+        assert len(simulate(full)) == full.n_frames
+        depleting = SimConfig(duration=900.0, discharge_rate=16.0, rng_seed=3)
+        assert len(simulate(depleting)) == 810
+        # two substeps a frame, and the step that emptied a cell
+        lows, highs = np.array(seen).T
+        assert lows.size == 2 * (full.n_frames + 810) + 1
+        assert (lows > 0).all() and (highs <= 1).all()
+        assert highs.max() == 1.0 and lows.min() < 1e-3
 
     def test_ocv_vectorized(self):
         socs = np.array([0.0, 0.5, 1.0])
@@ -177,8 +192,7 @@ class TestLayout:
 
 class TestElectrical:
     def test_symmetric_discharge(self):
-        state = initial_electrical_state(initial_soc=0.9)
-        nxt = step_electrical(state, 9.6, None, 0.0, 1.0)
+        nxt = step_electrical(np.full(N_CELLS, 0.9), 9.6, None, 0.0, 1.0)
         ocv = ocv_of_soc(0.9)
         assert np.allclose(nxt.branch_current, 2.4, atol=1e-12)
         assert np.allclose(nxt.group_voltage, ocv - 9.6 * 0.03 / 4, atol=1e-12)
@@ -186,8 +200,7 @@ class TestElectrical:
         assert np.allclose(nxt.soc, 0.9 - 2.4 / (3600 * 4.8), atol=1e-15)
 
     def test_zero_current_open_circuit(self):
-        state = initial_electrical_state(initial_soc=0.7)
-        nxt = step_electrical(state, 0.0, None, 0.0, 1.0)
+        nxt = step_electrical(np.full(N_CELLS, 0.7), 0.0, None, 0.0, 1.0)
         assert np.allclose(nxt.branch_current, 0.0, atol=1e-12)
         assert np.allclose(nxt.group_voltage, ocv_of_soc(0.7), atol=1e-12)
 
@@ -196,9 +209,7 @@ class TestElectrical:
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=0.0)
         rng = np.random.default_rng(3)
         soc = 0.9 + 0.02 * rng.uniform(-1, 1, 24)
-        state = initial_electrical_state(initial_soc=0.9)
-        state.soc[:] = soc
-        nxt = step_electrical(state, 9.6, fault, 5.0, 1.0)
+        nxt = step_electrical(soc, 9.6, fault, 5.0, 1.0)
 
         grp = SERIES_GROUPS[0]  # fault cell 4 sits in the first group
         ocv = ocv_of_soc(soc[grp])
@@ -221,25 +232,26 @@ class TestElectrical:
 
     def test_branch_currents_sum_to_pack_current(self):
         fault = FaultSpec(fault_cell=11, r_short=5.0, onset=0.0)
-        state = initial_electrical_state(initial_soc=0.95)
         rng = np.random.default_rng(11)
-        state.soc[:] = 0.9 + 0.05 * rng.uniform(-1, 1, 24)
+        soc = 0.9 + 0.05 * rng.uniform(-1, 1, 24)
         for k in range(200):
-            state = step_electrical(state, 9.6, fault, float(k), 0.5)
+            state = step_electrical(soc, 9.6, fault, float(k), 0.5)
+            soc = state.soc
             for grp in SERIES_GROUPS:
                 assert abs(state.branch_current[grp].sum() - 9.6) < 1e-9
 
     def test_fault_inactive_before_onset(self):
         fault = FaultSpec(fault_cell=4, r_short=10.0, onset=100.0)
-        state = initial_electrical_state(initial_soc=0.9)
-        nxt = step_electrical(state, 9.6, fault, 99.0, 1.0)
+        nxt = step_electrical(np.full(N_CELLS, 0.9), 9.6, fault, 99.0, 1.0)
         assert nxt.drain_current.sum() == 0.0
-        nxt2 = step_electrical(nxt, 9.6, fault, 100.0, 1.0)
+        nxt2 = step_electrical(nxt.soc, 9.6, fault, 100.0, 1.0)
         assert nxt2.drain_current[3] > 0.0
 
     def test_heat_generation_joule(self):
-        state = initial_electrical_state(initial_soc=0.9)
-        state.branch_current[:] = 2.4
+        state = ElectricalState(soc=np.full(N_CELLS, 0.9),
+                                branch_current=np.full(N_CELLS, 2.4),
+                                drain_current=np.zeros(N_CELLS),
+                                group_voltage=np.full(N_GROUPS, ocv_of_soc(0.9)))
         watts = heat_generation(state)
         assert np.allclose(watts, 2.4**2 * 0.03, atol=1e-12)
         assert abs(watts[0] - 0.1728) < 1e-12
@@ -252,11 +264,10 @@ class TestElectrical:
             fault = FaultSpec(fault_cell=cell, r_short=float(rng.uniform(2.0, 20.0)),
                               onset=50.0)
             for t in (49.5, 50.0, 80.0):
-                state = initial_electrical_state(initial_soc=0.9)
-                state.soc[:] = rng.uniform(0.2, 1.0, N_CELLS)
-                nxt = step_electrical(state, 9.6, fault, t, 0.5)
+                start = rng.uniform(0.2, 1.0, N_CELLS)
+                nxt = step_electrical(start, 9.6, fault, t, 0.5)
                 soc, branch, drain, group_v = _looped_step_electrical(
-                    state, 9.6, fault, t, 0.5)
+                    start, 9.6, fault, t, 0.5)
                 assert np.array_equal(nxt.soc, soc)
                 assert np.array_equal(nxt.branch_current, branch)
                 assert np.array_equal(nxt.drain_current, drain)
@@ -267,12 +278,13 @@ class TestElectrical:
                     _looped_heat(branch, drain, group_v, fault, t))
 
     def test_singular_network_raises(self):
-        # 1 / 1e-320 overflows to inf, so the parallel conductance is not finite
-        fault = FaultSpec(fault_cell=4, r_short=1e-320, onset=0.0)
-        state = initial_electrical_state(initial_soc=0.9)
-        for solve in (step_electrical, _looped_step_electrical):
-            with pytest.raises(SimulationError):
-                solve(state, 9.6, fault, 0.0, 0.5)
+        # 1 / 1e-320 overflows to inf, so the parallel conductance is not
+        # finite: the fault is refused before a run, not at its onset
+        with pytest.raises(ConfigError, match="r_short 1e-320"):
+            FaultSpec(fault_cell=4, r_short=1e-320, onset=0.0)
+        fault = FaultSpec(fault_cell=4, r_short=1e-300, onset=0.0)
+        with pytest.raises(ConfigError, match="r_short"):
+            dataclasses.replace(fault, r_short=1e-320)
 
     def test_pack_current_from_rate(self):
         # a short changes the cells, not the load the pack is asked for
