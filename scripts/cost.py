@@ -60,7 +60,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 from packdiag import pack, pipeline, tuning  # noqa: E402
 from packdiag.errors import ConfigError, SimulationError  # noqa: E402
@@ -158,7 +157,7 @@ def streams(args: argparse.Namespace) -> int:
         return 2
     tele = pipeline.Telemetry.from_frames(pack.simulate(RECORDINGS[0]))
     pipeline.entropy_streams(tele, args.windows[0])  # warm-up, untimed
-    print(f"# {tele.n_frames} frames; {machine(np, scipy)}")
+    print(f"# {tele.n_frames} frames; {machine(np)}")
     print(f"{'window':>6} {'streams_ms':>10} {'modes_ms':>8} "
           f"{'kernel_ms':>9} {'other_ms':>8} {'peak_mb':>7}")
     for w in args.windows:
@@ -191,7 +190,7 @@ def tune(args: argparse.Namespace) -> int:
     print(f"# {len(recordings)} recordings of {recordings[0].n_frames} "
           f"frames, windows {ga.w_min}-{ga.w_max}, population "
           f"{ga.population}, {ga.generations} generations, seed "
-          f"{ga.rng_seed}; {machine(np, scipy)}")
+          f"{ga.rng_seed}; {machine(np)}")
 
     start = time.perf_counter()
     for w in range(ga.w_min, ga.w_max + 1):

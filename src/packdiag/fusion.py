@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, require_integer, require_integers
 
@@ -26,11 +25,55 @@ MIN_WINDOW = M + 2
 # with CDF at or above it at most this far apart, and returns the upper one
 THRESHOLD_TOL = 1e-10
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT1_2 = math.sqrt(0.5)
 # ndtr returns exactly 1.0 at every standardized offset above this one (from
 # 8.292362 on, by a 1e-6 grid and 1e7 random draws up to 1e6)
 NDTR_ONE = 8.3
 # the values calibration fills in: the three normalizers and the threshold
 CALIBRATION_KEYS = ("max_hd", "max_hs", "max_ht", "h_r")
+
+
+def _coefficients(*values):
+    """A polynomial's coefficients, highest power first, as 0-d arrays:
+    numpy's operators take those faster than Python floats."""
+    return tuple(np.array(v) for v in values)
+
+
+# Cody's rational forms of erf and erfc with the coefficients of Moshier's
+# Cephes ndtr.c, whose code scipy.special.ndtr runs. Each denominator's
+# leading coefficient is 1 and left out, as in Cephes.
+# erf(x) = x T(x^2) / U(x^2) for |x| < 1
+ERF_T = _coefficients(
+    9.60497373987051638749e0, 9.00260197203842689217e1,
+    2.23200534594684319226e3, 7.00332514112805075473e3,
+    5.55923013010394962768e4)
+ERF_U = _coefficients(
+    3.35617141647503099647e1, 5.21357949780152679795e2,
+    4.59432382970980127987e3, 2.26290000613890934246e4,
+    4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for x in [1, 8)
+ERFC_P = _coefficients(
+    2.46196981473530512524e-10, 5.64189564831068821977e-1,
+    7.46321056442269912687e0, 4.86371970985681366614e1,
+    1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3,
+    5.57535335369399327526e2)
+ERFC_Q = _coefficients(
+    1.32281951154744992508e1, 8.67072140885989742329e1,
+    3.54937778887819891062e2, 9.75708501743205489753e2,
+    1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(x) = exp(-x^2) R(x) / S(x) for x from 8 up
+ERFC_R = _coefficients(
+    5.64189583547755073984e-1, 1.27536670759978104416e0,
+    5.01905042251180477414e0, 6.16021097993053585195e0,
+    7.40974269950448939160e0, 2.97886665372100240670e0)
+ERFC_S = _coefficients(
+    2.26052863220117276590e0, 9.39603524938001434673e0,
+    1.20489539808096656605e1, 1.70814450747565897222e1,
+    9.60896809063285878198e0, 3.36907645100081516050e0)
+# log of the largest double: erfc is 0 once x^2 passes it
+MAXLOG = 7.09782712893383996843e2
 
 
 def require_window(window) -> int:
@@ -95,6 +138,70 @@ def multiscale_statistic(h_d, h_s, h_t, params: DetectorParams, alpha=None):
                   else np.asarray(alpha, dtype=float).T[..., None])
     return (a1 * (h_d / params.max_hd) + a2 * (h_s / params.max_hs)
             + a3 * (h_t / params.max_ht))
+
+
+def _polevl(z, coefficients):
+    """The polynomial at z by Horner's rule, as Cephes' polevl rounds it."""
+    term = coefficients[0] * z
+    term += coefficients[1]
+    for c in coefficients[2:]:
+        term *= z
+        term += c
+    return term
+
+
+def _p1evl(z, coefficients):
+    """_polevl with a leading coefficient of 1 left out (Cephes' p1evl)."""
+    term = z + coefficients[0]
+    for c in coefficients[1:]:
+        term *= z
+        term += c
+    return term
+
+
+def ndtr(a):
+    """The standard normal CDF at each entry of a, as an array of a's shape.
+
+    Cephes' ndtr, vectorised, with its branches and rounding. With
+    x = a / sqrt(2), it is 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), and
+    otherwise 0.5 erfc(|x|), taken from 1 when x > 0. erfc(z) is 1 - erf(z)
+    below 1, exp(-z^2) P(z)/Q(z) up to 8 and exp(-z^2) R(z)/S(z) from
+    there, and 0 once z^2 passes MAXLOG. For |x| in [1/sqrt(2), 1), erf
+    lies in [0.68, 0.85], so 1 - erf is exact and the erfc form rounds to
+    0.5 + 0.5 erf(x) bit for bit: that one form serves all |x| < 1. NaN
+    stays NaN. numpy's exp may differ from the C library's in the last
+    bit, so a value may differ from scipy.special.ndtr's in its last few
+    bits.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * SQRT1_2
+    z = np.abs(x)
+    # every entry takes the [1, 8) branch, which holds most offsets a
+    # threshold search meets; the other branches then gather their entries
+    # and overwrite them, whose values here may have overflowed
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = z * z
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y *= _polevl(z, ERFC_P)
+        y /= _p1evl(z, ERFC_Q)
+        far = np.flatnonzero(z >= 8.0)
+        if far.size:
+            zf = z[far]
+            erfc = np.exp(-(zf * zf)) * _polevl(zf, ERFC_R)
+            erfc /= _p1evl(zf, ERFC_S)
+            erfc[zf * zf > MAXLOG] = 0.0
+            y[far] = erfc
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=x > 0.0)
+    near = np.flatnonzero(z < 1.0)
+    if near.size:
+        xn = x[near]
+        z2 = xn * xn
+        erf = xn * _polevl(z2, ERF_T)
+        erf /= _p1evl(z2, ERF_U)
+        y[near] = 0.5 + 0.5 * erf
+    return y.reshape(a.shape)
 
 
 @dataclass
@@ -192,10 +299,9 @@ def threshold_from_kde(model: KdeModel, beta: float):
             kernels = -0.5 * u
             kernels *= u
             np.exp(kernels, out=kernels)
-            # ndtr only where it is not exactly 1.0, gathered by index (ndtr's
-            # where= corrupted the heap in scipy 1.17.1): at a high beta most
-            # offsets lie far above the threshold. u is a fresh C-ordered
-            # array, so its ravel is a view
+            # ndtr only where it is not exactly 1.0, gathered by index: at a
+            # high beta most offsets lie far above the threshold. u is a
+            # fresh C-ordered array, so its ravel is a view
             flat = u.ravel()
             rest = np.flatnonzero(flat <= NDTR_ONE)
             cdfs = ndtr(flat[rest])

@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr as scipy_ndtr
 
 from packdiag.errors import ConfigError
 from packdiag.fusion import (
     DetectorParams,
     detect,
     fit_kde,
+    MAXLOG,
     multiscale_statistic,
+    ndtr,
     NDTR_ONE,
+    SQRT1_2,
     THRESHOLD_TOL,
     threshold_from_kde,
 )
@@ -150,7 +153,7 @@ class TestKde:
         samples = rng.normal(0.0, 1.0, 50)
         model = fit_kde(samples)
         for x in [-2.0, -0.3, 0.0, 0.7, 2.5]:
-            want = ndtr((x - samples) / model.bandwidth).mean()
+            want = scipy_ndtr((x - samples) / model.bandwidth).mean()
             assert abs(model.cdf(x) - want) < 1e-12
 
     def test_cdf_monotone(self):
@@ -232,11 +235,84 @@ class TestNewtonThreshold:
 
     def test_ndtr_is_exactly_one_above_the_skip_point(self):
         # the search takes every offset above NDTR_ONE as CDF 1.0 without
-        # calling ndtr; that is exact only if ndtr itself returns 1.0 there
+        # calling ndtr; that is exact only if ndtr itself returns 1.0 there.
+        # It first does at 8.292362 on a 1e-6 grid, as scipy's does
         grid = np.linspace(NDTR_ONE, 40.0, 3_000_001)
         assert (ndtr(grid) == 1.0).all()
         assert (ndtr(np.array([np.nextafter(NDTR_ONE, np.inf), 1e300,
                                np.inf])) == 1.0).all()
+        assert ndtr(8.292362) == 1.0
+        assert ndtr(8.292361) < 1.0
+
+
+class TestNdtr:
+    """fusion.ndtr against scipy.special.ndtr, which runs the same Cephes
+    code with the C library's exp."""
+
+    # Cephes' branch points as offsets a = sqrt(2) x: |x| = 1/sqrt(2), 1 and
+    # 8, x^2 = MAXLOG (erfc is 0 past it) and the search's NDTR_ONE
+    EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+             math.sqrt(2.0 * MAXLOG), NDTR_ONE)
+    # largest relative difference allowed on a result that is a normal
+    # double: numpy's exp and the C library's may round apart by an ulp,
+    # which moves a result by about 2 ulps (1.1e-16 each); 5.6e-16 is the
+    # largest difference measured on these points
+    REL = 2e-15
+    # a subnormal result carries fewer bits: allow four of its steps
+    SUBNORMAL = 4 * 5e-324
+
+    @classmethod
+    def _chunks(cls):
+        """10,020,011 offsets over [-40, 40], about a million at a time:
+        uniform draws, an even grid, and around each branch point on
+        either side 100,000 draws within 1e-6 and 2,001 points one ulp
+        apart."""
+        rng = np.random.default_rng(40)
+        for _ in range(5):
+            yield rng.uniform(-40.0, 40.0, 1_000_000)
+        yield from np.array_split(np.linspace(-40.0, 40.0, 4_000_001), 4)
+        for edge in cls.EDGES:
+            for c in (edge, -edge):
+                yield np.concatenate([
+                    c + rng.uniform(-1e-6, 1e-6, 100_000),
+                    c + np.arange(-1000, 1001) * np.spacing(c)])
+
+    def test_matches_scipy_on_every_branch(self):
+        count = 0
+        tiny = np.finfo(float).tiny
+        for a in self._chunks():
+            count += a.size
+            got, want = ndtr(a), scipy_ndtr(a)
+            assert ((got == 0.0) == (want == 0.0)).all()
+            normal = want >= tiny
+            rel = np.abs(got[normal] - want[normal]) / want[normal]
+            assert (rel <= self.REL).all()
+            assert (np.abs(got - want)[~normal] <= self.SUBNORMAL).all()
+            # below |x| = 1 no exp is called: both sides round the same
+            # operations in the same order, so they agree bit for bit
+            erf = np.abs(a * SQRT1_2) < 1.0
+            np.testing.assert_array_equal(got[erf], want[erf])
+        assert count >= 10_000_000
+
+    def test_special_values(self):
+        a = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300,
+                      5e-324, -5e-324])
+        got = ndtr(a)
+        np.testing.assert_array_equal(got, scipy_ndtr(a))
+        np.testing.assert_array_equal(
+            got, [np.nan, 1.0, 0.0, 0.5, 0.5, 1.0, 0.0, 0.5, 0.5])
+
+    def test_keeps_the_input_shape(self):
+        rng = np.random.default_rng(41)
+        stack = rng.uniform(-12.0, 12.0, (7, 300))
+        got = ndtr(stack)
+        assert got.shape == (7, 300)
+        np.testing.assert_array_equal(got, ndtr(stack.ravel()).reshape(7, 300))
+        for scalar in (0.3, np.float64(-2.5), np.array(11.5)):
+            value = ndtr(scalar)
+            assert value.shape == ()
+            assert value == ndtr(np.array([scalar]))[0]
+        assert ndtr(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestStackedCandidates:

@@ -298,19 +298,6 @@ class TestLeadingModes:
             residual = b @ (b.T @ u) - lam_b**2 * u
             assert np.linalg.norm(residual) <= 1e-14 * lam_b**2
 
-    def test_streams_leave_scipy_linalg_unloaded(self):
-        # h_t's leading modes need numpy alone, so scoring a recording loads no
-        # scipy.linalg (about 45 ms and 4-6 MB of a fresh process)
-        code = ("import sys\n"
-                "from packdiag import pack, pipeline\n"
-                "cfg = pack.SimConfig(duration=60.0, rng_seed=1)\n"
-                "tele = pipeline.Telemetry.from_frames(pack.simulate(cfg))\n"
-                "pipeline.entropy_streams(tele, 20)\n"
-                "print('scipy.linalg' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout == "False\n"
-
     def test_dimension_m_kernel_reads_one_coordinate(self):
         # neighbours that straddle zero: the two baseline-free components
         # of a dimension-2 vector differ by an ulp in some pairs, and the
@@ -426,3 +413,27 @@ class TestRunDetector:
         b = run_detector(fault_tele, params)
         assert np.array_equal(a.h_stream, b.h_stream, equal_nan=True)
         assert a.params.h_r == b.params.h_r
+
+
+def test_package_runs_without_scipy():
+    # the package needs numpy alone: importing its command line, scoring a
+    # recording with calibration and the threshold search, and one GA
+    # evaluation load no scipy module (scipy.special made a fresh import of
+    # packdiag.cli take about 170 ms and 25 MB of peak RSS more)
+    code = ("import sys\n"
+            "import packdiag.cli\n"
+            "from packdiag import pack, pipeline, tuning\n"
+            "from packdiag.fusion import DetectorParams\n"
+            "fault = pack.FaultSpec(fault_cell=4, r_short=10.0, onset=90.0)\n"
+            "cfg = pack.SimConfig(duration=160.0, rng_seed=31, fault=fault)\n"
+            "tele = pipeline.Telemetry.from_frames(pack.simulate(cfg))\n"
+            "params = DetectorParams(window=15, train_len=60)\n"
+            "report = pipeline.run_detector(tele, params)\n"
+            "assert report.params.h_r is not None\n"
+            "evaluator = tuning.FitnessEvaluator([tele], base=params)\n"
+            "evaluator.evaluate(20, (0.3, 0.4, 0.3))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.partition('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
