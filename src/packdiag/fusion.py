@@ -26,8 +26,9 @@ MIN_WINDOW = M + 2
 THRESHOLD_TOL = 1e-10
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT1_2 = math.sqrt(0.5)
-# ndtr returns exactly 1.0 at every standardized offset above this one (from
-# 8.292362 on, by a 1e-6 grid and 1e7 random draws up to 1e6)
+# the Cephes forms round to exactly 1.0 at every standardized offset above
+# this one (from 8.292362 on, by a 1e-6 grid and 1e7 random draws up to
+# 1e6), so ndtr returns 1.0 there without evaluating them
 NDTR_ONE = 8.3
 # the values calibration fills in: the three normalizers and the threshold
 CALIBRATION_KEYS = ("max_hd", "max_hs", "max_ht", "h_r")
@@ -41,14 +42,15 @@ def _coefficients(*values):
 
 # Cody's rational forms of erf and erfc with the coefficients of Moshier's
 # Cephes ndtr.c, whose code scipy.special.ndtr runs. Each denominator's
-# leading coefficient is 1 and left out, as in Cephes.
+# leading coefficient is 1, which Cephes leaves out; 1.0 * z is exactly z,
+# so _polevl rounds it as Cephes' p1evl does.
 # erf(x) = x T(x^2) / U(x^2) for |x| < 1
 ERF_T = _coefficients(
     9.60497373987051638749e0, 9.00260197203842689217e1,
     2.23200534594684319226e3, 7.00332514112805075473e3,
     5.55923013010394962768e4)
 ERF_U = _coefficients(
-    3.35617141647503099647e1, 5.21357949780152679795e2,
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
     4.59432382970980127987e3, 2.26290000613890934246e4,
     4.92673942608635921086e4)
 # erfc(x) = exp(-x^2) P(x) / Q(x) for x in [1, 8)
@@ -59,7 +61,7 @@ ERFC_P = _coefficients(
     9.34528527171957607540e2, 1.02755188689515710272e3,
     5.57535335369399327526e2)
 ERFC_Q = _coefficients(
-    1.32281951154744992508e1, 8.67072140885989742329e1,
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
     3.54937778887819891062e2, 9.75708501743205489753e2,
     1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2)
@@ -69,7 +71,7 @@ ERFC_R = _coefficients(
     5.01905042251180477414e0, 6.16021097993053585195e0,
     7.40974269950448939160e0, 2.97886665372100240670e0)
 ERFC_S = _coefficients(
-    2.26052863220117276590e0, 9.39603524938001434673e0,
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
     1.20489539808096656605e1, 1.70814450747565897222e1,
     9.60896809063285878198e0, 3.36907645100081516050e0)
 # log of the largest double: erfc is 0 once x^2 passes it
@@ -150,15 +152,6 @@ def _polevl(z, coefficients):
     return term
 
 
-def _p1evl(z, coefficients):
-    """_polevl with a leading coefficient of 1 left out (Cephes' p1evl)."""
-    term = z + coefficients[0]
-    for c in coefficients[1:]:
-        term *= z
-        term += c
-    return term
-
-
 def ndtr(a):
     """The standard normal CDF at each entry of a, as an array of a's shape.
 
@@ -171,25 +164,29 @@ def ndtr(a):
     0.5 + 0.5 erf(x) bit for bit: that one form serves all |x| < 1. NaN
     stays NaN. numpy's exp may differ from the C library's in the last
     bit, so a value may differ from scipy.special.ndtr's in its last few
-    bits.
+    bits. Above NDTR_ONE every entry is exactly 1.0 and is not evaluated: at
+    a high beta, most offsets a threshold search meets lie there.
     """
     a = np.asarray(a, dtype=float)
-    x = a.ravel() * SQRT1_2
+    flat = a.ravel()
+    # gathered by index; NaN is not above the cut, so it stays NaN
+    rest = np.flatnonzero(~(flat > NDTR_ONE))
+    x = flat[rest] * SQRT1_2
     z = np.abs(x)
-    # every entry takes the [1, 8) branch, which holds most offsets a
-    # threshold search meets; the other branches then gather their entries
+    # every gathered entry takes the [1, 8) branch, which holds most that a
+    # threshold search evaluates; the other branches then gather theirs
     # and overwrite them, whose values here may have overflowed
     with np.errstate(over="ignore", invalid="ignore"):
         y = z * z
         np.negative(y, out=y)
         np.exp(y, out=y)
         y *= _polevl(z, ERFC_P)
-        y /= _p1evl(z, ERFC_Q)
+        y /= _polevl(z, ERFC_Q)
         far = np.flatnonzero(z >= 8.0)
         if far.size:
             zf = z[far]
             erfc = np.exp(-(zf * zf)) * _polevl(zf, ERFC_R)
-            erfc /= _p1evl(zf, ERFC_S)
+            erfc /= _polevl(zf, ERFC_S)
             erfc[zf * zf > MAXLOG] = 0.0
             y[far] = erfc
     y *= 0.5
@@ -199,9 +196,11 @@ def ndtr(a):
         xn = x[near]
         z2 = xn * xn
         erf = xn * _polevl(z2, ERF_T)
-        erf /= _p1evl(z2, ERF_U)
+        erf /= _polevl(z2, ERF_U)
         y[near] = 0.5 + 0.5 * erf
-    return y.reshape(a.shape)
+    cdf = np.ones(flat.size)
+    cdf[rest] = y
+    return cdf.reshape(a.shape)
 
 
 @dataclass
@@ -287,29 +286,19 @@ def threshold_from_kde(model: KdeModel, beta: float):
     x = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
     lo = least - 10.0 * bandwidth
     hi = most + 10.0 * bandwidth
-    scale = bandwidth[:, None]
-    norm = SQRT_2PI * bandwidth
     step = older_step = hi - lo
     # a zero density makes the Newton point infinite or NaN, which no
     # bracket holds
     with np.errstate(divide="ignore", invalid="ignore"):
         while rows.size:
             u = x[:, None] - samples
-            u /= scale
+            u /= bandwidth[:, None]
             kernels = -0.5 * u
             kernels *= u
             np.exp(kernels, out=kernels)
-            # ndtr only where it is not exactly 1.0, gathered by index: at a
-            # high beta most offsets lie far above the threshold. u is a
-            # fresh C-ordered array, so its ravel is a view
-            flat = u.ravel()
-            rest = np.flatnonzero(flat <= NDTR_ONE)
-            cdfs = ndtr(flat[rest])
-            flat.fill(1.0)
-            flat[rest] = cdfs
             # a sum over the count is what .mean computes, without the
             # Python wrapper that costs more than a small row's sum
-            miss = np.add.reduce(u, axis=1) / size - beta
+            miss = np.add.reduce(ndtr(u), axis=1) / size - beta
             above = miss >= 0.0
             np.copyto(hi, x, where=above)
             np.copyto(lo, x, where=~above)
@@ -317,13 +306,13 @@ def threshold_from_kde(model: KdeModel, beta: float):
             if done.any():
                 h_r[rows[done]] = hi[done]
                 live = ~done
-                rows, samples, scale, norm, kernels = (
-                    rows[live], samples[live], scale[live], norm[live],
-                    kernels[live])
+                rows, samples, bandwidth, kernels = (
+                    rows[live], samples[live], bandwidth[live], kernels[live])
                 lo, hi, x, miss, step, older_step = (
                     lo[live], hi[live], x[live], miss[live], step[live],
                     older_step[live])
-            density = np.add.reduce(kernels, axis=1) / size / norm
+            density = (np.add.reduce(kernels, axis=1) / size
+                       / (SQRT_2PI * bandwidth))
             newton = x - miss / density
             newton -= np.copysign(0.25 * THRESHOLD_TOL, miss)
             take = (lo < newton) & (newton < hi)

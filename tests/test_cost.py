@@ -102,7 +102,8 @@ def test_tune_tiny_search():
     figures = dict(line.split() for line in lines[1:])
     assert list(figures) == ["streams_s", "search_s", "evaluate_calls",
                              "scored", "batches", "batch_rows_median",
-                             "batch_rows_max"]
+                             "batch_rows_max", "threshold_s",
+                             "thresholds_sha256"]
     assert float(figures["streams_s"]) > 0.0
     assert float(figures["search_s"]) > 0.0
     # one evaluate call per individual of the first population and of each
@@ -115,6 +116,10 @@ def test_tune_tiny_search():
     assert 0 < batches <= int(figures["scored"])
     assert 1 <= float(figures["batch_rows_median"]) \
         <= int(figures["batch_rows_max"]) <= 6
+    # the threshold searches run inside the timed search
+    assert 0.0 < float(figures["threshold_s"]) <= float(figures["search_s"])
+    digest = figures["thresholds_sha256"]
+    assert len(digest) == 64 and int(digest, 16) >= 0
 
 
 def test_tune_window_beyond_recording_is_usage_error():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr as scipy_ndtr
 
+from packdiag import fusion
 from packdiag.errors import ConfigError
 from packdiag.fusion import (
     DetectorParams,
@@ -234,13 +235,16 @@ class TestNewtonThreshold:
 
 
     def test_ndtr_is_exactly_one_above_the_skip_point(self):
-        # the search takes every offset above NDTR_ONE as CDF 1.0 without
-        # calling ndtr; that is exact only if ndtr itself returns 1.0 there.
-        # It first does at 8.292362 on a 1e-6 grid, as scipy's does
+        # ndtr returns 1.0 above NDTR_ONE without evaluating; that is exact
+        # only if the normal CDF itself rounds to 1.0 there, as scipy's
+        # Cephes code does. Both first reach 1.0 at 8.292362 on a 1e-6
+        # grid, below the cut, where ndtr still evaluates
         grid = np.linspace(NDTR_ONE, 40.0, 3_000_001)
+        assert (scipy_ndtr(grid) == 1.0).all()
         assert (ndtr(grid) == 1.0).all()
-        assert (ndtr(np.array([np.nextafter(NDTR_ONE, np.inf), 1e300,
-                               np.inf])) == 1.0).all()
+        beyond = np.array([np.nextafter(NDTR_ONE, np.inf), 1e300, np.inf])
+        assert (scipy_ndtr(beyond) == 1.0).all()
+        assert (ndtr(beyond) == 1.0).all()
         assert ndtr(8.292362) == 1.0
         assert ndtr(8.292361) < 1.0
 
@@ -250,7 +254,8 @@ class TestNdtr:
     code with the C library's exp."""
 
     # Cephes' branch points as offsets a = sqrt(2) x: |x| = 1/sqrt(2), 1 and
-    # 8, x^2 = MAXLOG (erfc is 0 past it) and the search's NDTR_ONE
+    # 8, x^2 = MAXLOG (erfc is 0 past it), and NDTR_ONE, above which ndtr
+    # returns 1.0 without evaluating
     EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
              math.sqrt(2.0 * MAXLOG), NDTR_ONE)
     # largest relative difference allowed on a result that is a normal
@@ -313,6 +318,35 @@ class TestNdtr:
             assert value.shape == ()
             assert value == ndtr(np.array([scalar]))[0]
         assert ndtr(np.empty((0, 3))).shape == (0, 3)
+
+    def test_nothing_above_the_cut_reaches_a_horner_pass(self, monkeypatch):
+        passes = []
+        polevl = fusion._polevl
+
+        def spy(z, coefficients):
+            passes.append((coefficients, z.copy()))
+            return polevl(z, coefficients)
+
+        monkeypatch.setattr(fusion, "_polevl", spy)
+        a = np.array([9.0, -30.0, np.inf, -3.0, np.nextafter(NDTR_ONE, np.inf),
+                      0.5, 1e300, 8.292361, 25.0, NDTR_ONE, 40.0, np.nan])
+        below = a[1::2]
+        got = ndtr(a)
+        np.testing.assert_array_equal(got[0::2], 1.0)
+        # NaN is not above the cut: it is evaluated and stays NaN
+        np.testing.assert_array_equal(got[1::2], scipy_ndtr(below))
+        assert np.isnan(got[-1])
+        # the [1, 8) form runs on every evaluated entry, the |x| >= 8 form
+        # on -30 alone and the |x| < 1 form on 0.5 alone
+        z = np.abs(below * SQRT1_2)
+        near = 0.5 * SQRT1_2
+        want = {"ERFC_P": z, "ERFC_Q": z, "ERFC_R": [30.0 * SQRT1_2],
+                "ERFC_S": [30.0 * SQRT1_2], "ERF_T": [near * near],
+                "ERF_U": [near * near]}
+        names = {id(getattr(fusion, name)): name for name in want}
+        for coefficients, arg in passes:
+            np.testing.assert_array_equal(arg, want[names[id(coefficients)]])
+        assert sorted(names[id(c)] for c, _ in passes) == sorted(want)
 
 
 class TestStackedCandidates:
