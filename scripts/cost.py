@@ -14,11 +14,12 @@ function that does it for the call, one clock pair per call of it.
 
 `sim` simulates one scenario file (sc01 by default: 2000 frames of two
 substeps each) and prints `simulate_ms`, the best wall time of
-`pack.simulate` over three calls; `circuit_ms`, the time of that call
-inside `pack.step_electrical` and `pack.heat_generation`, which step the
-circuit and compute the cell heats substep by substep; `response_ms`, the
-rest: the modal thermal response, the substep loop itself, the noise and
-the frames; and `peak_mb`, the tracemalloc peak of one further call.
+`pack.simulate` over three calls; `substep_us`, that time over the
+substeps of the frames it returned; `peak_mb`, the tracemalloc peak of one
+further call; and `frames_sha256`, the SHA-256 of every frame's time,
+label, pack current, cell temperatures and group voltages, frame by frame,
+which a change that must leave every frame bit for bit compares across
+checkouts.
 
 `streams` simulates the first fault recording of the perfbench `tune`
 workload (`workloads.optimizer_test_configs`, 1200 frames) and prints one
@@ -135,18 +136,22 @@ def sim(args: argparse.Namespace) -> int:
         return 2
     call = partial(pack.simulate, cfg)
     try:
-        wall, spent, frames = timed_call(
-            pack, ("step_electrical", "heat_generation"), call)
+        wall, _, frames = timed_call(pack, (), call)
     except SimulationError as exc:
         print(f"cost.py sim: error: {exc}", file=sys.stderr)
         return 3
-    circuit = sum(spent.values())
+    digest = hashlib.sha256()
+    for frame in frames:
+        digest.update(np.array([frame.t, frame.label,
+                                frame.pack_current]).tobytes())
+        digest.update(frame.cell_temps.tobytes())
+        digest.update(frame.group_volts.tobytes())
     print(f"# {args.scenario.stem}: {len(frames)} frames of {cfg.substeps} "
           f"substeps; {machine(np)}")
     print(f"simulate_ms {1e3 * wall:.1f}")
-    print(f"circuit_ms {1e3 * circuit:.1f}")
-    print(f"response_ms {1e3 * (wall - circuit):.1f}")
+    print(f"substep_us {1e6 * wall / (len(frames) * cfg.substeps):.2f}")
     print(f"peak_mb {peak_bytes(call) / 1e6:.2f}")
+    print(f"frames_sha256 {digest.hexdigest()}")
     return 0
 
 

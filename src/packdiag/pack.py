@@ -12,7 +12,9 @@ place they are set.
 
 A run is one substep loop. Each substep steps every group's network at
 once (the groups are contiguous runs of ROWS serials, so one reshape solves
-them all), then the thermal field with that substep's cell heats. Relative
+them all) on buffers made once per run, then the thermal field with that
+substep's cell heats; step_electrical and heat_generation are the same
+circuit step call by call, the reference it matches bit for bit. Relative
 to ambient, the explicit scheme is linear with constant coefficients, and
 its rate operator is a Kronecker sum: a chain of NX nodes along x plus a
 chain of NY nodes along y (`thermal_operators`). The eigenvectors of the two
@@ -231,7 +233,7 @@ class TelemetryFrame:
 def ocv_of_soc(soc):
     """Open-circuit voltage (V) for a state of charge in [0, 1], a range
     the caller keeps: in simulate, SimConfig bounds the start to (0, 1],
-    step_electrical clips at 1, and the run stops at 0.
+    each circuit step clips at 1, and the run stops at 0.
 
     Horner's rule in np.polyval's order, so the bits are np.polyval's.
     """
@@ -257,6 +259,8 @@ def step_electrical(soc: np.ndarray, pack_current: float,
     serials g*ROWS .. (g+1)*ROWS - 1, so (N_GROUPS, ROWS) views solve all
     groups at once. soc holds every cell's state of charge; the new ones
     are clipped at 1, and simulate stops at a step that leaves one at 0 or below.
+    simulate takes this step on buffers of its own: this is the per-call
+    reference it matches bit for bit, and the step the tracer names.
     """
     r = INTERNAL_RESISTANCE
     ocv = ocv_of_soc(soc).reshape(N_GROUPS, ROWS)
@@ -283,7 +287,8 @@ def step_electrical(soc: np.ndarray, pack_current: float,
 
 def heat_generation(state: ElectricalState) -> np.ndarray:
     """Heat per cell (W): Joule heat of the current through the cell's
-    resistance, plus V_group * I_drain dissipated in a short."""
+    resistance, plus V_group * I_drain dissipated in a short; the per-call
+    reference for simulate's loop, as step_electrical is."""
     internal = state.branch_current + state.drain_current
     short = np.repeat(state.group_voltage, ROWS) * state.drain_current
     return internal**2 * INTERNAL_RESISTANCE + short
@@ -328,7 +333,8 @@ def _require_finite_field(field: np.ndarray):
     """SimulationError naming the first node of a field that is not finite."""
     if not np.isfinite(field).all():
         bad = np.argwhere(~np.isfinite(field))[0]
-        raise SimulationError(f"non-finite temperature at node {tuple(bad)}")
+        raise SimulationError(
+            f"non-finite temperature at node {tuple(bad.tolist())}")
 
 
 def step_thermal(t: np.ndarray, sources: np.ndarray, dt: float,
@@ -377,8 +383,10 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     Each frame is reached in cfg.substeps equal substeps of at most cfg.dt,
     all stepped by one loop from every cell at cfg.initial_soc. A substep
     steps the circuit, turns its currents into heat and steps the thermal
-    field's modes with it (_modal_step); a frame reads its cell temperatures
-    from the modes after its last substep. A run stops at the step that
+    field's modes with it (_modal_step). The circuit is stepped on arrays
+    made once per run, in step_electrical's and heat_generation's order of
+    operations, so every frame has the bits those two give call by call. A
+    frame reads its cell temperatures from the modes after its last substep. A run stops at the step that
     leaves a cell at 0 state of charge or below and returns the frames made
     before it, fewer than cfg.n_frames; if no frame was made, it raises
     SimulationError, as it does for a non-finite temperature.
@@ -394,26 +402,65 @@ def simulate(cfg: SimConfig) -> list[TelemetryFrame]:
     amp = np.zeros(NX * NY)
     temps = np.empty((n, N_CELLS))
     group_v = np.empty((n, N_GROUPS))
+
+    # step_electrical and heat_generation on buffers made once: the same
+    # operations in the same order, so the same bits
+    r = INTERNAL_RESISTANCE
+    scale = 3600.0 * CAPACITY_AH
+    groups = soc.reshape(N_GROUPS, ROWS)
+    voltage = np.empty(N_GROUPS)
+    column = voltage[:, None]
+    branch = np.empty((N_GROUPS, ROWS))
+    current = branch.reshape(N_CELLS)    # bus-side plus drain, per cell
+    heat = np.empty(N_CELLS)    # each substep's charge drawn, then its watts
+    dep = np.empty(NX * NY)
+    faulted = HEALTHY_CONDUCTANCE.copy()
+    onset = math.inf
+    if fault is not None:
+        f, g = fault.fault_cell - 1, (fault.fault_cell - 1) // ROWS
+        faulted[g] += 1.0 / fault.r_short
+        onset = fault.onset
     for i in range(n * steps):
         k, s = divmod(i, steps)
         t0 = k * cfg.sample_interval + s * dt
-        elec = step_electrical(soc, pack_current, fault, t0, dt)
-        soc = elec.soc
-        if soc.min() <= 0:
+        active = t0 >= onset
+        ocv = ocv_of_soc(groups)
+        np.add.reduce(ocv, axis=1, out=voltage)
+        voltage /= r
+        voltage -= pack_current
+        voltage /= faulted if active else HEALTHY_CONDUCTANCE
+        np.subtract(ocv, column, out=branch)
+        branch /= r
+        if active:
+            # the cell carries its branch less the drain, and the drain:
+            # (b - d) + d, which need not round to b
+            drain = voltage[g] / fault.r_short
+            current[f] = current[f] - drain + drain
+        np.multiply(current, dt, out=heat)
+        heat /= scale
+        soc -= heat
+        np.minimum(soc, 1.0, out=soc)
+        if np.minimum.reduce(soc) <= 0:
             if k == 0:
                 raise SimulationError(
                     f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
                     "before the first frame")
             n = k
             break
+        np.multiply(current, current, out=heat)
+        heat *= r
+        if active:
+            heat[f] += voltage[g] * drain
         amp *= gain
-        amp += heat_generation(elec) @ source
+        np.matmul(heat, source, out=dep)
+        amp += dep
         if s == steps - 1:
             temps[k] = read @ amp
-            group_v[k] = elec.group_voltage
+            group_v[k] = voltage
 
     _require_finite_field(qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient)
-    del gain, source, read, qx, qy, amp  # spent: a run's peak is its frames'
+    # spent: a run's peak is its frames'
+    del gain, source, read, qx, qy, amp, dep
     temps = temps[:n]
     temps += cfg.ambient
     # the draws of frame after frame: 24 temperatures, 6 voltages, 1 current

@@ -8,9 +8,11 @@ window at once, which the chunked series must match bit for bit.
 The threshold's kernel density is here too, with the plain bisection for
 the threshold that the detector's Newton search is checked against. So are
 the simulator's explicit finite-volume stencil and the substep loop that
-stepped it, which the modal thermal response is checked against, and the
-simulator's heat ledger, which energy-closure tests balance the thermal
-field against, and a frame-by-frame loop that scores one candidate's alarms
+stepped it, which the modal thermal response is checked against; the
+substep loop that called the circuit's per-call reference, which the
+simulator's own circuit is held to bit for bit; the simulator's heat
+ledger, which energy-closure tests balance the thermal field against; and
+a frame-by-frame loop that scores one candidate's alarms
 the way tuning.pooled_metrics scores a stack of them.
 """
 
@@ -310,6 +312,76 @@ def stencil_simulate(cfg) -> list:
     return frames
 
 
+def reference_circuit(cfg):
+    """The run's circuit, substep by substep, by the per-call reference.
+
+    Yields (frame, substep, t0, dt, state) for each pack.step_electrical step
+    of a run, up to the run's last substep or the first step that leaves
+    a cell at 0 state of charge or below, which is yielded too. The circuit
+    never reads a temperature, so this is exactly the circuit of
+    pack.simulate(cfg).
+    """
+    steps = cfg.substeps
+    dt = cfg.sample_interval / steps
+    soc = np.full(N_CELLS, float(cfg.initial_soc))
+    pack_current = cfg.discharge_rate * pack.CAPACITY_AH
+    for i in range(cfg.n_frames * steps):
+        k, s = divmod(i, steps)
+        t0 = k * cfg.sample_interval + s * dt
+        elec = pack.step_electrical(soc, pack_current, cfg.fault, t0, dt)
+        soc = elec.soc
+        yield k, s, t0, dt, elec
+        if soc.min() <= 0:
+            return
+
+
+def looped_simulate(cfg) -> list:
+    """pack.simulate with its circuit stepped by pack.step_electrical and
+    pack.heat_generation, one call of each per substep: the reference
+    simulate's frames must match bit for bit.
+
+    The thermal modes, the noise and the frames are simulate's own, so a
+    difference can only come from the circuit's arithmetic.
+    """
+    steps = cfg.substeps
+    gain, source, read, (qx, qy) = pack._modal_step(
+        cfg.sample_interval / steps, cfg)
+    n = cfg.n_frames
+    amp = np.zeros(NX * NY)
+    temps = np.empty((n, N_CELLS))
+    group_v = np.empty((n, N_GROUPS))
+    for k, s, t0, dt, elec in reference_circuit(cfg):
+        if elec.soc.min() <= 0:
+            if k == 0:
+                raise SimulationError(
+                    f"a cell ran out of charge at t = {t0 + dt:.12g} s, "
+                    "before the first frame")
+            n = k
+            break
+        amp *= gain
+        amp += pack.heat_generation(elec) @ source
+        if s == steps - 1:
+            temps[k] = read @ amp
+            group_v[k] = elec.group_voltage
+
+    pack._require_finite_field(qx @ amp.reshape(NX, NY) @ qy.T + cfg.ambient)
+    temps = temps[:n]
+    temps += cfg.ambient
+    noise = np.random.default_rng(cfg.rng_seed).standard_normal(
+        (n, N_CELLS + N_GROUPS + 1))
+    temps += cfg.temp_noise_std * noise[:, :N_CELLS]
+    volts = group_v[:n] + cfg.volt_noise_std * noise[:, N_CELLS:-1]
+    pack_current = cfg.discharge_rate * pack.CAPACITY_AH
+    current = pack_current + cfg.volt_noise_std * noise[:, -1]
+    fault = cfg.fault
+    return [pack.TelemetryFrame(
+                t=(k + 1) * cfg.sample_interval, cell_temps=temps[k],
+                group_volts=volts[k], pack_current=float(current[k]),
+                label=int(fault is not None
+                          and (k + 1) * cfg.sample_interval > fault.onset))
+            for k in range(n)]
+
+
 class Ledger(NamedTuple):
     """A run's frames with the books the simulator itself does not keep."""
 
@@ -320,40 +392,32 @@ class Ledger(NamedTuple):
 
 
 def ledgered_simulate(cfg, monkeypatch) -> Ledger:
-    """pack.simulate(cfg), with spies on the functions it calls.
+    """pack.simulate(cfg), with the heat its cells generated booked apart.
 
-    Each substep's cell heat, in watts, is booked over the dt its circuit
-    step advanced, so the ledger counts heat before it reaches the thermal
-    field. The last field is the one simulate rebuilds from its modes and
-    hands to pack._require_finite_field, and the last circuit state the
-    one of the last step. Every booked substep reaches the field. A run
-    that stops ends with the step that emptied a cell: its circuit state is
-    the last one, and its heat is neither booked nor in the field.
+    The last field is the one simulate rebuilds from its modes and hands to
+    pack._require_finite_field, caught by a spy. The heat is booked by
+    replaying the run's circuit (reference_circuit) with
+    pack.heat_generation: each substep's cell heat, in watts, over its dt,
+    so the ledger counts heat before it reaches the thermal field. Every
+    booked substep reaches the field. A run that stops ends with the step
+    that emptied a cell: its circuit state is the last one, and its heat
+    is neither booked nor in the field.
     """
-    seen = {"heat_j": 0.0}
-    step_electrical = pack.step_electrical
-    heat_generation = pack.heat_generation
+    seen = {}
     require_finite_field = pack._require_finite_field
-
-    def electrical(state, pack_current, fault, t, dt):
-        seen["dt"] = dt
-        seen["elec"] = step_electrical(state, pack_current, fault, t, dt)
-        return seen["elec"]
-
-    def generation(state):
-        watts = heat_generation(state)
-        seen["heat_j"] += watts.sum() * seen["dt"]
-        return watts
 
     def finite_field(field):
         seen["field"] = field
         require_finite_field(field)
 
-    monkeypatch.setattr(pack, "step_electrical", electrical)
-    monkeypatch.setattr(pack, "heat_generation", generation)
     monkeypatch.setattr(pack, "_require_finite_field", finite_field)
     frames = pack.simulate(cfg)
-    return Ledger(frames, seen["heat_j"], seen["field"], seen["elec"])
+    heat_j = 0.0
+    for _, _, _, dt, elec in reference_circuit(cfg):
+        if elec.soc.min() <= 0:
+            break
+        heat_j += pack.heat_generation(elec).sum() * dt
+    return Ledger(frames, heat_j, seen["field"], elec)
 
 
 class LoopedScore(NamedTuple):

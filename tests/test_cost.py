@@ -1,11 +1,14 @@
 """scripts/cost.py prints where the time of each stage goes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
-from packdiag.io import write_scenario
-from packdiag.pack import FaultSpec, SimConfig
+import numpy as np
+
+from packdiag.io import read_scenario, write_scenario
+from packdiag.pack import FaultSpec, SimConfig, simulate
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "cost.py"
 
@@ -25,16 +28,24 @@ def test_sim_short_run(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("# short: 30 frames of 2 substeps; Python ")
-    figures = {key: float(value) for key, value in
-               (line.split() for line in lines[1:])}
-    assert list(figures) == ["simulate_ms", "circuit_ms", "response_ms",
-                             "peak_mb"]
-    # the circuit's time is a part of the timed call and the response the
-    # rest, so the two add up to it
-    assert figures["circuit_ms"] > 0.0 and figures["response_ms"] > 0.0
-    assert abs(figures["circuit_ms"] + figures["response_ms"]
-               - figures["simulate_ms"]) <= 0.11
-    assert 0.0 < figures["peak_mb"] < 100.0
+    figures = dict(line.split() for line in lines[1:])
+    assert list(figures) == ["simulate_ms", "substep_us", "peak_mb",
+                             "frames_sha256"]
+    # 30 frames of 2 substeps: the call's time over its 60 substeps, to
+    # the printed rounding of both
+    simulate_ms, substep_us = (float(figures[key]) for key in
+                               ("simulate_ms", "substep_us"))
+    assert simulate_ms > 0.0 and substep_us > 0.0
+    assert abs(60 * substep_us / 1e3 - simulate_ms) <= 0.06
+    assert 0.0 < float(figures["peak_mb"]) < 100.0
+    # the digest of the frames that the same config simulates here
+    digest = hashlib.sha256()
+    for frame in simulate(read_scenario(scenario)):
+        digest.update(np.array([frame.t, frame.label,
+                                frame.pack_current]).tobytes())
+        digest.update(frame.cell_temps.tobytes())
+        digest.update(frame.group_volts.tobytes())
+    assert figures["frames_sha256"] == digest.hexdigest()
 
 
 def test_sim_missing_scenario_is_usage_error(tmp_path):

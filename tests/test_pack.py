@@ -36,7 +36,12 @@ from packdiag.pack import (
     step_thermal,
     simulate,
 )
-from paper_oracles import ledgered_simulate, stencil_simulate, stencil_step
+from paper_oracles import (
+    ledgered_simulate,
+    looped_simulate,
+    stencil_simulate,
+    stencil_step,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -555,10 +560,22 @@ class TestSimulate:
         assert abs(gained / run.heat_j - 1.0) < 0.005
 
     def test_non_finite_temperature_raises(self, monkeypatch):
-        monkeypatch.setattr(pack, "heat_generation",
-                            lambda state: np.full(N_CELLS, np.nan))
+        # every watt deposits NaN into the modes
+        modal_step = pack._modal_step
+
+        def nan_sources(dt, cfg):
+            gain, source, read, bases = modal_step(dt, cfg)
+            return gain, np.full_like(source, np.nan), read, bases
+
+        monkeypatch.setattr(pack, "_modal_step", nan_sources)
         with pytest.raises(SimulationError, match="non-finite temperature"):
             simulate(SimConfig(duration=10.0))
+
+    def test_non_finite_node_is_named_in_plain_ints(self):
+        # a convective gain this large overflows the field at once
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
+            simulate(SimConfig(duration=10.0, h_forced=1e300))
+        assert str(err.value) == "non-finite temperature at node (0, 0)"
 
     def test_memory_holds_heats_not_modes(self):
         # one frame of 2000 or of 20,000 substeps: the run holds neither a
@@ -667,6 +684,58 @@ class TestAgainstStencil:
                         for a, b in zip(got, want))
         print(f"{name}: largest temperature deviation {deviation:.2e} K")
         assert deviation <= 1e-10
+
+
+REFERENCE_RUNS = {
+    # a shipped scenario cut to 300 s, its short moved inside the cut
+    "sc05_300s": dataclasses.replace(
+        read_scenario(SCENARIO_DIR / "sc05.scenario"), duration=300.0,
+        fault=FaultSpec(fault_cell=18, r_short=10.0, onset=150.0)),
+    # at 16 C a cell runs dry at 810 s
+    "depleting": SimConfig(duration=900.0, discharge_rate=16.0, rng_seed=3),
+    # three substeps of 1/3 s per frame
+    "dt_0.4": SimConfig(duration=300.0, dt=0.4, rng_seed=11,
+                        fault=FaultSpec(fault_cell=9, r_short=5.0,
+                                        onset=120.0)),
+    # the short starts at the second of frame 101's two substeps
+    "onset_100.5": SimConfig(duration=300.0, rng_seed=5,
+                             fault=FaultSpec(fault_cell=17, r_short=10.0,
+                                             onset=100.5)),
+    # a short from the first substep, from full charge
+    "full_short_from_0": SimConfig(duration=300.0, initial_soc=1.0,
+                                   rng_seed=6,
+                                   fault=FaultSpec(fault_cell=4,
+                                                   r_short=10.0, onset=0.0)),
+    # a short that drains a cell dry at rest: currents large enough that
+    # the order of each charge update's operations shows in its bits
+    "hard_short_at_rest": SimConfig(duration=300.0, discharge_rate=0.0,
+                                    rng_seed=7,
+                                    fault=FaultSpec(fault_cell=4,
+                                                    r_short=1e-3,
+                                                    onset=50.0)),
+}
+
+
+# frames of the runs that a cell runs dry in
+RUN_LENGTHS = {"depleting": 810, "hard_short_at_rest": 186}
+
+
+class TestAgainstReference:
+    """simulate's circuit on its own buffers against the loop that called
+    step_electrical and heat_generation each substep: every frame bit for
+    bit, temperatures included."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_RUNS))
+    def test_frames_match_looped_simulate(self, name):
+        cfg = REFERENCE_RUNS[name]
+        got, want = simulate(cfg), looped_simulate(cfg)
+        assert len(got) == len(want) == RUN_LENGTHS.get(name, cfg.n_frames)
+        assert any(f.label for f in got) == (cfg.fault is not None)
+        for a, b in zip(got, want):
+            assert a.t == b.t and a.label == b.label
+            assert a.pack_current == b.pack_current
+            assert np.array_equal(a.cell_temps, b.cell_temps)
+            assert np.array_equal(a.group_volts, b.group_volts)
 
 
 # frozen from the first deterministic run of scenario 1 (seed 101)
